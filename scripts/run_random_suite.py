@@ -5,19 +5,17 @@ import argparse
 from pathlib import Path
 
 from setvi import render_json
-from setvi.suite import SUITE_DEFAULTS, run_suite
+from setvi.suite import run_suite
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--instances", type=int, default=200)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="suite_report.json")
     args = parser.parse_args()
 
-    report = run_suite(seed=args.seed, instances=args.instances,
-                       settings=SUITE_DEFAULTS.with_(workers=args.workers))
+    report = run_suite(seed=args.seed, instances=args.instances)
     summary = report["summary"]
     print(f"instances: {report['instance_count']}")
     print(f"implication statuses: {summary['implication_statuses']}")

@@ -47,9 +47,9 @@ from .setmap import (
     SetMap,
     SetValue,
     builtin_map,
-    cone_extend_view,
     evaluate,
     load_problem,
+    map_extended_member,
     ray_restriction,
 )
 from .suite import run_suite
@@ -58,10 +58,7 @@ from .vi import (
     ChainReport,
     ChainStatus,
     VIVerdict,
-    mvi_check,
     replay_derivative,
-    svi2_mvi2_check,
-    svi_check,
     theorem_chain,
     vi_check,
 )

@@ -20,15 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import Cone, TAU_STRICT, WStarSample
+from .cone import Cone, TAU_STRICT, WStarSample, ext_margins
 from .errors import (
     GridTooCoarse,
     InternalCheckError,
     NoWitnessFound,
+    OutsideSampleDomain,
     StepOutsideDomain,
 )
 from .extreal import ExtReal, inf_residual, residual_floats
-from .scalarize import ScalarPath, scalarize_many
+from .scalarize import PiecewiseLinear, ScalarPath, scalarize_many
 from .setmap import SetMap, evaluate
 from .verdicts import CheckResult, Verdict
 
@@ -73,40 +74,6 @@ def dini_table(bases: np.ndarray, probes: np.ndarray, steps: np.ndarray) -> np.n
     return out
 
 
-def _exact_unit_derivative(path: ScalarPath, t: float, direction: int) -> float:
-    """Closed-form one-sided derivative of a breakpoint-backed path.
-
-    Only the segment immediately adjacent to t in the given direction
-    matters for the limit; finite-finite segments contribute their slope,
-    anything else resolves through the residual conventions.
-    """
-    pl = path.breakpoints
-    knots, vals = pl.knots, pl.knot_values
-    base = pl.eval(t)
-    if direction > 0:
-        if t >= 1.0:
-            return _infinite_quotient(np.inf, base)  # +inf beyond the segment
-        j = int(np.searchsorted(knots, t, side="right"))
-    else:
-        if t <= 0.0:
-            return _infinite_quotient(np.inf, base)
-        j = int(np.searchsorted(knots, t, side="left"))
-    v0, v1 = vals[j - 1], vals[j]
-    if np.isfinite(v0) and np.isfinite(v1):
-        slope = (v1 - v0) / (knots[j] - knots[j - 1])
-        return direction * slope
-    near = np.inf if (v0 == np.inf or v1 == np.inf) else -np.inf
-    return _infinite_quotient(near, base)
-
-
-def _infinite_quotient(near: float, base: float) -> float:
-    """Limit quotient when the approached values are infinite or base is."""
-    if base == np.inf and near == np.inf:
-        return np.inf  # the +inf override: no information along the ray
-    r = inf_residual(near, base).value
-    return r  # +-inf; finite never reaches here
-
-
 def dini_lower(path: ScalarPath, t: float, direction: int,
                cfg: DiniConfig | None = None) -> ExtReal:
     """Lower Dini derivative of the path at t in unit direction +-1.
@@ -122,7 +89,8 @@ def dini_lower(path: ScalarPath, t: float, direction: int,
     if not (0.0 <= t <= 1.0):
         raise StepOutsideDomain(f"t = {t} is outside the path interval [0, 1]")
     if path.breakpoints is not None:
-        return ExtReal(_exact_unit_derivative(path, t, direction))
+        d_plus, d_minus = _exact_unit_derivatives_grid(path.breakpoints, np.array([t]))
+        return ExtReal(float((d_plus if direction > 0 else d_minus)[0]))
     steps = cfg.step_grid()
     probes = path.eval_many(t + direction * steps)
     base = path.eval(t)
@@ -133,7 +101,7 @@ def unit_derivatives(path: ScalarPath, cfg: DiniConfig):
     """(d_plus, d_minus) one-sided derivatives at every grid point."""
     t = path.t_grid
     if path.breakpoints is not None:
-        return _exact_unit_derivatives_grid(path)
+        return _exact_unit_derivatives_grid(path.breakpoints, t)
     steps = cfg.step_grid()
     fw = path.eval_many((t[:, None] + steps[None, :]).ravel()).reshape(t.size, -1)
     bw = path.eval_many((t[:, None] - steps[None, :]).ravel()).reshape(t.size, -1)
@@ -141,17 +109,17 @@ def unit_derivatives(path: ScalarPath, cfg: DiniConfig):
     return dini_table(base, fw, steps), dini_table(base, bw, steps)
 
 
-def _exact_unit_derivatives_grid(path: ScalarPath):
-    """Vectorized one-sided slopes of a breakpoint path at every grid point.
+def _exact_unit_derivatives_grid(breakpoints: PiecewiseLinear, t: np.ndarray):
+    """Closed-form one-sided slopes (d_plus, d_minus) of a breakpoint path at
+    every t in [0, 1].
 
-    Within a finite-finite segment the derivative is the segment slope; a
-    segment carrying a +inf endpoint reads +inf (including the all-inf
-    override), one carrying only -inf reads -inf.  Beyond [0, 1] the path
-    is +inf, so the outward boundary derivatives are +inf as well.
+    Only the segment adjacent to t on the probed side matters for the
+    limit.  Within a finite-finite segment the derivative is the segment
+    slope; a segment carrying a +inf endpoint reads +inf (including the
+    all-inf override), one carrying only -inf reads -inf.  Beyond [0, 1]
+    the path is +inf, so the outward boundary derivatives are +inf as well.
     """
-    pl = path.breakpoints
-    K, V = pl.knots, pl.knot_values
-    t = path.t_grid
+    K, V = breakpoints.knots, breakpoints.knot_values
     both = np.isfinite(V[:-1]) & np.isfinite(V[1:])
     slope = np.zeros(K.size - 1)
     slope[both] = (V[1:][both] - V[:-1][both]) / (K[1:][both] - K[:-1][both])
@@ -381,6 +349,36 @@ def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
     )
 
 
+CONVEXITY_T_SAMPLES = (0.25, 0.5, 0.75)
+
+
+def convexity_pairs(map: SetMap, t_samples, max_pairs: int) -> list:
+    """Sample pairs (x_i, x_j), i < j, for the cone-convexity check.
+
+    Tabulated maps keep only pairs whose combination points are stored
+    samples themselves; more than max_pairs pairs are thinned by a
+    uniform stride over the whole list.
+    """
+    n = map.domain.shape[0]
+    pairs = [(map.domain[i], map.domain[j]) for i in range(n) for j in range(i + 1, n)]
+    if map.kind == "tabulated":
+        pairs = [p for p in pairs if _combos_stored(map, p, t_samples)]
+    if len(pairs) > max_pairs:
+        stride = int(np.ceil(len(pairs) / max_pairs))
+        pairs = pairs[::stride]
+    return pairs
+
+
+def _combos_stored(map: SetMap, pair, t_samples) -> bool:
+    x1, x2 = pair
+    for s in t_samples:
+        try:
+            evaluate(map, s * x1 + (1.0 - s) * x2)
+        except OutsideSampleDomain:
+            return False
+    return True
+
+
 def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
                       pair_samples, t_samples, tau: float = TAU_STRICT) -> CheckResult:
     """Convexity of the map with respect to the cone, on sampled pairs.
@@ -392,6 +390,7 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     convex; if they disagree the check aborts with diagnostics instead of
     guessing.
     """
+    pair_samples = list(pair_samples)
     t_samples = [float(s) for s in t_samples]
     mink_witness = None
     scalar_witness = None
@@ -433,8 +432,6 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
                                     "reason": "empty value at the combination point"}
                 continue
             if mink_witness is None:
-                from .cone import ext_margins
-
                 margins, _ = ext_margins(vt.points, cone, combo)
                 worst = int(np.argmin(margins))
                 if margins[worst] < -tau:
@@ -448,7 +445,7 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
             "convex extended values; on staircase-shaped values the separation "
             f"argument is void. minkowski={mink_witness}, scalar={scalar_witness}"
         )
-    resolution = {"pairs": len(list(pair_samples)), "t_samples": t_samples,
+    resolution = {"pairs": len(pair_samples), "t_samples": t_samples,
                   "combinations_checked": checked, "tau_strict": tau,
                   "wstar_size": len(wstar)}
     if mink_witness is not None:

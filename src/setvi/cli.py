@@ -14,10 +14,11 @@ import sys
 
 import numpy as np
 
-from .analysis import classify_path, diewert_witness
+from .analysis import (CONVEXITY_T_SAMPLES, c_convexity_check, classify_path,
+                       convexity_pairs, diewert_witness)
 from .cone import dual_base
 from .config import RunSettings
-from .errors import NoWitnessFound, SetVIError
+from .errors import GridTooCoarse, NoWitnessFound, SetVIError
 from .order import classify_weak_min, relation_ll, relation_lt, scalar_strict_separation
 from .report import render_json
 from .scalarize import scalar_path
@@ -41,7 +42,6 @@ def _settings(problem, args) -> RunSettings:
         "tau_strict": getattr(args, "tau", None),
         "wstar_density": getattr(args, "density", None),
         "output": getattr(args, "output", None),
-        "workers": getattr(args, "workers", None),
         "vi_domain": getattr(args, "vi_domain", None),
         "seed": getattr(args, "seed", None),
     }
@@ -174,13 +174,10 @@ def _cmd_convexity(args) -> int:
     problem = load_problem(args.file)
     settings = _settings(problem, args)
     wstar = dual_base(problem.cone, settings.wstar_density)
-    from .analysis import c_convexity_check
-
     n = problem.map.domain.shape[0]
-    pairs = [(problem.map.domain[i], problem.map.domain[j])
-             for i in range(n) for j in range(i + 1, n)][:36]
+    pairs = convexity_pairs(problem.map, CONVEXITY_T_SAMPLES, max_pairs=36)
     cvx = c_convexity_check(problem.map, problem.cone, wstar, pairs,
-                            [0.25, 0.5, 0.75], settings.tau_strict)
+                            CONVEXITY_T_SAMPLES, settings.tau_strict)
     statuses = [cvx.verdict.value]
     lines = [f"cone convexity: {cvx.verdict.value}"]
     paths = []
@@ -193,13 +190,19 @@ def _cmd_convexity(args) -> int:
             w = wstar.weights[0]
             path = scalar_path(problem.map, x0, x, w,
                                ray_grid(problem.map, x0, x, t_grid))
-            rep = classify_path(path, settings.dini, settings.tau_strict)
-            paths.append({"x0": np.atleast_1d(x0).tolist(), "x": x.tolist(),
-                          "w": w.tolist(), **rep.to_dict()})
+            entry = {"x0": np.atleast_1d(x0).tolist(), "x": x.tolist(), "w": w.tolist()}
+            label = f"path x0={entry['x0']} -> {entry['x']}"
+            try:
+                rep = classify_path(path, settings.dini, settings.tau_strict)
+            except GridTooCoarse as exc:
+                # too few samples on the ray, e.g. a tabulated ray storing only its ends
+                paths.append({**entry, "skipped": str(exc)})
+                lines.append(f"{label}: skipped ({exc})")
+                continue
+            paths.append({**entry, **rep.to_dict()})
             statuses.append(rep.semistrictly_quasiconvex.verdict.value)
             lines.append(
-                f"path x0={np.atleast_1d(x0).tolist()} -> {x.tolist()}: "
-                f"ssqc={rep.semistrictly_quasiconvex.verdict.value} "
+                f"{label}: ssqc={rep.semistrictly_quasiconvex.verdict.value} "
                 f"pconvex={rep.pseudoconvex.verdict.value} "
                 f"pconcave={rep.pseudoconcave.verdict.value} "
                 f"s0={rep.s0:.4g} t0={rep.t0:.4g}")
@@ -255,10 +258,7 @@ def _cmd_mvt(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    settings = SUITE_DEFAULTS.with_(
-        workers=args.workers or 1,
-        vi_domain=args.vi_domain or "formula",
-    )
+    settings = SUITE_DEFAULTS.with_(vi_domain=args.vi_domain or "formula")
     if args.tau:
         settings = settings.with_(tau_strict=args.tau)
     report = run_suite(seed=args.seed, instances=args.instances, settings=settings)
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strictness tolerance override")
         p.add_argument("--density", type=int, default=None,
                        help="dual-base sample density override")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--vi-domain", dest="vi_domain",
                        choices=["formula", "dom"], default=None)
         p.add_argument("--seed", type=int, default=None)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 from .analysis import DiniConfig
 from .cone import TAU_STRICT
+from .errors import SchemaError
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,6 @@ class RunSettings:
     dini: DiniConfig = field(default_factory=DiniConfig)
     seed: int = 0
     output: str = "text"          # text | json | both
-    workers: int = 1
     ray_steps: int = 17           # scalar-path grids for the convexity command
     chain_ray_grid: int = 9
     chain_max_rays: int = 8
@@ -27,7 +26,7 @@ class RunSettings:
     probe_radii: tuple | None = None
 
     def __post_init__(self):
-        if self.tau_strict <= 0 or self.wstar_density < 1 or self.workers < 1:
+        if self.tau_strict <= 0 or self.wstar_density < 1:
             raise ValueError("settings must be positive")
         if self.output not in ("text", "json", "both"):
             raise ValueError("output must be text, json, or both")
@@ -36,35 +35,26 @@ class RunSettings:
 
     @staticmethod
     def from_dict(doc: dict, **overrides) -> "RunSettings":
+        """Settings from a problem's "settings" object; unknown keys are a
+        SchemaError so that a typo fails instead of running with defaults."""
         doc = dict(doc or {})
         doc.update({k: v for k, v in overrides.items() if v is not None})
-        dini = doc.get("dini", {})
+        _reject_unknown("settings", doc, RunSettings.__dataclass_fields__)
+        dini = doc.pop("dini", {})
         if isinstance(dini, dict):
-            dini = DiniConfig(**{k: dini[k] for k in ("t_max", "ratio", "steps")
-                                 if k in dini})
-        known = {f for f in RunSettings.__dataclass_fields__}
-        kwargs = {k: v for k, v in doc.items() if k in known and k != "dini"}
-        if "eps_list" in kwargs and kwargs["eps_list"] is not None:
-            kwargs["eps_list"] = tuple(float(e) for e in kwargs["eps_list"])
-        if "probe_radii" in kwargs and kwargs["probe_radii"] is not None:
-            kwargs["probe_radii"] = tuple(float(r) for r in kwargs["probe_radii"])
-        return RunSettings(dini=dini, **kwargs)
+            _reject_unknown("dini", dini, DiniConfig.__dataclass_fields__)
+            dini = DiniConfig(**dini)
+        if doc.get("eps_list") is not None:
+            doc["eps_list"] = tuple(float(e) for e in doc["eps_list"])
+        if doc.get("probe_radii") is not None:
+            doc["probe_radii"] = tuple(float(r) for r in doc["probe_radii"])
+        return RunSettings(dini=dini, **doc)
 
     def with_(self, **kw) -> "RunSettings":
         return replace(self, **kw)
 
-    def effective_workers(self) -> int:
-        cap = os.environ.get("SETVI_THREADS")
-        if cap:
-            try:
-                return max(1, min(self.workers, int(cap)))
-            except ValueError:
-                pass
-        return self.workers
-
     def to_dict(self) -> dict:
-        # workers and output shape the run, not the verdicts, and reports must
-        # be byte-identical across worker counts; they are left out on purpose
+        # output shapes the printout, not the verdicts; it is left out on purpose
         return {
             "tau_strict": self.tau_strict,
             "wstar_density": self.wstar_density,
@@ -77,3 +67,9 @@ class RunSettings:
             "eps_list": list(self.eps_list) if self.eps_list else None,
             "probe_radii": list(self.probe_radii) if self.probe_radii else None,
         }
+
+
+def _reject_unknown(where: str, doc: dict, known) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise SchemaError(f"unknown {where} keys {unknown}; known: {sorted(known)}")

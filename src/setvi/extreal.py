@@ -133,6 +133,3 @@ def format_float(x: float) -> str:
         return "-inf"
     return f"{x:.17g}"
 
-
-def format_extreal(x) -> str:
-    return format_float(ExtReal.of(x).value)

@@ -25,14 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, ext_margins
-from .errors import (
-    BasePointOutsideDomain,
-    EmptySet,
-    InternalCheckError,
-    NonSingletonValue,
-)
+from .errors import EmptySet, InternalCheckError, NonSingletonValue
 from .scalarize import scalarize_many
-from .setmap import SetMap, SetValue, evaluate
+from .setmap import SetMap, SetValue, base_value, evaluate
 from .verdicts import CheckResult, Verdict
 
 
@@ -119,10 +114,7 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     The scan covers every sample of the domain; a whole-space value at the
     base point short-circuits all three notions to HOLDS.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v0 = evaluate(map, x0)
-    if v0.is_empty:
-        raise BasePointOutsideDomain(f"map value at {x0.tolist()} is empty")
+    x0, v0 = base_value(map, x0)
     resolution = {"domain_size": int(map.domain.shape[0]),
                   "wstar_size": len(wstar), "tau_strict": tau}
     if v0.whole_space:

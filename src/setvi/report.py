@@ -3,7 +3,7 @@
 Finite floats are written as decimal literals with 17 significant digits,
 infinities as the strings "+inf" and "-inf", and dictionaries keep their
 insertion order; identical report trees therefore serialize to identical
-bytes regardless of worker count or platform dictionary hashing.
+bytes regardless of platform dictionary hashing.
 """
 
 from __future__ import annotations

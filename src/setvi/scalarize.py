@@ -20,9 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .cone import Cone, TAU_STRICT, WStarSample
-from .errors import BasePointOutsideDomain, DimensionMismatch, EmptySet
+from .errors import DimensionMismatch, EmptySet
 from .extreal import NEG_INF, POS_INF, ExtReal
-from .setmap import RayValues, SetMap, SetValue, evaluate, evaluate_batch, ray_restriction
+from .setmap import (SetMap, SetValue, base_value, evaluate, evaluate_batch, ray_grid,
+                     ray_restriction)
 from .verdicts import CheckResult, Verdict, worst
 
 
@@ -52,6 +53,33 @@ def scalarize_many(value: SetValue, weights: np.ndarray) -> np.ndarray:
 def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Scalarize a (T, p, m) stack of clouds under (n, m) weights -> (T, n)."""
     return np.einsum("tpm,nm->tpn", clouds, weights).min(axis=1)
+
+
+def interp_extended(knots: np.ndarray, values: np.ndarray,
+                    ts: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolation of extended reals at ts.
+
+    ``values`` holds one row per knot and may carry trailing columns, one
+    path per column.  Strictly between knots the value interpolates when
+    both endpoint values are finite; otherwise it is +inf if either
+    endpoint is +inf, else -inf.  Beyond the knot span the end segments
+    extend; callers that read a path as +inf outside [0, 1] mask first.
+    """
+    idx = np.clip(np.searchsorted(knots, ts, side="left"), 0, knots.size - 1)
+    exact = knots[idx] == ts
+    out = np.empty(ts.shape + values.shape[1:])
+    out[exact] = values[idx[exact]]
+    seg = ~exact
+    i = np.clip(idx[seg] - 1, 0, knots.size - 2)
+    v0, v1 = values[i], values[i + 1]
+    lam = (ts[seg] - knots[i]) / (knots[i + 1] - knots[i])
+    lam = lam.reshape(lam.shape + (1,) * (values.ndim - 1))
+    both = np.isfinite(v0) & np.isfinite(v1)
+    safe0 = np.where(both, v0, 0.0)
+    safe1 = np.where(both, v1, 0.0)
+    out[seg] = np.where(both, safe0 + lam * (safe1 - safe0),
+                        np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf))
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,25 +113,7 @@ class PiecewiseLinear:
         ts = np.asarray(ts, dtype=float)
         out = np.full(ts.shape, np.inf)
         inside = (ts >= 0.0) & (ts <= 1.0)
-        t = ts[inside]
-        idx = np.searchsorted(self.knots, t, side="left")
-        exact = self.knots[np.minimum(idx, self.knots.size - 1)] == t
-        res = np.empty(t.shape)
-        res[exact] = self.knot_values[idx[exact]]
-        seg = ~exact
-        i = idx[seg] - 1
-        v0 = self.knot_values[i]
-        v1 = self.knot_values[i + 1]
-        lam = (t[seg] - self.knots[i]) / (self.knots[i + 1] - self.knots[i])
-        both_finite = np.isfinite(v0) & np.isfinite(v1)
-        segvals = np.where(
-            both_finite,
-            np.where(both_finite, v0, 0.0) + lam * (np.where(both_finite, v1, 0.0)
-                                                    - np.where(both_finite, v0, 0.0)),
-            np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf),
-        )
-        res[seg] = segvals
-        out[inside] = res
+        out[inside] = interp_extended(self.knots, self.knot_values, ts[inside])
         return out
 
     def eval(self, t: float) -> float:
@@ -158,10 +168,7 @@ class ScalarPath:
             out[inside] = np.asarray(self.evaluator(ts[inside]), dtype=float)
             return out
         # fall back to interpolating the grid samples
-        pl_like = PiecewiseLinear.__new__(PiecewiseLinear)
-        object.__setattr__(pl_like, "knots", self.t_grid)
-        object.__setattr__(pl_like, "knot_values", self.values)
-        out[inside] = pl_like.eval_many(ts[inside])
+        out[inside] = interp_extended(self.t_grid, self.values, ts[inside])
         return out
 
     def eval(self, t: float) -> float:
@@ -205,23 +212,9 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
                       evaluator=evaluator)
 
 
-def path_from_ray(ray: RayValues, w) -> ScalarPath:
-    """Pointwise scalarization of precomputed ray values."""
-    w = np.asarray(w, dtype=float)
-    values = np.array([scalarize(v, w).value for v in ray.values])
-    return ScalarPath(t_grid=ray.t_grid.copy(), values=values)
-
-
 # ---------------------------------------------------------------------------
 # Continuity checks
 # ---------------------------------------------------------------------------
-
-
-def _require_base_point(map: SetMap, x0) -> np.ndarray:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if evaluate(map, x0).is_empty:
-        raise BasePointOutsideDomain(f"map value at {x0.tolist()} is empty")
-    return x0
 
 
 def equicontinuity_check(map: SetMap, x0, wstar: WStarSample, probe_radii,
@@ -233,11 +226,11 @@ def equicontinuity_check(map: SetMap, x0, wstar: WStarSample, probe_radii,
     radius contains a clear violator; UNDETERMINED when only borderline
     gaps (within the strictness band around eps) remain.
     """
-    x0 = _require_base_point(map, x0)
+    x0, v0 = base_value(map, x0)
     radii = sorted(float(r) for r in probe_radii)
     if not radii:
         raise ValueError("probe_radii must be nonempty")
-    phi0 = scalarize_many(evaluate(map, x0), wstar.weights)
+    phi0 = scalarize_many(v0, wstar.weights)
     dists = np.linalg.norm(map.domain - x0[None, :], axis=1)
     per_radius = []
     best = None
@@ -328,12 +321,11 @@ def hausdorff_check(map: SetMap, x0, cone: Cone, eps_list, probe_radii,
     For each eps it searches the probe radii for a delta such that every
     sampled x within delta has all of F(x) within eps of F(x0).
     """
-    x0 = _require_base_point(map, x0)
+    x0, v0 = base_value(map, x0)
     radii = sorted(float(r) for r in probe_radii)
     eps_list = [float(e) for e in eps_list]
     if not radii or not eps_list:
         raise ValueError("eps_list and probe_radii must be nonempty")
-    v0 = evaluate(map, x0)
     dists = np.linalg.norm(map.domain - x0[None, :], axis=1)
     entries = []
     for i in range(map.domain.shape[0]):
@@ -354,9 +346,7 @@ def hausdorff_check_radial(map: SetMap, x0, cone: Cone, eps_list, t_grid,
     domain sample, with radii measured in t units; the worst verdict over
     all rays and anchors is returned.
     """
-    from .setmap import ray_grid
-
-    x0 = _require_base_point(map, x0)
+    x0, _ = base_value(map, x0)
     eps_list = [float(e) for e in eps_list]
     results = []
     for xi in range(map.domain.shape[0]):

@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import Cone, ExtMembership, Region, make_cone
+from .cone import Cone, ExtMembership, Region, _readonly, cone_extended_member, make_cone
 from .errors import (
     BadParameters,
+    BasePointOutsideDomain,
     DimensionMismatch,
     EmptyDomain,
     OutsideSampleDomain,
@@ -32,12 +33,6 @@ from .errors import (
 )
 
 _LOOKUP_TOL = 1e-9
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,6 +157,15 @@ def evaluate(map: SetMap, x) -> SetValue:
     return map.generator.eval_one(x)
 
 
+def base_value(map: SetMap, x0) -> tuple[np.ndarray, SetValue]:
+    """The base point as a domain point, with its value, which must not be empty."""
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    v0 = evaluate(map, x0)
+    if v0.is_empty:
+        raise BasePointOutsideDomain(f"map value at {x0.tolist()} is empty")
+    return x0, v0
+
+
 def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
     """Fast path: values at all rows of xs as a (T, p, m) array.
 
@@ -222,26 +226,18 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     return RayValues(x0=_readonly(x0), x=_readonly(x), t_grid=_readonly(t), values=vals)
 
 
-class ConeExtendedView:
-    """Membership queries against F(x) + C without materializing the sums."""
+def map_extended_member(map: SetMap, cone: Cone, x, y) -> ExtMembership:
+    """Locate y relative to F(x) + C without materializing the sum.
 
-    def __init__(self, map: SetMap, cone: Cone):
-        self.map = map
-        self.cone = cone
-
-    def query(self, x, y) -> ExtMembership:
-        from .cone import cone_extended_member
-
-        value = evaluate(self.map, x)
-        if value.whole_space:
-            return ExtMembership(Region.INTERIOR, np.inf, -1)
-        if value.is_empty:
-            return ExtMembership(Region.OUTSIDE, -np.inf, -1)
-        return cone_extended_member(value.points, self.cone, y)
-
-
-def cone_extend_view(map: SetMap, cone: Cone) -> ConeExtendedView:
-    return ConeExtendedView(map, cone)
+    A whole-space value contains every y at margin +inf, an empty value
+    none at margin -inf; neither has an anchoring point (witness -1).
+    """
+    value = evaluate(map, x)
+    if value.whole_space:
+        return ExtMembership(Region.INTERIOR, np.inf, -1)
+    if value.is_empty:
+        return ExtMembership(Region.OUTSIDE, -np.inf, -1)
+    return cone_extended_member(value.points, cone, y)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,13 @@ manufacturing a discretization artifact.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .analysis import DiniConfig
-from .cone import dual_base, make_cone
+from .cone import cone_extended_member, dual_base, ext_margins, make_cone
 from .config import RunSettings
-from .setmap import builtin_map
+from .order import dominance_margin, relation_ll, relation_lt
+from .setmap import SetValue, builtin_map
 from .vi import ChainStatus, replay_derivative, theorem_chain
 
 SUITE_DEFAULTS = RunSettings(
@@ -154,9 +153,6 @@ def run_instance(spec: dict, settings: RunSettings) -> dict:
 
 def _relation_properties(seed: int, trials: int) -> dict:
     """Uniform-vs-lower relation agreement on random clouds and cones."""
-    from .order import dominance_margin, relation_ll, relation_lt
-    from .setmap import SetValue
-
     rng = np.random.default_rng([seed, 7_001])
     tau = 1e-9
     disagreements = 0
@@ -180,8 +176,6 @@ def _relation_properties(seed: int, trials: int) -> dict:
 
 def _membership_properties(seed: int, trials: int) -> dict:
     """Half-margin balls around interior points stay inside the extended set."""
-    from .cone import cone_extended_member, ext_margins
-
     rng = np.random.default_rng([seed, 7_002])
     escapes = 0
     decisive = 0
@@ -206,21 +200,14 @@ def _membership_properties(seed: int, trials: int) -> dict:
 
 def run_suite(seed: int = 0, instances: int = 200,
               settings: RunSettings | None = None) -> dict:
-    """Run the randomized property suites; byte-identical for any worker count.
+    """Run the randomized property suites, one instance after another.
 
-    Instance specs are drawn serially from per-index generators, then
-    evaluated (possibly in a thread pool) and reassembled in index order;
-    the quick relation and membership property blocks always run serially.
+    Each instance is drawn from its own (seed, index) generator, so the
+    instance entries of a shorter run are a prefix of those of a longer one.
     """
     settings = settings or SUITE_DEFAULTS
     settings = settings.with_(seed=seed)
-    specs = [build_instance(seed, i) for i in range(instances)]
-    workers = settings.effective_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: run_instance(s, settings), specs))
-    else:
-        results = [run_instance(s, settings) for s in specs]
+    results = [run_instance(build_instance(seed, i), settings) for i in range(instances)]
 
     counts = {s.value: 0 for s in ChainStatus}
     violated = []

@@ -18,10 +18,12 @@ class Verdict(Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
+_RANK = {Verdict.HOLDS: 0, Verdict.UNDETERMINED: 1, Verdict.FAILS: 2}
+
+
 def worst(*verdicts: Verdict) -> Verdict:
-    """FAILS dominates UNDETERMINED dominates HOLDS."""
-    ranking = {Verdict.HOLDS: 0, Verdict.UNDETERMINED: 1, Verdict.FAILS: 2}
-    return max(verdicts, key=lambda v: ranking[v])
+    """FAILS dominates UNDETERMINED dominates HOLDS; ties keep the first."""
+    return max(verdicts, key=_RANK.__getitem__)
 
 
 @dataclass(eq=False)

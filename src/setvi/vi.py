@@ -27,13 +27,14 @@ from enum import Enum
 
 import numpy as np
 
-from .analysis import DiniConfig, c_convexity_check, dini_table, _pseudo_scan, _ssqc_scan
+from .analysis import (CONVEXITY_T_SAMPLES, DiniConfig, c_convexity_check,
+                       convexity_pairs, dini_table, _pseudo_scan, _ssqc_scan)
 from .cone import Cone, TAU_STRICT, WStarSample
-from .errors import BasePointOutsideDomain
 from .order import MinimalityVerdict, classify_weak_min
-from .scalarize import scalarize_batch, scalarize_many
-from .setmap import SetMap, evaluate, evaluate_batch, ray_grid, segment_sample_ts
-from .verdicts import CheckResult, Verdict
+from .scalarize import (_excess, hausdorff_check_radial, interp_extended,
+                        scalarize_batch, scalarize_many)
+from .setmap import SetMap, base_value, evaluate, evaluate_batch, ray_grid, segment_sample_ts
+from .verdicts import CheckResult, Verdict, worst
 
 VI_KINDS = ("mvi", "svi", "mvi2", "svi2")
 
@@ -76,30 +77,7 @@ def _ray_values(map: SetMap, base: np.ndarray, target: np.ndarray,
         scalarize_many(evaluate(map, base + t * (target - base)), weights)
         for t in knots
     ])
-    out = np.empty((svals.size, weights.shape[0]))
-    for j in range(weights.shape[0]):
-        out[:, j] = _interp_extended(knots, phis[:, j], svals)
-    return out
-
-
-def _interp_extended(knots: np.ndarray, values: np.ndarray,
-                     query: np.ndarray) -> np.ndarray:
-    """Linear interpolation where +inf dominates a mixed span, then -inf."""
-    out = np.empty(query.shape)
-    idx = np.searchsorted(knots, query, side="left")
-    idx = np.clip(idx, 0, knots.size - 1)
-    exact = knots[idx] == query
-    out[exact] = values[idx[exact]]
-    seg = ~exact
-    i = np.clip(idx[seg] - 1, 0, knots.size - 2)
-    v0, v1 = values[i], values[i + 1]
-    lam = (query[seg] - knots[i]) / (knots[i + 1] - knots[i])
-    both = np.isfinite(v0) & np.isfinite(v1)
-    safe0 = np.where(both, v0, 0.0)
-    safe1 = np.where(both, v1, 0.0)
-    out[seg] = np.where(both, safe0 + lam * (safe1 - safe0),
-                        np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf))
-    return out
+    return interp_extended(knots, phis, svals)
 
 
 def _derivative_row(map: SetMap, base, target, wstar: WStarSample,
@@ -128,10 +106,7 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     if kind not in VI_KINDS:
         raise ValueError(f"kind must be one of {VI_KINDS}")
     cfg = cfg or DiniConfig()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v0 = evaluate(map, x0)
-    if v0.is_empty:
-        raise BasePointOutsideDomain(f"map value at {x0.tolist()} is empty")
+    x0, v0 = base_value(map, x0)
 
     resolution = {"kind": kind, "wstar_size": len(wstar),
                   "domain_size": int(map.domain.shape[0]),
@@ -171,21 +146,6 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                           "derivative": float(derivs[j])})
             verdict = Verdict.FAILS
     return VIVerdict(kind, verdict, per_x=per_x, resolution=resolution)
-
-
-def mvi_check(map, x0, cone, wstar, cfg=None, tau=TAU_STRICT, vi_domain="formula"):
-    return vi_check(map, x0, cone, wstar, cfg, "mvi", tau, vi_domain)
-
-
-def svi_check(map, x0, cone, wstar, cfg=None, tau=TAU_STRICT, vi_domain="formula"):
-    return vi_check(map, x0, cone, wstar, cfg, "svi", tau, vi_domain)
-
-
-def svi2_mvi2_check(map, x0, cone, wstar, cfg=None, kind="svi2",
-                    tau=TAU_STRICT, vi_domain="formula"):
-    if kind not in ("svi2", "mvi2"):
-        raise ValueError("kind must be 'svi2' or 'mvi2'")
-    return vi_check(map, x0, cone, wstar, cfg, kind, tau, vi_domain)
 
 
 def replay_derivative(map: SetMap, x0, wstar: WStarSample, cfg: DiniConfig,
@@ -238,8 +198,6 @@ def _radial_survey(map: SetMap, x0: np.ndarray, wstar: WStarSample,
                    max_rays: int):
     """One pass over rays from x0: star shape, one-step movements, and the
     three path classes of every sampled scalarization."""
-    from .scalarize import _excess  # shared excess kernel
-
     n = map.domain.shape[0]
     stride = max(1, int(np.ceil(n / max_rays)))
     ray_indices = list(range(0, n, stride))
@@ -284,7 +242,8 @@ def _radial_survey(map: SetMap, x0: np.ndarray, wstar: WStarSample,
             (cv, cw), (ccv, ccw), _ = _pseudo_scan(t_eff, v, d_plus, d_minus, tau)
             for name, verdict, witness in (("ssqc", sv, sw), ("pconvex", cv, cw),
                                            ("pconcave", ccv, ccw)):
-                if _rank(verdict) > _rank(class_verdicts[name]):
+                # only a strictly worse verdict replaces the recorded witness
+                if worst(class_verdicts[name], verdict) is not class_verdicts[name]:
                     class_verdicts[name] = verdict
                     class_witness[name] = {"x": x.tolist(), "w_index": widx,
                                            **(witness or {})}
@@ -294,10 +253,6 @@ def _radial_survey(map: SetMap, x0: np.ndarray, wstar: WStarSample,
         "movements": np.asarray(movements) if movements else np.zeros(1),
         "classes": (class_verdicts, class_witness),
     }
-
-
-def _rank(v: Verdict) -> int:
-    return {Verdict.HOLDS: 0, Verdict.UNDETERMINED: 1, Verdict.FAILS: 2}[v]
 
 
 def _implication(name: str, needed: list[str], hypotheses: dict,
@@ -342,10 +297,7 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     instances pass at their own scale; pass ``eps_list`` to override.
     """
     cfg = cfg or DiniConfig()
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    v0 = evaluate(map, x0)
-    if v0.is_empty:
-        raise BasePointOutsideDomain(f"map value at {x0.tolist()} is empty")
+    x0, v0 = base_value(map, x0)
     t_grid = np.linspace(0.0, 1.0, ray_grid_size)
 
     survey = _radial_survey(map, x0, wstar, cfg, t_grid, tau, max_rays)
@@ -372,49 +324,36 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     if eps_list is None:
         med = float(np.median(movements))
         eps_list = [max(8.0 * med, 10.0 * tau)]
-    from .scalarize import hausdorff_check_radial
-
     radial_continuity = hausdorff_check_radial(map, x0, cone, eps_list, t_grid,
                                                tau=tau)
 
-    n = map.domain.shape[0]
-    idx = list(range(n))
-    t_samples = [0.25, 0.5, 0.75]
-    pairs = [(map.domain[i], map.domain[j]) for i in idx for j in idx if i < j]
-    if map.kind == "tabulated":
-        # only pairs whose combination points are themselves stored samples
-        pairs = [p for p in pairs if _combos_stored(map, p, t_samples)]
-    if len(pairs) > max_pairs:
-        stride = int(np.ceil(len(pairs) / max_pairs))
-        pairs = pairs[::stride]
-    convexity = c_convexity_check(map, cone, wstar, pairs, t_samples, tau)
+    pairs = convexity_pairs(map, CONVEXITY_T_SAMPLES, max_pairs)
+    convexity = c_convexity_check(map, cone, wstar, pairs, CONVEXITY_T_SAMPLES, tau)
 
+    rays = len(survey["ray_indices"])
     hypotheses = {
         "compactness": compactness,
         "properness": properness,
         "non_degenerate": non_degenerate,
         "c_convexity": convexity,
         "radial_continuity": radial_continuity,
-        "star_shaped": CheckResult(star, witness=star_witness,
-                                   resolution={"rays": len(survey["ray_indices"])}),
-        "ssqc_radial": CheckResult(class_verdicts["ssqc"],
-                                   witness=class_witness.get("ssqc"),
-                                   resolution={"rays": len(survey["ray_indices"]),
-                                               "wstar_size": len(wstar)}),
+        "star_shaped": CheckResult(star, witness=star_witness, resolution={"rays": rays}),
+        "ssqc_radial": CheckResult(class_verdicts["ssqc"], witness=class_witness.get("ssqc"),
+                                   resolution={"rays": rays, "wstar_size": len(wstar)}),
         "pseudoconvex_radial": CheckResult(class_verdicts["pconvex"],
                                            witness=class_witness.get("pconvex"),
-                                           resolution={"rays": len(survey["ray_indices"])}),
+                                           resolution={"rays": rays}),
         "pseudoconcave_radial": CheckResult(class_verdicts["pconcave"],
                                             witness=class_witness.get("pconcave"),
-                                            resolution={"rays": len(survey["ray_indices"])}),
+                                            resolution={"rays": rays}),
     }
     # either generalized-convexity route satisfies the Minty sufficiency side
     route = Verdict.HOLDS if (
         convexity.verdict is Verdict.HOLDS
         or (class_verdicts["pconvex"] is Verdict.HOLDS
             and class_verdicts["pconcave"] is Verdict.HOLDS)
-    ) else worst_of(convexity.verdict, class_verdicts["pconvex"],
-                    class_verdicts["pconcave"])
+    ) else worst(convexity.verdict, class_verdicts["pconvex"],
+                 class_verdicts["pconcave"])
     hypotheses["convexity_route"] = CheckResult(route, resolution={
         "from": "c_convexity or pseudoconvex+pseudoconcave"})
 
@@ -449,20 +388,16 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                    "properness", "non_degenerate"]
     missing = [h for h in equiv_needs if hypotheses[h].verdict is not Verdict.HOLDS]
     trio = (svi.verdict, minim.w_min.verdict, mvi.verdict)
+    equiv = {"implication": "svi <=> w-min <=> mvi", "needs": equiv_needs}
     if missing:
-        equiv = {"implication": "svi <=> w-min <=> mvi", "needs": equiv_needs,
-                 "status": ChainStatus.NOT_APPLICABLE.value, "blocked_by": missing}
+        equiv.update(status=ChainStatus.NOT_APPLICABLE.value, blocked_by=missing)
     elif any(v is Verdict.UNDETERMINED for v in trio):
-        equiv = {"implication": "svi <=> w-min <=> mvi", "needs": equiv_needs,
-                 "status": ChainStatus.NOT_APPLICABLE.value,
-                 "blocked_by": ["undetermined verdict"]}
+        equiv.update(status=ChainStatus.NOT_APPLICABLE.value,
+                     blocked_by=["undetermined verdict"])
     elif len(set(trio)) == 1:
-        equiv = {"implication": "svi <=> w-min <=> mvi", "needs": equiv_needs,
-                 "status": ChainStatus.CONFIRMED.value}
+        equiv["status"] = ChainStatus.CONFIRMED.value
     else:
-        equiv = {"implication": "svi <=> w-min <=> mvi", "needs": equiv_needs,
-                 "status": ChainStatus.VIOLATED.value,
-                 "verdicts": [v.value for v in trio]}
+        equiv.update(status=ChainStatus.VIOLATED.value, verdicts=[v.value for v in trio])
     implications.append(equiv)
 
     resolution = {"wstar_size": len(wstar), "domain_size": int(map.domain.shape[0]),
@@ -476,18 +411,3 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     report.vi_details = {"svi": svi, "mvi": mvi}
     return report
 
-
-def worst_of(*verdicts: Verdict) -> Verdict:
-    return max(verdicts, key=_rank)
-
-
-def _combos_stored(map: SetMap, pair, t_samples) -> bool:
-    from .errors import OutsideSampleDomain
-
-    x1, x2 = pair
-    for s in t_samples:
-        try:
-            evaluate(map, s * x1 + (1.0 - s) * x2)
-        except OutsideSampleDomain:
-            return False
-    return True

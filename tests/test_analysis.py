@@ -5,13 +5,14 @@ from setvi.analysis import (
     DiniConfig,
     c_convexity_check,
     classify_path,
+    convexity_pairs,
     diewert_witness,
     dini_lower,
 )
 from setvi.cone import dual_base, make_cone
 from setvi.errors import InternalCheckError, NoWitnessFound, StepOutsideDomain
 from setvi.scalarize import PiecewiseLinear, ScalarPath
-from setvi.setmap import builtin_map
+from setvi.setmap import builtin_map, load_problem
 from setvi.verdicts import Verdict
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
@@ -188,6 +189,26 @@ class TestConeConvexity:
         m = builtin_map("constant_cloud", {"points": [[2, 0], [0, 2]]})
         with pytest.raises(InternalCheckError):
             c_convexity_check(m, ORTHANT, WS, self.pairs(), [0.5])
+
+    def test_pair_count_of_an_iterator(self):
+        m = builtin_map("quadratic_vector", {"targets": [0, 1]})
+        pairs = ((np.array([lo]), np.array([1.0])) for lo in (-1.0, -0.5, 0.0))
+        res = c_convexity_check(m, ORTHANT, WS, pairs, [0.5])
+        assert res.resolution["pairs"] == 3
+        assert res.resolution["combinations_checked"] == 3
+
+    def test_tabulated_pairs_keep_stored_combinations(self):
+        xs = np.linspace(0.0, 1.0, 5)
+        doc = {"cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
+               "map": {"tabulated": [{"x": [x], "points": [[x, -x]]} for x in xs]}}
+        m = load_problem(doc).map
+        pairs = convexity_pairs(m, [0.25, 0.5, 0.75], max_pairs=36)
+        assert [(a[0], b[0]) for a, b in pairs] == [(0.0, 1.0)]
+        every = convexity_pairs(builtin_map("quadratic_vector", {"targets": [0, 1]},
+                                            domain=xs.reshape(-1, 1)),
+                                [0.5], max_pairs=4)
+        assert [(a[0], b[0]) for a, b in every] == [(0.0, 0.25), (0.0, 1.0),
+                                                   (0.25, 1.0), (0.75, 1.0)]
 
 
 class TestDiewertWitness:

@@ -114,15 +114,40 @@ def test_suite_small_run_exits_zero(capsys):
     assert "violated: 0" in capsys.readouterr().out
 
 
-def test_suite_json_identical_across_worker_counts(capsys):
-    assert main(["suite", "--instances", "3", "--seed", "9",
-                 "--output", "json", "--workers", "1"]) == 0
-    one = capsys.readouterr().out
-    assert main(["suite", "--instances", "3", "--seed", "9",
-                 "--output", "json", "--workers", "8"]) == 0
-    eight = capsys.readouterr().out
-    assert one == eight
-    json.loads(one)
+def test_suite_json_identical_across_runs(capsys):
+    assert main(["suite", "--instances", "3", "--seed", "9", "--output", "json"]) == 0
+    first = capsys.readouterr().out
+    assert main(["suite", "--instances", "3", "--seed", "9", "--output", "json"]) == 0
+    assert capsys.readouterr().out == first
+    json.loads(first)
+
+
+def test_convexity_on_tabulated_problem(tmp_path, capsys):
+    # five stored samples: some pair combinations (0.375, ...) are not
+    # stored, and the rays to the neighbours of 0.5 hold only their ends
+    xs = [0.0, 0.25, 0.5, 0.75, 1.0]
+    doc = {"cone": QUAD_DOC["cone"],
+           "map": {"tabulated": [{"x": [x], "points": [[x * x, (1 - x) ** 2]]}
+                                 for x in xs]},
+           "base_points": [[0.5]]}
+    path = tmp_path / "tab.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["convexity", str(path), "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["c_convexity"]["verdict"] == "HOLDS"
+    assert report["c_convexity"]["resolution"]["pairs"] > 0
+    skipped = [p["x"] for p in report["paths"] if "skipped" in p]
+    classified = [p["x"] for p in report["paths"] if "skipped" not in p]
+    assert skipped == [[0.25], [0.75]]
+    assert classified == [[0.0], [1.0]]
+
+
+def test_unknown_settings_key_exits_two(tmp_path, capsys):
+    doc = dict(QUAD_DOC, settings={"wstar_densty": 9})
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["minimality", str(path)]) == 2
+    assert "wstar_densty" in capsys.readouterr().err
 
 
 def test_console_entry_point_help():

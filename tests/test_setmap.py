@@ -14,9 +14,9 @@ from setvi.errors import (
 from setvi.setmap import (
     SetValue,
     builtin_map,
-    cone_extend_view,
     evaluate,
     load_problem,
+    map_extended_member,
     ray_restriction,
 )
 
@@ -137,8 +137,7 @@ class TestRayRestriction:
 class TestConeExtendView:
     def test_plain_value(self):
         m = builtin_map("constant_cloud", {"points": [[1, 1]]})
-        view = cone_extend_view(m, ORTHANT)
-        assert view.query([0], [2, 1.5]).region is Region.INTERIOR
+        assert map_extended_member(m, ORTHANT, [0], [2, 1.5]).region is Region.INTERIOR
 
     def test_empty_value_sentinel(self):
         doc = {
@@ -146,7 +145,7 @@ class TestConeExtendView:
             "map": {"tabulated": [{"x": [0], "points": []}]},
         }
         problem = load_problem(doc)
-        res = cone_extend_view(problem.map, ORTHANT).query([0], [5, 5])
+        res = map_extended_member(problem.map, ORTHANT, [0], [5, 5])
         assert res.region is Region.OUTSIDE and res.margin == -np.inf
 
     def test_whole_space_sentinel(self):
@@ -155,7 +154,7 @@ class TestConeExtendView:
             "map": {"tabulated": [{"x": [0], "points": [], "whole_space": True}]},
         }
         problem = load_problem(doc)
-        res = cone_extend_view(problem.map, ORTHANT).query([0], [-9, -9])
+        res = map_extended_member(problem.map, ORTHANT, [0], [-9, -9])
         assert res.region is Region.INTERIOR and res.margin == np.inf
 
 

@@ -9,7 +9,6 @@ from setvi.verdicts import Verdict
 from setvi.vi import (
     ChainStatus,
     replay_derivative,
-    svi2_mvi2_check,
     theorem_chain,
     vi_check,
 )
@@ -92,7 +91,7 @@ class TestConvexForms:
             ]},
         }
         problem = load_problem(doc)
-        res = svi2_mvi2_check(problem.map, [0], ORTHANT, WS, CFG, "svi2", TAU)
+        res = vi_check(problem.map, [0], ORTHANT, WS, CFG, "svi2", TAU)
         assert res.verdict is Verdict.HOLDS
         assert res.resolution.get("degenerate_whole_space")
 
@@ -105,7 +104,7 @@ class TestConvexForms:
             ]},
         }
         problem = load_problem(doc)
-        res = svi2_mvi2_check(problem.map, [0], ORTHANT, WS, CFG, "svi2", TAU)
+        res = vi_check(problem.map, [0], ORTHANT, WS, CFG, "svi2", TAU)
         assert res.verdict is Verdict.HOLDS
         outside = [e for e in res.per_x if e["x"] == [1.0]]
         assert outside[0]["derivative"] == np.inf
@@ -114,7 +113,7 @@ class TestConvexForms:
         m = quad_map()
         for x0 in ([0.5], [1.0]):
             svi = vi_check(m, x0, ORTHANT, WS, CFG, "svi", TAU)
-            svi2 = svi2_mvi2_check(m, x0, ORTHANT, WS, CFG, "svi2", TAU)
+            svi2 = vi_check(m, x0, ORTHANT, WS, CFG, "svi2", TAU)
             if svi.verdict is Verdict.HOLDS:
                 assert svi2.verdict is Verdict.HOLDS
 
@@ -127,7 +126,7 @@ class TestConvexForms:
             ]},
         }
         problem = load_problem(doc)
-        res = svi2_mvi2_check(problem.map, [0], ORTHANT, WS, CFG, "mvi2", TAU)
+        res = vi_check(problem.map, [0], ORTHANT, WS, CFG, "mvi2", TAU)
         entry = [e for e in res.per_x if e["x"] == [1.0]][0]
         assert entry["witness_w"] is None
 
