@@ -50,6 +50,7 @@ from .setmap import (
     evaluate,
     load_problem,
     map_extended_member,
+    radial_rays,
     ray_restriction,
 )
 from .suite import run_suite

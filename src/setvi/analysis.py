@@ -36,7 +36,8 @@ from .verdicts import CheckResult, Verdict
 
 @dataclass(frozen=True)
 class DiniConfig:
-    """Geometric step grid for the liminf estimate: t_max * ratio^k."""
+    """Geometric step grid for the liminf estimate: t_max * ratio^k, with
+    t_max <= 1 so that every probe stays on the segment it probes."""
 
     t_max: float = 0.1
     ratio: float = 0.5
@@ -45,8 +46,8 @@ class DiniConfig:
     def __post_init__(self):
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("ratio must lie in (0, 1)")
-        if self.t_max <= 0.0 or self.steps < 1:
-            raise ValueError("t_max must be positive and steps >= 1")
+        if not (0.0 < self.t_max <= 1.0) or self.steps < 1:
+            raise ValueError("t_max must lie in (0, 1] and steps >= 1")
         if self.t_max * self.ratio ** self.steps < 1e-300:
             raise ValueError("step grid underflows; reduce steps or raise t_max")
 
@@ -222,12 +223,12 @@ def _farthest_above(values: np.ndarray, thresholds: np.ndarray):
 
 
 def _nearest_qualifying(v: np.ndarray, b: int, left: bool, thr: float,
-                        below: bool) -> float | None:
+                        below: bool) -> int | None:
     """Walk outward from b for the nearest index with v < thr (or > thr)."""
     rng = range(b - 1, -1, -1) if left else range(b + 1, v.size)
     for a in rng:
         if (v[a] < thr) if below else (v[a] > thr):
-            return abs(a - b)
+            return a
     return None
 
 
@@ -287,9 +288,9 @@ def _pseudo_scan(t: np.ndarray, v: np.ndarray, d_plus: np.ndarray,
                 elif d >= 0:
                     settle(cvx, "band", b, dmax, d)
                 elif d > -np.inf and -d < tau / step_min:
-                    near = _nearest_qualifying(v, b, left, lo_thr[b], True)
-                    if near is not None and d * near * step_min > -tau:
-                        settle(cvx, "band", b, near * step_min, d)
+                    a = _nearest_qualifying(v, b, left, lo_thr[b], True)
+                    if a is not None and d * abs(t[b] - t[a]) > -tau:
+                        settle(cvx, "band", b, abs(t[b] - t[a]), d)
             # ascent side: a with phi(a) clearly above phi(b)
             a_far = far_left_hi[b] if left else far_right_hi[b]
             exists = (a_far < b) if left else (b < a_far <= n - 1)
@@ -300,9 +301,9 @@ def _pseudo_scan(t: np.ndarray, v: np.ndarray, d_plus: np.ndarray,
                 elif d <= 0:
                     settle(ccv, "band", b, dmax, d)
                 elif d < np.inf and d < tau / step_min:
-                    near = _nearest_qualifying(v, b, left, hi_thr[b], False)
-                    if near is not None and d * near * step_min < tau:
-                        settle(ccv, "band", b, near * step_min, d)
+                    a = _nearest_qualifying(v, b, left, hi_thr[b], False)
+                    if a is not None and d * abs(t[b] - t[a]) < tau:
+                        settle(ccv, "band", b, abs(t[b] - t[a]), d)
     return (cvx[0], cvx[1]), (ccv[0], ccv[1]), pair_count
 
 
@@ -385,10 +386,10 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
 
     Primary test: every point of t F(x1) + (1-t) F(x2) must sit in
     F(t x1 + (1-t) x2) + C up to the strictness band.  Cross-check: each
-    sampled scalarization must be convex on the same combinations.  The
-    two tests are redundant on finite clouds whose extended values are
-    convex; if they disagree the check aborts with diagnostics instead of
-    guessing.
+    sampled scalarization must be convex on the same combinations, which
+    the containment forces, so a scalar witness alone aborts with
+    diagnostics.  A containment witness alone is a genuine FAILS: it occurs
+    whenever some F(x) + C is not convex, which no weight can see.
     """
     pair_samples = list(pair_samples)
     t_samples = [float(s) for s in t_samples]
@@ -438,12 +439,11 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
                     mink_witness = {"x1": x1.tolist(), "x2": x2.tolist(), "t": s,
                                     "point": combo[worst].tolist(),
                                     "margin": float(margins[worst])}
-    if (mink_witness is None) != (scalar_witness is None):
+    if scalar_witness is not None and mink_witness is None:
         raise InternalCheckError(
-            "convexity tests disagree: the Minkowski containment and the sampled "
-            "scalarization convexity must fail together on finite clouds with "
-            "convex extended values; on staircase-shaped values the separation "
-            f"argument is void. minkowski={mink_witness}, scalar={scalar_witness}"
+            "convexity tests disagree: a sampled scalarization is not convex "
+            "although every combination passed the Minkowski containment, which "
+            f"forces convex scalarizations. scalar={scalar_witness}"
         )
     resolution = {"pairs": len(pair_samples), "t_samples": t_samples,
                   "combinations_checked": checked, "tau_strict": tau,

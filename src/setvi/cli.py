@@ -4,7 +4,8 @@ Subcommands load a problem file, run the requested checks, and emit a
 human-readable summary and/or a machine-readable JSON report with the full
 run settings embedded.  Exit codes: 0 when everything holds or is
 confirmed, 1 when something fails or an implication is violated, 2 on
-input errors, 3 when the only blockers are undetermined verdicts.
+input errors, 3 when the only blockers are undetermined verdicts, 4 when
+two internally redundant checks disagree (a defect, not an input error).
 """
 
 from __future__ import annotations
@@ -18,15 +19,15 @@ from .analysis import (CONVEXITY_T_SAMPLES, c_convexity_check, classify_path,
                        convexity_pairs, diewert_witness)
 from .cone import dual_base
 from .config import RunSettings
-from .errors import GridTooCoarse, NoWitnessFound, SetVIError
+from .errors import GridTooCoarse, InternalCheckError, NoWitnessFound, SetVIError
 from .order import classify_weak_min, relation_ll, relation_lt, scalar_strict_separation
 from .report import render_json
 from .scalarize import scalar_path
-from .setmap import evaluate, load_problem, ray_grid
+from .setmap import load_problem, ray_grid
 from .suite import SUITE_DEFAULTS, run_suite
 from .vi import theorem_chain, vi_check
 
-_OK, _FAILED, _INPUT_ERROR, _UNDETERMINED = 0, 1, 2, 3
+_OK, _FAILED, _INPUT_ERROR, _UNDETERMINED, _INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 def _exit_from(statuses: list[str]) -> int:
@@ -69,8 +70,7 @@ def _cmd_relations(args) -> int:
     n = problem.map.domain.shape[0]
     if not (0 <= args.a < n and 0 <= args.b < n):
         raise SetVIError(f"indices must lie in [0, {n})")
-    A = evaluate(problem.map, problem.map.domain[args.a])
-    B = evaluate(problem.map, problem.map.domain[args.b])
+    A, B = problem.map.values[args.a], problem.map.values[args.b]
     wstar = dual_base(problem.cone, settings.wstar_density)
     ll_ab, margin_ab = relation_ll(A, B, problem.cone, tau)
     ll_ba, margin_ba = relation_ll(B, A, problem.cone, tau)
@@ -342,6 +342,9 @@ def main(argv=None) -> int:
         args.seed = 0
     try:
         return args.func(args)
+    except InternalCheckError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return _INTERNAL_ERROR
     except (SetVIError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _INPUT_ERROR

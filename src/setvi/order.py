@@ -128,9 +128,7 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     per_x_weights: list[int | None] = []
     worst_margin = -np.inf
 
-    for i in range(map.domain.shape[0]):
-        x = map.domain[i]
-        vx = evaluate(map, x)
+    for x, vx in zip(map.domain, map.values):
         if vx.is_empty:
             per_x_weights.append(None)  # empty values never dominate; any w works
             continue
@@ -218,8 +216,8 @@ def vector_weak_efficient(map: SetMap, x0, cone: Cone,
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f0 = _singleton(evaluate(map, x0))
-    for i in range(map.domain.shape[0]):
-        fx = _singleton(evaluate(map, map.domain[i]))
+    for value in map.values:
+        fx = _singleton(value)
         if cone_margin(cone, f0 - fx) > tau:
             return False
     return True

@@ -19,11 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import Cone, TAU_STRICT, WStarSample
+from .cone import TAU_STRICT, WStarSample
 from .errors import DimensionMismatch, EmptySet
 from .extreal import NEG_INF, POS_INF, ExtReal
-from .setmap import (SetMap, SetValue, base_value, evaluate, evaluate_batch, ray_grid,
-                     ray_restriction)
+from .setmap import (RayValues, SetMap, SetValue, base_value, evaluate, evaluate_batch,
+                     ray_restriction, segment_sample_ts)
 from .verdicts import CheckResult, Verdict, worst
 
 
@@ -80,6 +80,29 @@ def interp_extended(knots: np.ndarray, values: np.ndarray,
     out[seg] = np.where(both, safe0 + lam * (safe1 - safe0),
                         np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf))
     return out
+
+
+def ray_scalarizations(map: SetMap, base: np.ndarray, target: np.ndarray,
+                       svals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Scalarizations (n_s, n_w) along base + s (target - base).
+
+    Generator maps evaluate anywhere, batched when they can; tabulated maps
+    only carry values at stored samples, so their scalarizations are
+    interpolated between the samples that lie on the segment (with +inf
+    dominating a mixed span, matching the path-evaluation conventions).
+    """
+    points = base[None, :] + svals[:, None] * (target - base)[None, :]
+    clouds = evaluate_batch(map, points)
+    if clouds is not None:
+        return scalarize_batch(clouds, weights)
+    if map.kind == "generator":
+        return np.stack([scalarize_many(evaluate(map, p), weights) for p in points])
+    knots = segment_sample_ts(map, base, target)
+    phis = np.stack([
+        scalarize_many(evaluate(map, base + t * (target - base)), weights)
+        for t in knots
+    ])
+    return interp_extended(knots, phis, svals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,15 +221,8 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     values = np.array([scalarize(v, w).value for v in ray.values])
     evaluator = None
     if map.kind == "generator":
-        x0a = np.atleast_1d(np.asarray(x0, dtype=float))
-        xa = np.atleast_1d(np.asarray(x, dtype=float))
-
         def evaluator(ts: np.ndarray) -> np.ndarray:
-            pts = x0a[None, :] + np.asarray(ts, dtype=float)[:, None] * (xa - x0a)[None, :]
-            clouds = evaluate_batch(map, pts)
-            if clouds is not None:
-                return scalarize_batch(clouds, w.reshape(1, -1))[:, 0]
-            return np.array([scalarize(evaluate(map, p), w).value for p in pts])
+            return ray_scalarizations(map, ray.x0, ray.x, ts, w.reshape(1, -1))[:, 0]
 
     return ScalarPath(t_grid=np.asarray(t_grid, dtype=float), values=values,
                       evaluator=evaluator)
@@ -239,8 +255,7 @@ def equicontinuity_check(map: SetMap, x0, wstar: WStarSample, probe_radii,
         worst_gap = -np.inf
         witness = None
         for i in sel:
-            phix = scalarize_many(map.values[i] if map.kind == "tabulated"
-                                  else evaluate(map, map.domain[i]), wstar.weights)
+            phix = scalarize_many(map.values[i], wstar.weights)
             gaps = phi0 - phix  # must stay <= eps
             j = int(np.argmax(gaps))
             if gaps[j] > worst_gap:
@@ -314,12 +329,13 @@ def _scan_radii(entries, eps_list, radii, tau, resolution) -> CheckResult:
                        details={"per_eps": per_eps})
 
 
-def hausdorff_check(map: SetMap, x0, cone: Cone, eps_list, probe_radii,
+def hausdorff_check(map: SetMap, x0, eps_list, probe_radii,
                     tau: float = TAU_STRICT) -> CheckResult:
     """Upper Hausdorff continuity of the map at x0, at sample resolution.
 
     For each eps it searches the probe radii for a delta such that every
-    sampled x within delta has all of F(x) within eps of F(x0).
+    sampled x within delta has all of F(x) (the stored domain values)
+    within eps of F(x0).
     """
     x0, v0 = base_value(map, x0)
     radii = sorted(float(r) for r in probe_radii)
@@ -331,27 +347,25 @@ def hausdorff_check(map: SetMap, x0, cone: Cone, eps_list, probe_radii,
     for i in range(map.domain.shape[0]):
         if dists[i] == 0.0 or dists[i] > radii[-1]:
             continue
-        entries.append((float(dists[i]), _excess(evaluate(map, map.domain[i]), v0),
+        entries.append((float(dists[i]), _excess(map.values[i], v0),
                         {"x": map.domain[i].tolist()}))
     resolution = {"eps_list": eps_list, "radii": radii, "tau_strict": tau,
                   "domain_size": int(map.domain.shape[0])}
     return _scan_radii(entries, eps_list, radii, tau, resolution)
 
 
-def hausdorff_check_radial(map: SetMap, x0, cone: Cone, eps_list, t_grid,
-                           t_radii=None, tau: float = TAU_STRICT) -> CheckResult:
+def hausdorff_check_radial(rays: list[RayValues], eps_list, t_radii=None,
+                           tau: float = TAU_STRICT) -> CheckResult:
     """Upper Hausdorff continuity of every segment restriction t -> F_(x0,x)(t).
 
-    Runs the containment scan at every grid t0 of every ray from x0 to a
-    domain sample, with radii measured in t units; the worst verdict over
-    all rays and anchors is returned.
+    Runs the containment scan at every grid t0 of every ray (the rays from
+    one base point, as ``radial_rays`` reads them), with radii measured in
+    t units; the worst verdict over all rays and anchors is returned.
     """
-    x0, _ = base_value(map, x0)
     eps_list = [float(e) for e in eps_list]
     results = []
-    for xi in range(map.domain.shape[0]):
-        x = map.domain[xi]
-        t = ray_grid(map, x0, x, t_grid)
+    for ray in rays:
+        x, t = ray.x, ray.t_grid
         if t.size < 2:
             continue
         if t_radii is None:
@@ -359,7 +373,6 @@ def hausdorff_check_radial(map: SetMap, x0, cone: Cone, eps_list, t_grid,
             radii = [1.5 * step, 3.0 * step]
         else:
             radii = sorted(float(r) for r in t_radii)
-        ray = ray_restriction(map, x0, x, t)
         for a in range(t.size):
             anchor = ray.values[a]
             if anchor.is_empty:
@@ -380,7 +393,7 @@ def hausdorff_check_radial(map: SetMap, x0, cone: Cone, eps_list, t_grid,
     bad = next((r for r in results if r.verdict is overall), results[0])
     return CheckResult(overall, witness=bad.witness,
                        resolution={"eps_list": eps_list,
-                                   "rays": int(map.domain.shape[0]),
+                                   "rays": len(rays),
                                    "tau_strict": tau},
                        details={"worst_anchor": bad.resolution})
 

@@ -80,7 +80,11 @@ class _Generator:
 
 @dataclass(eq=False)
 class SetMap:
-    """A set-valued map with an ordered finite sample domain."""
+    """A set-valued map with an ordered finite sample domain.
+
+    ``values[i]`` is the value at ``domain[i]``; generator maps evaluate
+    their domain once, on construction, and every domain scan reads these.
+    """
 
     domain: np.ndarray                # (N, n)
     kind: str                         # "tabulated" | "generator"
@@ -89,6 +93,8 @@ class SetMap:
 
     def __post_init__(self):
         self.domain = _readonly(np.atleast_2d(np.asarray(self.domain, dtype=float)))
+        if self.values is None:
+            self.values = [self.generator.eval_one(x) for x in self.domain]
 
     @property
     def domain_dim(self) -> int:
@@ -110,12 +116,8 @@ class SetMap:
 
     def domain_indices(self) -> np.ndarray:
         """Indices of samples inside dom F (value nonempty or whole-space)."""
-        keep = [
-            i
-            for i in range(self.domain.shape[0])
-            if not evaluate(self, self.domain[i]).is_empty
-        ]
-        return np.asarray(keep, dtype=int)
+        return np.asarray([i for i, v in enumerate(self.values) if not v.is_empty],
+                          dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +226,12 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     points = x0[None, :] + t[:, None] * (x - x0)[None, :]
     vals = tuple(evaluate(map, p) for p in points)
     return RayValues(x0=_readonly(x0), x=_readonly(x), t_grid=_readonly(t), values=vals)
+
+
+def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
+    """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
+    domain order: the one reading of the rays that radial checks share."""
+    return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid)) for x in map.domain]
 
 
 def map_extended_member(map: SetMap, cone: Cone, x, y) -> ExtMembership:

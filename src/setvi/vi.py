@@ -31,9 +31,8 @@ from .analysis import (CONVEXITY_T_SAMPLES, DiniConfig, c_convexity_check,
                        convexity_pairs, dini_table, _pseudo_scan, _ssqc_scan)
 from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
-from .scalarize import (_excess, hausdorff_check_radial, interp_extended,
-                        scalarize_batch, scalarize_many)
-from .setmap import SetMap, base_value, evaluate, evaluate_batch, ray_grid, segment_sample_ts
+from .scalarize import _excess, hausdorff_check_radial, ray_scalarizations, scalarize_many
+from .setmap import RayValues, SetMap, base_value, radial_rays
 from .verdicts import CheckResult, Verdict, worst
 
 VI_KINDS = ("mvi", "svi", "mvi2", "svi2")
@@ -57,29 +56,6 @@ class VIVerdict:
                 "per_x": self.per_x, "resolution": self.resolution}
 
 
-def _ray_values(map: SetMap, base: np.ndarray, target: np.ndarray,
-                svals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Scalarizations (n_s, n_w) along base + s (target - base).
-
-    Generator maps evaluate anywhere; tabulated maps only carry values at
-    stored samples, so their scalarizations are interpolated between the
-    samples that lie on the segment (with +inf dominating a mixed span,
-    matching the path-evaluation conventions).
-    """
-    points = base[None, :] + svals[:, None] * (target - base)[None, :]
-    clouds = evaluate_batch(map, points)
-    if clouds is not None:
-        return scalarize_batch(clouds, weights)
-    if map.kind == "generator":
-        return np.stack([scalarize_many(evaluate(map, p), weights) for p in points])
-    knots = segment_sample_ts(map, base, target)
-    phis = np.stack([
-        scalarize_many(evaluate(map, base + t * (target - base)), weights)
-        for t in knots
-    ])
-    return interp_extended(knots, phis, svals)
-
-
 def _derivative_row(map: SetMap, base, target, wstar: WStarSample,
                     cfg: DiniConfig):
     """Per-weight lower derivative at `base` toward `target`, plus the base
@@ -88,7 +64,7 @@ def _derivative_row(map: SetMap, base, target, wstar: WStarSample,
     target = np.asarray(target, dtype=float)
     steps = cfg.step_grid()
     svals = np.concatenate([[0.0], steps])
-    phis = _ray_values(map, base, target, svals, wstar.weights)
+    phis = ray_scalarizations(map, base, target, svals, wstar.weights)
     derivs = dini_table(phis[0], phis[1:].T, steps)
     return derivs, phis[0]
 
@@ -122,7 +98,7 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     verdict = Verdict.HOLDS
     for i in range(map.domain.shape[0]):
         x = map.domain[i]
-        if quantify_dom_only and evaluate(map, x).is_empty:
+        if quantify_dom_only and map.values[i].is_empty:
             continue
         if kind in ("mvi", "mvi2"):
             derivs, phi_base = _derivative_row(map, x, x0, wstar, cfg)
@@ -193,12 +169,11 @@ class ChainReport:
         }
 
 
-def _radial_survey(map: SetMap, x0: np.ndarray, wstar: WStarSample,
-                   cfg: DiniConfig, t_grid: np.ndarray, tau: float,
-                   max_rays: int):
-    """One pass over rays from x0: star shape, one-step movements, and the
-    three path classes of every sampled scalarization."""
-    n = map.domain.shape[0]
+def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
+                   cfg: DiniConfig, tau: float, max_rays: int):
+    """One pass over max_rays strided rays from x0: star shape, one-step
+    movements, and the three path classes of every sampled scalarization."""
+    n = len(rays)
     stride = max(1, int(np.ceil(n / max_rays)))
     ray_indices = list(range(0, n, stride))
     steps = cfg.step_grid()
@@ -211,11 +186,10 @@ def _radial_survey(map: SetMap, x0: np.ndarray, wstar: WStarSample,
     class_witness = {}
 
     for i in ray_indices:
-        x = map.domain[i]
-        t_eff = ray_grid(map, x0, x, t_grid)
+        ray = rays[i]
+        x, t_eff, values = ray.x, ray.t_grid, ray.values
         T = t_eff.size
-        values = [evaluate(map, x0 + t * (x - x0)) for t in t_eff]
-        if not evaluate(map, x).is_empty:
+        if not map.values[i].is_empty:
             empties = [k for k, v in enumerate(values) if v.is_empty]
             if empties and star is Verdict.HOLDS:
                 star = Verdict.FAILS
@@ -230,8 +204,8 @@ def _radial_survey(map: SetMap, x0: np.ndarray, wstar: WStarSample,
         inside = (probe_ts >= 0.0) & (probe_ts <= 1.0)
         probe_phis = np.full((probe_ts.size, len(wstar)), np.inf)
         if np.any(inside):
-            probe_phis[inside] = _ray_values(map, x0, x, probe_ts[inside],
-                                             wstar.weights)
+            probe_phis[inside] = ray_scalarizations(map, ray.x0, x, probe_ts[inside],
+                                                    wstar.weights)
         fw = probe_phis[: T * steps.size].reshape(T, steps.size, -1)
         bw = probe_phis[T * steps.size:].reshape(T, steps.size, -1)
         for widx in range(len(wstar)):
@@ -298,15 +272,14 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     """
     cfg = cfg or DiniConfig()
     x0, v0 = base_value(map, x0)
-    t_grid = np.linspace(0.0, 1.0, ray_grid_size)
+    rays = radial_rays(map, x0, np.linspace(0.0, 1.0, ray_grid_size))
 
-    survey = _radial_survey(map, x0, wstar, cfg, t_grid, tau, max_rays)
+    survey = _radial_survey(map, rays, wstar, cfg, tau, max_rays)
     star, star_witness = survey["star"]
     class_verdicts, class_witness = survey["classes"]
 
     # properness: a whole-space value anywhere makes some scalarization -inf
-    whole = [i for i in range(map.domain.shape[0])
-             if evaluate(map, map.domain[i]).whole_space]
+    whole = [i for i, v in enumerate(map.values) if v.whole_space]
     properness = CheckResult(
         Verdict.FAILS if whole else Verdict.HOLDS,
         witness={"x": map.domain[whole[0]].tolist()} if whole else None,
@@ -324,28 +297,27 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     if eps_list is None:
         med = float(np.median(movements))
         eps_list = [max(8.0 * med, 10.0 * tau)]
-    radial_continuity = hausdorff_check_radial(map, x0, cone, eps_list, t_grid,
-                                               tau=tau)
+    radial_continuity = hausdorff_check_radial(rays, eps_list, tau=tau)
 
     pairs = convexity_pairs(map, CONVEXITY_T_SAMPLES, max_pairs)
     convexity = c_convexity_check(map, cone, wstar, pairs, CONVEXITY_T_SAMPLES, tau)
 
-    rays = len(survey["ray_indices"])
+    surveyed = len(survey["ray_indices"])
     hypotheses = {
         "compactness": compactness,
         "properness": properness,
         "non_degenerate": non_degenerate,
         "c_convexity": convexity,
         "radial_continuity": radial_continuity,
-        "star_shaped": CheckResult(star, witness=star_witness, resolution={"rays": rays}),
+        "star_shaped": CheckResult(star, witness=star_witness, resolution={"rays": surveyed}),
         "ssqc_radial": CheckResult(class_verdicts["ssqc"], witness=class_witness.get("ssqc"),
-                                   resolution={"rays": rays, "wstar_size": len(wstar)}),
+                                   resolution={"rays": surveyed, "wstar_size": len(wstar)}),
         "pseudoconvex_radial": CheckResult(class_verdicts["pconvex"],
                                            witness=class_witness.get("pconvex"),
-                                           resolution={"rays": rays}),
+                                           resolution={"rays": surveyed}),
         "pseudoconcave_radial": CheckResult(class_verdicts["pconcave"],
                                             witness=class_witness.get("pconcave"),
-                                            resolution={"rays": rays}),
+                                            resolution={"rays": surveyed}),
     }
     # either generalized-convexity route satisfies the Minty sufficiency side
     route = Verdict.HOLDS if (

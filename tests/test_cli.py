@@ -1,9 +1,12 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import setvi.vi
 from setvi.cli import main
+from setvi.errors import InternalCheckError
 
 QUAD_DOC = {
     "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
@@ -22,6 +25,43 @@ HYPER_DOC = {
         {"x": [1], "points": [[0.01, 100.0], [1.0, 1.0], [100.0, 0.01]]},
     ]},
 }
+
+# the constant two-point antichain: F(x) + C is not convex anywhere
+ANTICHAIN_DOC = {
+    "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
+    "map": {"generator": {"name": "constant_cloud",
+                          "params": {"points": [[0, 1], [1, 0]]},
+                          "domain_grid": {"from": [-1], "to": [1], "steps": 5}}},
+}
+
+
+def _tabulated_doc(seed):
+    """A shifted, totally ordered two-point to four-point cloud on 41 samples."""
+    rng = np.random.default_rng([seed, 0x7AB])
+    xs = np.linspace(-2.0, 2.0, 41)
+    p = int(rng.integers(2, 5))
+    start = rng.uniform(-1.0, 1.0, size=2)
+    segment = np.vstack([start, start + np.cumsum(rng.uniform(0.1, 1.0, size=(p - 1, 2)),
+                                                  axis=0)])
+    offset = rng.uniform(-1.0, 1.0, size=2)
+    quadratic = rng.uniform(0.5, 1.5, size=2)
+    centre = float(xs[int(rng.integers(10, 31))])
+    table = [{"x": [float(x)],
+              "points": (segment + offset + quadratic * (x - centre) ** 2).tolist()}
+             for x in xs]
+    lam = rng.uniform(0.5, 2.0, size=2)
+    return {"cone": {"dual_generators": np.diag(lam).tolist(), "interior_point": [1.0, 1.0]},
+            "map": {"tabulated": table},
+            "base_points": [[centre], [2.0]],
+            "settings": {"tau_strict": 1e-6,
+                         "dini": {"t_max": 1e-3, "ratio": 0.5, "steps": 12},
+                         "wstar_density": 9}}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture()
@@ -152,3 +192,42 @@ def test_unknown_settings_key_exits_two(tmp_path, capsys):
 
 def test_console_entry_point_help():
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("doc, args, code, size, digest", [
+    (QUAD_DOC, ["chain"], 0, 11151,
+     "547e6a24fa57545467bc4c47c5a868d5c18e43e1610217841b0f582d8f1926ea"),
+    (QUAD_DOC, ["mvt", "--ray=0,1"], 0, 2595,
+     "794e19098932131a7bb7663c3d3f7a5779a4c9bafe2bb0775f0400b4c9bddb8b"),
+    (_tabulated_doc(7), ["chain"], 1, 33674,
+     "fc7acd59bcfb93393b57d6977dd987a033736cc07fc7b3c4f1625b32477f56c4"),
+], ids=["chain-quadratic", "mvt-quadratic", "chain-tabulated-seed7"])
+def test_json_report_bytes_are_pinned(tmp_path, capsys, doc, args, code, size, digest):
+    path = _write(tmp_path, "problem", doc)
+    assert main([args[0], path, *args[1:], "--output", "json"]) == code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+def test_chain_on_non_convex_extended_values_reports_fails(tmp_path, capsys):
+    # a constant map is weakly minimal everywhere; only the hypothesis fails
+    path = _write(tmp_path, "antichain", ANTICHAIN_DOC)
+    assert main(["chain", path, "--output", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["hypotheses"]["c_convexity"]["verdict"] == "FAILS"
+    assert "VIOLATED" not in [e["status"] for e in report["implications"]]
+
+
+def test_internal_inconsistency_exits_four(quad_file, capsys, monkeypatch):
+    def disagree(*args, **kwargs):
+        raise InternalCheckError("convexity tests disagree")
+
+    monkeypatch.setattr(setvi.vi, "c_convexity_check", disagree)
+    assert main(["chain", quad_file]) == 4
+    assert capsys.readouterr().err.startswith("internal check failed: ")
+
+
+def test_dini_step_beyond_the_segment_exits_two(tmp_path, capsys):
+    doc = dict(QUAD_DOC, settings={"dini": {"t_max": 2.0}})
+    assert main(["vi", _write(tmp_path, "far", doc), "--kind", "svi"]) == 2
+    assert "t_max" in capsys.readouterr().err

@@ -13,3 +13,13 @@ from setvi.errors import SchemaError
 def test_unknown_keys_are_rejected(doc):
     with pytest.raises(SchemaError):
         RunSettings.from_dict(doc)
+
+
+@pytest.mark.parametrize("t_max", [0.0, 1.5])
+def test_dini_probes_must_stay_on_the_segment(t_max):
+    with pytest.raises(ValueError):
+        RunSettings.from_dict({"dini": {"t_max": t_max}})
+
+
+def test_dini_probe_may_reach_the_segment_end():
+    assert RunSettings.from_dict({"dini": {"t_max": 1.0}}).dini.t_max == 1.0

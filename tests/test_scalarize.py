@@ -17,7 +17,7 @@ from setvi.scalarize import (
     scalarize_many,
     support_profile,
 )
-from setvi.setmap import SetValue, builtin_map, evaluate, load_problem
+from setvi.setmap import SetValue, builtin_map, evaluate, load_problem, radial_rays
 from setvi.verdicts import Verdict
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
@@ -143,33 +143,33 @@ class TestHausdorff:
     def test_moving_point_holds_on_fine_grid(self):
         m = builtin_map("segment_shift", {"segment": [[0, 0]], "linear": [[1], [1]]},
                         domain=np.linspace(0, 1, 21).reshape(-1, 1))
-        res = hausdorff_check(m, [0.5], ORTHANT, eps_list=[0.2],
+        res = hausdorff_check(m, [0.5], eps_list=[0.2],
                               probe_radii=[0.06, 0.12])
         assert res.verdict is Verdict.HOLDS
 
     def test_jump_fails_below_jump(self):
-        res = hausdorff_check(_jump_problem(), [0.5], ORTHANT, eps_list=[0.5],
+        res = hausdorff_check(_jump_problem(), [0.5], eps_list=[0.5],
                               probe_radii=[0.15, 0.3])
         assert res.verdict is Verdict.FAILS
 
     def test_single_sample_domain_holds_vacuously(self):
         m = builtin_map("constant_cloud", {"points": [[0, 0]]},
                         domain=np.array([[0.0]]))
-        res = hausdorff_check(m, [0.0], ORTHANT, eps_list=[0.1],
+        res = hausdorff_check(m, [0.0], eps_list=[0.1],
                               probe_radii=[1.0])
         assert res.verdict is Verdict.HOLDS
         assert res.details["per_eps"][0]["probed"] == 0
 
     def test_radial_variant_detects_jump(self):
-        res = hausdorff_check_radial(_jump_problem(), [0.0], ORTHANT,
-                                     eps_list=[0.5], t_grid=np.linspace(0, 1, 11))
+        rays = radial_rays(_jump_problem(), [0.0], np.linspace(0, 1, 11))
+        res = hausdorff_check_radial(rays, eps_list=[0.5])
         assert res.verdict is Verdict.FAILS
 
     def test_radial_variant_constant_holds(self):
         m = builtin_map("constant_cloud", {"points": [[0, 0], [1, 1]]},
                         domain=np.linspace(0, 1, 5).reshape(-1, 1))
-        res = hausdorff_check_radial(m, [0.0], ORTHANT, eps_list=[0.1],
-                                     t_grid=np.linspace(0, 1, 5))
+        res = hausdorff_check_radial(radial_rays(m, [0.0], np.linspace(0, 1, 5)),
+                                     eps_list=[0.1])
         assert res.verdict is Verdict.HOLDS
 
 
@@ -181,7 +181,7 @@ def test_continuity_bridge_scales_with_weight_norms():
                     domain=np.linspace(0, 1, 21).reshape(-1, 1))
     eps = 0.2
     radii = [0.06, 0.12]
-    h = hausdorff_check(m, [0.5], ORTHANT, eps_list=[eps], probe_radii=radii)
+    h = hausdorff_check(m, [0.5], eps_list=[eps], probe_radii=radii)
     assert h.verdict is Verdict.HOLDS
     delta = h.details["per_eps"][0]["delta"]
     norms = np.linalg.norm(WS.weights, axis=1)
