@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 
 from .analysis import DiniConfig
 from .cone import TAU_STRICT
@@ -26,28 +28,22 @@ class RunSettings:
     probe_radii: tuple | None = None
 
     def __post_init__(self):
-        if self.tau_strict <= 0 or self.wstar_density < 1:
-            raise ValueError("settings must be positive")
-        if self.output not in ("text", "json", "both"):
-            raise ValueError("output must be text, json, or both")
-        if self.vi_domain not in ("formula", "dom"):
-            raise ValueError("vi_domain must be 'formula' or 'dom'")
+        _validate("settings", _SETTING_RULES, vars(self))
 
     @staticmethod
     def from_dict(doc: dict, **overrides) -> "RunSettings":
-        """Settings from a problem's "settings" object; unknown keys are a
-        SchemaError so that a typo fails instead of running with defaults."""
+        """Settings from a problem's "settings" object; unknown keys and bad
+        values are a SchemaError so that a typo fails instead of running."""
         doc = dict(doc or {})
         doc.update({k: v for k, v in overrides.items() if v is not None})
-        _reject_unknown("settings", doc, RunSettings.__dataclass_fields__)
         dini = doc.pop("dini", {})
+        _validate("settings", _SETTING_RULES, doc)
         if isinstance(dini, dict):
-            _reject_unknown("dini", dini, DiniConfig.__dataclass_fields__)
+            _validate("dini", _DINI_RULES, dini)
             dini = DiniConfig(**dini)
-        if doc.get("eps_list") is not None:
-            doc["eps_list"] = tuple(float(e) for e in doc["eps_list"])
-        if doc.get("probe_radii") is not None:
-            doc["probe_radii"] = tuple(float(r) for r in doc["probe_radii"])
+        for key in ("eps_list", "probe_radii"):
+            if doc.get(key) is not None:
+                doc[key] = tuple(map(float, doc[key]))
         return RunSettings(dini=dini, **doc)
 
     def with_(self, **kw) -> "RunSettings":
@@ -55,21 +51,45 @@ class RunSettings:
 
     def to_dict(self) -> dict:
         # output shapes the printout, not the verdicts; it is left out on purpose
-        return {
-            "tau_strict": self.tau_strict,
-            "wstar_density": self.wstar_density,
-            "dini": self.dini.to_dict(),
-            "seed": self.seed,
-            "ray_steps": self.ray_steps,
-            "chain_ray_grid": self.chain_ray_grid,
-            "chain_max_rays": self.chain_max_rays,
-            "vi_domain": self.vi_domain,
-            "eps_list": list(self.eps_list) if self.eps_list else None,
-            "probe_radii": list(self.probe_radii) if self.probe_radii else None,
-        }
+        out = {k: v for k, v in vars(self).items() if k != "output"}
+        out["dini"] = self.dini.to_dict()
+        for key in ("eps_list", "probe_radii"):
+            out[key] = None if out[key] is None else list(out[key])
+        return out
 
 
-def _reject_unknown(where: str, doc: dict, known) -> None:
-    unknown = sorted(set(doc) - set(known))
+def _number(v, kind=Real) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_number, v))
+
+
+_SETTING_RULES = {
+    "tau_strict": (lambda v: _number(v) and 0 < v < math.inf, "a positive finite number"),
+    "wstar_density": (lambda v: _number(v, Integral) and v >= 1, "an integer >= 1"),
+    "dini": (lambda v: isinstance(v, DiniConfig), "an object"),
+    "seed": (lambda v: _number(v, Integral), "an integer"),
+    "output": (lambda v: v in ("text", "json", "both"), "text, json or both"),
+    "ray_steps": (lambda v: _number(v, Integral) and v >= 2, "an integer >= 2"),
+    "chain_ray_grid": (lambda v: _number(v, Integral) and v >= 2, "an integer >= 2"),
+    "chain_max_rays": (lambda v: _number(v, Integral) and v >= 1, "an integer >= 1"),
+    "vi_domain": (lambda v: v in ("formula", "dom"), "formula or dom"),
+    "eps_list": (lambda v: v is None or _numbers(v), "a nonempty list of numbers"),
+    "probe_radii": (lambda v: v is None or (_numbers(v) and all(r > 0 for r in v)),
+                    "a nonempty list of positive numbers"),
+}
+_DINI_RULES = {"t_max": (_number, "a number"), "ratio": (_number, "a number"),
+               "steps": (lambda v: _number(v, Integral), "an integer")}
+
+
+def _validate(where: str, rules: dict, values: dict) -> None:
+    """Unknown keys and values failing their (test, description) rule are a
+    SchemaError: values are rejected, never coerced."""
+    unknown = sorted(set(values) - set(rules))
     if unknown:
-        raise SchemaError(f"unknown {where} keys {unknown}; known: {sorted(known)}")
+        raise SchemaError(f"unknown {where} keys {unknown}; known: {sorted(rules)}")
+    for key, value in values.items():
+        if not rules[key][0](value):
+            raise SchemaError(f"{where} {key!r} must be {rules[key][1]}, not {value!r}")

@@ -295,47 +295,39 @@ def _excess(inner: SetValue, outer: SetValue) -> float:
     return float(np.sqrt(np.sum(d * d, axis=2)).min(axis=1).max())
 
 
-def _scan_radii(entries, eps_list, radii, tau, resolution) -> CheckResult:
+def _scan_radius(entries, eps_list, delta, tau, resolution) -> CheckResult:
     """Shared HOLDS/FAILS/UNDETERMINED aggregation for containment checks.
 
-    ``entries`` is a list of (distance, excess, tag); for each eps the
-    smallest radius whose selected entries all stay within eps decides.
+    ``entries`` holds (excess, tag) per sample within delta, the smallest
+    probed radius: a larger one adds samples, so it passes no eps that the
+    smallest fails.  With no entries only an eps below -tau fails.
     """
+    bad = max(entries, key=lambda e: e[0], default=None)
+    worst_excess = 0.0 if bad is None else bad[0]
+    witness = None if bad is None else {"tag": bad[1], "excess": bad[0]}
     per_eps = []
     verdicts = []
     for eps in eps_list:
-        chosen = None
-        for delta in radii:
-            sel = [e for e in entries if 0.0 < e[0] <= delta]
-            worst_excess = max((e[1] for e in sel), default=0.0)
-            if worst_excess <= eps + tau:
-                chosen = {"eps": eps, "delta": delta, "probed": len(sel),
-                          "worst_excess": worst_excess,
-                          "borderline": worst_excess > eps - tau}
-                break
-        if chosen is None:
-            sel = [e for e in entries if 0.0 < e[0] <= radii[0]]
-            bad = max(sel, key=lambda e: e[1]) if sel else None
-            per_eps.append({"eps": eps, "failed": True,
-                            "witness": None if bad is None else
-                            {"tag": bad[2], "excess": bad[1]}})
-            verdicts.append(Verdict.FAILS)
+        if worst_excess <= eps + tau:
+            borderline = worst_excess > eps - tau
+            per_eps.append({"eps": eps, "delta": delta, "probed": len(entries),
+                            "worst_excess": worst_excess, "borderline": borderline})
+            verdicts.append(Verdict.UNDETERMINED if borderline else Verdict.HOLDS)
         else:
-            per_eps.append(chosen)
-            verdicts.append(Verdict.UNDETERMINED if chosen["borderline"] else Verdict.HOLDS)
+            per_eps.append({"eps": eps, "failed": True, "witness": witness})
+            verdicts.append(Verdict.FAILS)
     overall = worst(*verdicts) if verdicts else Verdict.UNDETERMINED
-    witness = next((p.get("witness") for p in per_eps if p.get("failed")), None)
-    return CheckResult(overall, witness=witness, resolution=resolution,
-                       details={"per_eps": per_eps})
+    return CheckResult(overall, witness=witness if Verdict.FAILS in verdicts else None,
+                       resolution=resolution, details={"per_eps": per_eps})
 
 
 def hausdorff_check(map: SetMap, x0, eps_list, probe_radii,
                     tau: float = TAU_STRICT) -> CheckResult:
     """Upper Hausdorff continuity of the map at x0, at sample resolution.
 
-    For each eps it searches the probe radii for a delta such that every
-    sampled x within delta has all of F(x) (the stored domain values)
-    within eps of F(x0).
+    For each eps it asks whether some probe radius delta keeps all of F(x)
+    (the stored domain values) within eps of F(x0) for every sampled x
+    within delta; the smallest radius decides (see ``_scan_radius``).
     """
     x0, v0 = base_value(map, x0)
     radii = sorted(float(r) for r in probe_radii)
@@ -343,24 +335,21 @@ def hausdorff_check(map: SetMap, x0, eps_list, probe_radii,
     if not radii or not eps_list:
         raise ValueError("eps_list and probe_radii must be nonempty")
     dists = np.linalg.norm(map.domain - x0[None, :], axis=1)
-    entries = []
-    for i in range(map.domain.shape[0]):
-        if dists[i] == 0.0 or dists[i] > radii[-1]:
-            continue
-        entries.append((float(dists[i]), _excess(map.values[i], v0),
-                        {"x": map.domain[i].tolist()}))
+    entries = [(_excess(map.values[i], v0), {"x": map.domain[i].tolist()})
+               for i in np.flatnonzero((dists > 0.0) & (dists <= radii[0]))]
     resolution = {"eps_list": eps_list, "radii": radii, "tau_strict": tau,
                   "domain_size": int(map.domain.shape[0])}
-    return _scan_radii(entries, eps_list, radii, tau, resolution)
+    return _scan_radius(entries, eps_list, radii[0], tau, resolution)
 
 
-def hausdorff_check_radial(rays: list[RayValues], eps_list, t_radii=None,
+def hausdorff_check_radial(rays: list[RayValues], eps_list,
                            tau: float = TAU_STRICT) -> CheckResult:
     """Upper Hausdorff continuity of every segment restriction t -> F_(x0,x)(t).
 
     Runs the containment scan at every grid t0 of every ray (the rays from
-    one base point, as ``radial_rays`` reads them), with radii measured in
-    t units; the worst verdict over all rays and anchors is returned.
+    one base point, as ``radial_rays`` reads them) at radii of 1.5 and 3
+    smallest grid steps, of which the smallest decides; the worst verdict
+    over all rays and anchors is returned.
     """
     eps_list = [float(e) for e in eps_list]
     results = []
@@ -368,24 +357,19 @@ def hausdorff_check_radial(rays: list[RayValues], eps_list, t_radii=None,
         x, t = ray.x, ray.t_grid
         if t.size < 2:
             continue
-        if t_radii is None:
-            step = float(np.min(np.diff(t)))
-            radii = [1.5 * step, 3.0 * step]
-        else:
-            radii = sorted(float(r) for r in t_radii)
+        step = float(np.min(np.diff(t)))
+        radii = [1.5 * step, 3.0 * step]
         for a in range(t.size):
             anchor = ray.values[a]
             if anchor.is_empty:
                 continue
-            entries = [
-                (abs(float(t[b] - t[a])), _excess(ray.values[b], anchor),
-                 {"x": x.tolist(), "t0": float(t[a]), "t": float(t[b])})
-                for b in range(t.size)
-                if b != a and abs(t[b] - t[a]) <= radii[-1]
-            ]
+            dt = np.abs(t - t[a])
+            entries = [(_excess(ray.values[b], anchor),
+                        {"x": x.tolist(), "t0": float(t[a]), "t": float(t[b])})
+                       for b in np.flatnonzero((dt > 0.0) & (dt <= radii[0]))]
             resolution = {"eps_list": eps_list, "t_radii": radii, "tau_strict": tau,
                           "ray_to": x.tolist(), "anchor_t": float(t[a])}
-            results.append(_scan_radii(entries, eps_list, radii, tau, resolution))
+            results.append(_scan_radius(entries, eps_list, radii[0], tau, resolution))
     if not results:
         return CheckResult(Verdict.HOLDS, resolution={"eps_list": eps_list,
                                                       "rays": 0})

@@ -74,8 +74,13 @@ class _Generator:
     params: dict
     domain_dim: int
     image_dim: int
-    eval_one: Callable[[np.ndarray], SetValue]
     eval_batch: Callable[[np.ndarray], np.ndarray] | None  # (T,n) -> (T,p,m)
+    eval_one: Callable[[np.ndarray], SetValue] | None = None
+
+    def __post_init__(self):
+        if self.eval_one is None:  # the batch kernel on one row
+            object.__setattr__(self, "eval_one",
+                               lambda x: SetValue.make(self.eval_batch(x[None, :])[0]))
 
 
 @dataclass(eq=False)
@@ -266,23 +271,18 @@ def _make_quadratic_vector(params: dict) -> _Generator:
     targets = _param_array(params, "targets")
     if targets is None or targets.size == 0:
         raise BadParameters("quadratic_vector needs a nonempty 'targets' list")
-    targets = np.atleast_2d(targets.astype(float))
+    if targets.ndim <= 1:
+        # scalar targets: one squared-distance objective per target on a 1-D domain
+        targets = targets.reshape(-1, 1)
     if targets.ndim != 2:
         raise BadParameters("targets must be scalars or equal-length vectors")
-    if np.asarray(params["targets"]).ndim == 1:
-        # scalar targets: one squared-distance objective per target on a 1-D domain
-        targets = np.asarray(params["targets"], dtype=float).reshape(-1, 1)
     k, n = targets.shape
-
-    def one(x: np.ndarray) -> SetValue:
-        d = targets - x[None, :]
-        return SetValue.make(np.einsum("kn,kn->k", d, d).reshape(1, k))
 
     def batch(xs: np.ndarray) -> np.ndarray:
         d = targets[None, :, :] - xs[:, None, :]
         return np.einsum("tkn,tkn->tk", d, d)[:, None, :]
 
-    return _Generator("quadratic_vector", dict(params), n, k, one, batch)
+    return _Generator("quadratic_vector", dict(params), n, k, batch)
 
 
 def _make_segment_shift(params: dict) -> _Generator:
@@ -302,17 +302,12 @@ def _make_segment_shift(params: dict) -> _Generator:
     if center.shape != (n,):
         raise BadParameters("segment_shift center must live in the domain space")
 
-    def shift(xs: np.ndarray) -> np.ndarray:
-        r2 = np.sum((xs - center[None, :]) ** 2, axis=1)
-        return offset[None, :] + xs @ linear.T + r2[:, None] * quadratic[None, :]
-
-    def one(x: np.ndarray) -> SetValue:
-        return SetValue.make(segment + shift(x[None, :])[0])
-
     def batch(xs: np.ndarray) -> np.ndarray:
-        return segment[None, :, :] + shift(xs)[:, None, :]
+        r2 = np.sum((xs - center[None, :]) ** 2, axis=1)
+        shift = offset[None, :] + xs @ linear.T + r2[:, None] * quadratic[None, :]
+        return segment[None, :, :] + shift[:, None, :]
 
-    return _Generator("segment_shift", dict(params), n, m, one, batch)
+    return _Generator("segment_shift", dict(params), n, m, batch)
 
 
 def _make_constant_cloud(params: dict) -> _Generator:
@@ -323,13 +318,10 @@ def _make_constant_cloud(params: dict) -> _Generator:
     n = int(params.get("domain_dim", 1))
     m = points.shape[1]
 
-    def one(x: np.ndarray) -> SetValue:
-        return SetValue.make(points)
-
     def batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(points[None, :, :], (xs.shape[0],) + points.shape).copy()
 
-    return _Generator("constant_cloud", dict(params), n, m, one, batch)
+    return _Generator("constant_cloud", dict(params), n, m, batch)
 
 
 def _make_hyperbola_truncation(params: dict) -> _Generator:
@@ -343,13 +335,10 @@ def _make_hyperbola_truncation(params: dict) -> _Generator:
     cloud = np.column_stack([s, 1.0 / s])
     n = int(params.get("domain_dim", 1))
 
-    def one(x: np.ndarray) -> SetValue:
-        return SetValue.make(cloud)
-
     def batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(cloud[None, :, :], (xs.shape[0],) + cloud.shape).copy()
 
-    return _Generator("hyperbola_truncation", dict(params), n, 2, one, batch)
+    return _Generator("hyperbola_truncation", dict(params), n, 2, batch)
 
 
 def _make_jump_map(params: dict) -> _Generator:
@@ -366,19 +355,19 @@ def _make_jump_map(params: dict) -> _Generator:
     jump_at = float(params["jump_at"])
 
     def one(x: np.ndarray) -> SetValue:
-        if x.shape != (1,):
-            raise DimensionMismatch("jump_map is defined on a 1-D domain")
         return SetValue.make(left if x[0] < jump_at else right)
 
-    return _Generator("jump_map", dict(params), 1, left.shape[1], one, None)
+    return _Generator("jump_map", dict(params), 1, left.shape[1], None, one)
 
 
-_CATALOG: dict[str, Callable[[dict], _Generator]] = {
-    "quadratic_vector": _make_quadratic_vector,
-    "segment_shift": _make_segment_shift,
-    "constant_cloud": _make_constant_cloud,
-    "hyperbola_truncation": _make_hyperbola_truncation,
-    "jump_map": _make_jump_map,
+# name -> (factory, the params keys it reads)
+_CATALOG = {
+    "quadratic_vector": (_make_quadratic_vector, {"targets"}),
+    "segment_shift": (_make_segment_shift, {"segment", "domain_dim", "offset", "linear",
+                                            "quadratic", "center"}),
+    "constant_cloud": (_make_constant_cloud, {"points", "domain_dim"}),
+    "hyperbola_truncation": (_make_hyperbola_truncation, {"T", "samples", "domain_dim"}),
+    "jump_map": (_make_jump_map, {"left_points", "right_points", "jump_at"}),
 }
 
 
@@ -386,12 +375,17 @@ def builtin_map(name: str, params: dict, domain=None) -> SetMap:
     """Instantiate a cataloged generator as a map on the given domain.
 
     Without an explicit domain the map gets an 11-point grid on [0, 1]^n;
-    evaluation is still defined at any point of the domain space.
+    evaluation is still defined at any point of the domain space.  A
+    parameter key the generator does not read is a BadParameters error.
     """
     if name not in _CATALOG:
         raise UnknownGenerator(f"no generator named {name!r}; "
                                f"known: {sorted(_CATALOG)}")
-    gen = _CATALOG[name](params)
+    factory, keys = _CATALOG[name]
+    unknown = sorted(set(params) - keys)
+    if unknown:
+        raise BadParameters(f"unknown {name} params {unknown}; known: {sorted(keys)}")
+    gen = factory(params)
     if domain is None:
         axes = [np.linspace(0.0, 1.0, 11)] * gen.domain_dim
         domain = _grid_points(axes)

@@ -34,6 +34,19 @@ ANTICHAIN_DOC = {
                           "domain_grid": {"from": [-1], "to": [1], "steps": 5}}},
 }
 
+# non-uniform samples with an empty value at x = 1.4; eps 0.3 fails the
+# radial continuity check at x0 = 2, so the report carries its witness
+NONUNIFORM_DOC = {
+    "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
+    "map": {"tabulated": [
+        {"x": [x], "points": [] if x == 1.4 else
+         [[(x - 0.1) ** 2 + 0.3, (x + 0.2) ** 2], [(x - 0.1) ** 2 + 1.0, (x + 0.2) ** 2 + 0.5]]}
+        for x in (-2.0, -1.3, -0.9, -0.2, 0.0, 0.15, 0.6, 1.4, 1.5, 2.0)]},
+    "base_points": [[0.0], [2.0]],
+    "settings": {"tau_strict": 1e-6, "dini": {"t_max": 1e-3, "ratio": 0.5, "steps": 12},
+                 "wstar_density": 9, "eps_list": [0.3, 3.0]},
+}
+
 
 def _tabulated_doc(seed):
     """A shifted, totally ordered two-point to four-point cloud on 41 samples."""
@@ -201,7 +214,10 @@ def test_console_entry_point_help():
      "794e19098932131a7bb7663c3d3f7a5779a4c9bafe2bb0775f0400b4c9bddb8b"),
     (_tabulated_doc(7), ["chain"], 1, 33674,
      "fc7acd59bcfb93393b57d6977dd987a033736cc07fc7b3c4f1625b32477f56c4"),
-], ids=["chain-quadratic", "mvt-quadratic", "chain-tabulated-seed7"])
+    (NONUNIFORM_DOC, ["chain"], 1, 17402,
+     "b6613fea7a5492c3b9628808bd4f97be60386107a96a06b0116b3bbc53fefd02"),
+], ids=["chain-quadratic", "mvt-quadratic", "chain-tabulated-seed7",
+        "chain-tabulated-nonuniform"])
 def test_json_report_bytes_are_pinned(tmp_path, capsys, doc, args, code, size, digest):
     path = _write(tmp_path, "problem", doc)
     assert main([args[0], path, *args[1:], "--output", "json"]) == code

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,7 +19,7 @@ from setvi.scalarize import (
     scalarize_many,
     support_profile,
 )
-from setvi.setmap import SetValue, builtin_map, evaluate, load_problem, radial_rays
+from setvi.setmap import SetMap, SetValue, builtin_map, evaluate, load_problem, radial_rays
 from setvi.verdicts import Verdict
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
@@ -171,6 +173,44 @@ class TestHausdorff:
         res = hausdorff_check_radial(radial_rays(m, [0.0], np.linspace(0, 1, 5)),
                                      eps_list=[0.1])
         assert res.verdict is Verdict.HOLDS
+
+    def test_smallest_radius_decides(self):
+        # a larger radius selects a superset of samples, so it can only fail
+        # where the smallest one already does: adding radii changes no output
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            domain = np.sort(rng.uniform(-1, 1, size=int(rng.integers(2, 9)))).reshape(-1, 1)
+            values = [SetValue.make([], dim=2) if rng.random() < 0.1 else
+                      SetValue.make([], whole_space=True, dim=2) if rng.random() < 0.05 else
+                      SetValue.make(rng.normal(size=(int(rng.integers(1, 4)), 2)))
+                      for _ in domain]
+            values[0] = SetValue.make([[0.0, 0.0]])
+            m = SetMap(domain=domain, kind="tabulated", values=values)
+            eps = rng.choice([-1.0, 0.0, 0.2, 1.0, 1e6], size=int(rng.integers(1, 4))).tolist()
+            radii = sorted(rng.uniform(0.05, 2.0, size=int(rng.integers(2, 4))).tolist())
+            one = hausdorff_check(m, domain[0], eps, radii[:1], tau=1e-3)
+            every = hausdorff_check(m, domain[0], eps, radii[::-1], tau=1e-3)
+            assert (one.verdict, one.witness, one.details) == \
+                (every.verdict, every.witness, every.details)
+
+    def test_radial_scan_compares_only_neighbours(self, monkeypatch):
+        # only samples within 1.5 steps are compared: on a uniform grid each
+        # anchor meets its two neighbours, so 2 (T - 1) excesses per ray
+        module = sys.modules["setvi.scalarize"]  # setvi.scalarize is the function
+        excess = module._excess
+        calls = []
+
+        def counted(inner, outer):
+            calls.append(1)
+            return excess(inner, outer)
+
+        monkeypatch.setattr(module, "_excess", counted)
+        T = 9
+        m = builtin_map("quadratic_vector", {"targets": [0, 1]},
+                        domain=np.linspace(-1, 2, 7).reshape(-1, 1))
+        rays = radial_rays(m, [0.5], np.linspace(0, 1, T))
+        hausdorff_check_radial(rays, eps_list=[0.5])
+        assert 0 < len(calls) <= 2 * (T - 1) * len(rays)
 
 
 def test_continuity_bridge_scales_with_weight_norms():

@@ -169,6 +169,11 @@ class TestBuiltinCatalog:
         with pytest.raises(BadParameters):
             builtin_map("hyperbola_truncation", {"T": 0.5})
 
+    def test_unknown_parameter_is_rejected(self):
+        # a misspelt key must not run with the default centre 0
+        with pytest.raises(BadParameters, match="centre"):
+            builtin_map("segment_shift", {"segment": [[0, 0]], "centre": [0.5]})
+
     def test_hyperbola_truncation_min_coordinate(self):
         m = builtin_map("hyperbola_truncation", {"T": 100, "samples": 5})
         pts = evaluate(m, [0]).points
