@@ -18,6 +18,8 @@ checked by diffing
 
     PYTHONPATH=<parent checkout>/src python3 scripts/report_digests.py P... --suite 5:30
     PYTHONPATH=src python3 scripts/report_digests.py P... --suite 5:30
+
+The problem set for this is ``scripts/digest_problems/*.json``.
 """
 
 import argparse

@@ -34,12 +34,10 @@ from .report import render_json
 from .scalarize import (
     PiecewiseLinear,
     ScalarPath,
-    equicontinuity_check,
-    hausdorff_check,
+    adjacent_excesses,
     hausdorff_check_radial,
     scalar_path,
     scalarize,
-    support_profile,
 )
 from .setmap import (
     Problem,

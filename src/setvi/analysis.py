@@ -90,7 +90,7 @@ def dini_lower(path: ScalarPath, t: float, direction: int,
     if not (0.0 <= t <= 1.0):
         raise StepOutsideDomain(f"t = {t} is outside the path interval [0, 1]")
     if path.breakpoints is not None:
-        d_plus, d_minus = _exact_unit_derivatives_grid(path.breakpoints, np.array([t]))
+        d_plus, d_minus = _exact_grid_slopes(path.breakpoints, np.array([t]))
         return ExtReal(float((d_plus if direction > 0 else d_minus)[0]))
     steps = cfg.step_grid()
     probes = path.eval_many(t + direction * steps)
@@ -98,19 +98,7 @@ def dini_lower(path: ScalarPath, t: float, direction: int,
     return ExtReal(float(dini_table(np.array([base]), probes[None, :], steps)[0]))
 
 
-def unit_derivatives(path: ScalarPath, cfg: DiniConfig):
-    """(d_plus, d_minus) one-sided derivatives at every grid point."""
-    t = path.t_grid
-    if path.breakpoints is not None:
-        return _exact_unit_derivatives_grid(path.breakpoints, t)
-    steps = cfg.step_grid()
-    fw = path.eval_many((t[:, None] + steps[None, :]).ravel()).reshape(t.size, -1)
-    bw = path.eval_many((t[:, None] - steps[None, :]).ravel()).reshape(t.size, -1)
-    base = path.values
-    return dini_table(base, fw, steps), dini_table(base, bw, steps)
-
-
-def _exact_unit_derivatives_grid(breakpoints: PiecewiseLinear, t: np.ndarray):
+def _exact_grid_slopes(breakpoints: PiecewiseLinear, t: np.ndarray):
     """Closed-form one-sided slopes (d_plus, d_minus) of a breakpoint path at
     every t in [0, 1].
 
@@ -322,7 +310,13 @@ def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
         raise GridTooCoarse("path classification needs at least 3 grid points")
 
     ssqc_verdict, ssqc_witness = _ssqc_scan(t, v, tau)
-    d_plus, d_minus = unit_derivatives(path, cfg)
+    if path.breakpoints is not None:
+        d_plus, d_minus = _exact_grid_slopes(path.breakpoints, t)
+    else:
+        steps = cfg.step_grid()
+        fw = path.eval_many((t[:, None] + steps[None, :]).ravel()).reshape(t.size, -1)
+        bw = path.eval_many((t[:, None] - steps[None, :]).ravel()).reshape(t.size, -1)
+        d_plus, d_minus = dini_table(v, fw, steps), dini_table(v, bw, steps)
     (cvx, cvx_w), (ccv, ccv_w), pairs = _pseudo_scan(t, v, d_plus, d_minus, tau)
 
     diffs = np.diff(v)

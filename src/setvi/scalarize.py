@@ -1,4 +1,4 @@
-"""Weighted-infimum scalarizations of set values and their continuity checks.
+"""Weighted-infimum scalarizations of set values and the radial continuity check.
 
 For a weight w in the dual cone, a set value scalarizes to the infimum of
 w . y over its points: +inf on the empty value (the point is outside the
@@ -6,10 +6,9 @@ domain of the map) and -inf on a whole-space value.  Restricting a map to
 a segment and scalarizing pointwise yields the extended-real paths that
 the directional-derivative machinery consumes.
 
-The continuity notions here are resolution-stamped: upper Hausdorff
-continuity of the map and lower equicontinuity of the scalarization family
-are only certified at the probed radii and epsilons, and each verdict
-records how many samples it actually saw so vacuous passes are detectable.
+Upper Hausdorff continuity of the segment restrictions is only certified
+at the sampled ray grids and the given epsilons, and the verdict records
+the rays, radii and epsilons it was computed at.
 """
 
 from __future__ import annotations
@@ -19,12 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import TAU_STRICT, WStarSample
-from .errors import DimensionMismatch, EmptySet
+from .cone import TAU_STRICT
+from .errors import DimensionMismatch
 from .extreal import NEG_INF, POS_INF, ExtReal
-from .setmap import (RayValues, SetMap, SetValue, base_value, evaluate, evaluate_batch,
-                     ray_restriction, segment_sample_ts)
-from .verdicts import CheckResult, Verdict, worst
+from .setmap import (RayValues, SetMap, SetValue, evaluate, evaluate_batch, ray_restriction,
+                     segment_sample_ts)
+from .verdicts import CheckResult, Verdict
 
 
 def scalarize(value: SetValue, w) -> ExtReal:
@@ -229,56 +228,8 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
 
 
 # ---------------------------------------------------------------------------
-# Continuity checks
+# Radial continuity
 # ---------------------------------------------------------------------------
-
-
-def equicontinuity_check(map: SetMap, x0, wstar: WStarSample, probe_radii,
-                         eps: float, tau: float = TAU_STRICT) -> CheckResult:
-    """Lower equicontinuity of the scalarization family at x0.
-
-    HOLDS when some probed radius delta keeps phi_w(x0) <= phi_w(x) + eps
-    for every sampled x within delta and every sampled w; FAILS when every
-    radius contains a clear violator; UNDETERMINED when only borderline
-    gaps (within the strictness band around eps) remain.
-    """
-    x0, v0 = base_value(map, x0)
-    radii = sorted(float(r) for r in probe_radii)
-    if not radii:
-        raise ValueError("probe_radii must be nonempty")
-    phi0 = scalarize_many(v0, wstar.weights)
-    dists = np.linalg.norm(map.domain - x0[None, :], axis=1)
-    per_radius = []
-    best = None
-    for delta in radii:
-        sel = np.flatnonzero((dists <= delta) & (dists > 0.0))
-        worst_gap = -np.inf
-        witness = None
-        for i in sel:
-            phix = scalarize_many(map.values[i], wstar.weights)
-            gaps = phi0 - phix  # must stay <= eps
-            j = int(np.argmax(gaps))
-            if gaps[j] > worst_gap:
-                worst_gap = float(gaps[j])
-                witness = {"x": map.domain[i].tolist(), "w": wstar.weights[j].tolist(),
-                           "gap": float(gaps[j])}
-        per_radius.append({"delta": delta, "probed": int(sel.size),
-                           "worst_gap": worst_gap})
-        if worst_gap <= eps + tau and best is None:
-            best = {"delta": delta, "probed": int(sel.size),
-                    "worst_gap": worst_gap, "borderline": worst_gap > eps - tau,
-                    "witness": witness}
-    resolution = {"eps": eps, "radii": radii, "tau_strict": tau,
-                  "wstar_size": len(wstar)}
-    if best is not None:
-        verdict = Verdict.UNDETERMINED if best["borderline"] else Verdict.HOLDS
-        return CheckResult(verdict, witness=best.get("witness"),
-                           resolution=resolution,
-                           details={"chosen": best, "per_radius": per_radius})
-    # every radius contains a violator; report the tightest one
-    tightest = per_radius[0]
-    return CheckResult(Verdict.FAILS, witness={"worst_gap": tightest["worst_gap"]},
-                       resolution=resolution, details={"per_radius": per_radius})
 
 
 def _excess(inner: SetValue, outer: SetValue) -> float:
@@ -295,114 +246,64 @@ def _excess(inner: SetValue, outer: SetValue) -> float:
     return float(np.sqrt(np.sum(d * d, axis=2)).min(axis=1).max())
 
 
-def _scan_radius(entries, eps_list, delta, tau, resolution) -> CheckResult:
-    """Shared HOLDS/FAILS/UNDETERMINED aggregation for containment checks.
-
-    ``entries`` holds (excess, tag) per sample within delta, the smallest
-    probed radius: a larger one adds samples, so it passes no eps that the
-    smallest fails.  With no entries only an eps below -tau fails.
-    """
-    bad = max(entries, key=lambda e: e[0], default=None)
-    worst_excess = 0.0 if bad is None else bad[0]
-    witness = None if bad is None else {"tag": bad[1], "excess": bad[0]}
-    per_eps = []
-    verdicts = []
-    for eps in eps_list:
-        if worst_excess <= eps + tau:
-            borderline = worst_excess > eps - tau
-            per_eps.append({"eps": eps, "delta": delta, "probed": len(entries),
-                            "worst_excess": worst_excess, "borderline": borderline})
-            verdicts.append(Verdict.UNDETERMINED if borderline else Verdict.HOLDS)
-        else:
-            per_eps.append({"eps": eps, "failed": True, "witness": witness})
-            verdicts.append(Verdict.FAILS)
-    overall = worst(*verdicts) if verdicts else Verdict.UNDETERMINED
-    return CheckResult(overall, witness=witness if Verdict.FAILS in verdicts else None,
-                       resolution=resolution, details={"per_eps": per_eps})
+def adjacent_excesses(ray: RayValues) -> np.ndarray:
+    """(T - 1, 2) excesses of neighbouring ray samples: row k holds the
+    excess of F(t_k+1) over F(t_k), then that of F(t_k) over F(t_k+1)."""
+    v = ray.values
+    return np.array([(_excess(v[k + 1], v[k]), _excess(v[k], v[k + 1]))
+                     for k in range(len(v) - 1)]).reshape(-1, 2)
 
 
-def hausdorff_check(map: SetMap, x0, eps_list, probe_radii,
-                    tau: float = TAU_STRICT) -> CheckResult:
-    """Upper Hausdorff continuity of the map at x0, at sample resolution.
-
-    For each eps it asks whether some probe radius delta keeps all of F(x)
-    (the stored domain values) within eps of F(x0) for every sampled x
-    within delta; the smallest radius decides (see ``_scan_radius``).
-    """
-    x0, v0 = base_value(map, x0)
-    radii = sorted(float(r) for r in probe_radii)
-    eps_list = [float(e) for e in eps_list]
-    if not radii or not eps_list:
-        raise ValueError("eps_list and probe_radii must be nonempty")
-    dists = np.linalg.norm(map.domain - x0[None, :], axis=1)
-    entries = [(_excess(map.values[i], v0), {"x": map.domain[i].tolist()})
-               for i in np.flatnonzero((dists > 0.0) & (dists <= radii[0]))]
-    resolution = {"eps_list": eps_list, "radii": radii, "tau_strict": tau,
-                  "domain_size": int(map.domain.shape[0])}
-    return _scan_radius(entries, eps_list, radii[0], tau, resolution)
-
-
-def hausdorff_check_radial(rays: list[RayValues], eps_list,
+def hausdorff_check_radial(rays: list[RayValues], excesses: list[np.ndarray], eps_list,
                            tau: float = TAU_STRICT) -> CheckResult:
     """Upper Hausdorff continuity of every segment restriction t -> F_(x0,x)(t).
 
-    Runs the containment scan at every grid t0 of every ray (the rays from
-    one base point, as ``radial_rays`` reads them) at radii of 1.5 and 3
-    smallest grid steps, of which the smallest decides; the worst verdict
-    over all rays and anchors is returned.
+    ``rays`` are the rays from one base point as ``radial_rays`` reads them
+    and ``excesses`` their ``adjacent_excesses``.  Each nonempty anchor F(t0)
+    meets the samples within 1.5 smallest grid steps: on a sorted grid only
+    neighbours lie that close.  An anchor FAILS an eps when its worst
+    excess exceeds eps + tau and is UNDETERMINED when that excess lies
+    within tau of eps, or when no eps is given.  The first anchor of the
+    worst verdict is reported.
     """
     eps_list = [float(e) for e in eps_list]
-    results = []
-    for ray in rays:
-        x, t = ray.x, ray.t_grid
+    eps = np.asarray(eps_list)
+    bad, bad_rank = None, -1
+    for ray, ex in zip(rays, excesses):
+        t = ray.t_grid
         if t.size < 2:
             continue
-        step = float(np.min(np.diff(t)))
-        radii = [1.5 * step, 3.0 * step]
-        for a in range(t.size):
-            anchor = ray.values[a]
-            if anchor.is_empty:
-                continue
-            dt = np.abs(t - t[a])
-            entries = [(_excess(ray.values[b], anchor),
-                        {"x": x.tolist(), "t0": float(t[a]), "t": float(t[b])})
-                       for b in np.flatnonzero((dt > 0.0) & (dt <= radii[0]))]
-            resolution = {"eps_list": eps_list, "t_radii": radii, "tau_strict": tau,
-                          "ray_to": x.tolist(), "anchor_t": float(t[a])}
-            results.append(_scan_radius(entries, eps_list, radii[0], tau, resolution))
-    if not results:
-        return CheckResult(Verdict.HOLDS, resolution={"eps_list": eps_list,
-                                                      "rays": 0})
-    overall = worst(*(r.verdict for r in results))
-    bad = next((r for r in results if r.verdict is overall), results[0])
-    return CheckResult(overall, witness=bad.witness,
-                       resolution={"eps_list": eps_list,
-                                   "rays": len(rays),
-                                   "tau_strict": tau},
-                       details={"worst_anchor": bad.resolution})
-
-
-def support_profile(value: SetValue, wstar_segment, tau: float = TAU_STRICT):
-    """Scalarization values along a segment of weights plus a concavity verdict.
-
-    The segment must be sampled at equal spacing; midpoint concavity is
-    asserted on every consecutive triple up to the strictness band.
-    """
-    if value.is_empty or value.whole_space:
-        raise EmptySet("support_profile needs a nonempty finite value")
-    ws = np.atleast_2d(np.asarray(wstar_segment, dtype=float))
-    profile = scalarize_many(value, ws)
-    verdict = Verdict.HOLDS
+        gap = np.diff(t)
+        step = float(np.min(gap))
+        near = (gap > 0.0) & (gap <= 1.5 * step)
+        # excess over the anchor of its left and of its right neighbour
+        left = np.concatenate([[-np.inf], np.where(near, ex[:, 1], -np.inf)])
+        right = np.concatenate([np.where(near, ex[:, 0], -np.inf), [-np.inf]])
+        anchors = np.flatnonzero([not v.is_empty for v in ray.values])
+        worst_ex = np.maximum(np.maximum(left, right), 0.0)[anchors, None]
+        fails = ~np.all(worst_ex <= eps + tau, axis=1)
+        borderline = np.any(worst_ex > eps - tau, axis=1) | (eps.size == 0)
+        rank = np.where(fails, 2, borderline)
+        if rank.size and rank.max() > bad_rank:
+            k = int(np.argmax(rank))
+            bad_rank, a = int(rank[k]), int(anchors[k])
+            bad = (ray, a, step, left[a], right[a])
+            if bad_rank == 2:
+                break
+    if bad is None:
+        return CheckResult(Verdict.HOLDS, resolution={"eps_list": eps_list, "rays": 0})
+    ray, a, step, left, right = bad
+    x, t = ray.x.tolist(), ray.t_grid
     witness = None
-    # concavity is a non-strict inequality: equality within the band passes
-    for i in range(ws.shape[0] - 2):
-        mid = profile[i + 1]
-        avg = 0.5 * (profile[i] + profile[i + 2])
-        if mid < avg - tau:
-            verdict = Verdict.FAILS
-            witness = {"index": i, "mid": float(mid), "average": float(avg)}
-            break
-    result = CheckResult(verdict, witness=witness,
-                         resolution={"segment_size": int(ws.shape[0]),
-                                     "tau_strict": tau})
-    return profile, result
+    if bad_rank == 2 and max(left, right) > -np.inf:
+        b = a - 1 if left >= right else a + 1
+        witness = {"tag": {"x": x, "t0": float(t[a]), "t": float(t[b])},
+                   "excess": float(max(left, right))}
+    # the stamp also lists 3 steps, a radius that would only add samples
+    return CheckResult((Verdict.HOLDS, Verdict.UNDETERMINED, Verdict.FAILS)[bad_rank],
+                       witness=witness,
+                       resolution={"eps_list": eps_list, "rays": len(rays), "tau_strict": tau},
+                       details={"worst_anchor": {"eps_list": eps_list,
+                                                 "t_radii": [1.5 * step, 3.0 * step],
+                                                 "tau_strict": tau, "ray_to": x,
+                                                 "anchor_t": float(t[a])}})

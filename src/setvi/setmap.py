@@ -474,11 +474,15 @@ def load_problem(document) -> Problem:
         entries = map_doc["tabulated"]
         if not isinstance(entries, list) or not entries:
             raise SchemaError("'tabulated' must be a nonempty list of entries")
-        xs, values = [], []
+        xs, values, seen = [], [], set()
         for entry in entries:
             if not isinstance(entry, dict) or "x" not in entry:
                 raise SchemaError("tabulated entries need an 'x' field")
             x = np.atleast_1d(np.asarray(entry["x"], dtype=float))
+            key = tuple(x.tolist())
+            if key in seen:
+                raise SchemaError(f"tabulated x {list(key)} appears more than once")
+            seen.add(key)
             whole = bool(entry.get("whole_space", False))
             pts = entry.get("points", [])
             value = SetValue.make(pts, whole_space=whole, dim=_image_dim(entry, cone))
@@ -492,12 +496,7 @@ def load_problem(document) -> Problem:
             raise SchemaError("tabulated values have mixed image dimensions")
         if next(iter(vdims)) != cone.dim:
             raise DimensionMismatch("value dimension differs from the cone dimension")
-        stacked = np.stack(xs)
-        deduped = _dedup_rows(stacked)
-        if deduped.shape[0] != stacked.shape[0]:
-            index = {tuple(r.tolist()): i for i, r in reversed(list(enumerate(stacked)))}
-            values = [values[index[tuple(r.tolist())]] for r in deduped]
-        map_ = SetMap(domain=deduped, kind="tabulated", values=values)
+        map_ = SetMap(domain=np.stack(xs), kind="tabulated", values=values)
     elif "generator" in map_doc:
         gdoc = map_doc["generator"]
         if not isinstance(gdoc, dict) or "name" not in gdoc:

@@ -31,7 +31,8 @@ from .analysis import (CONVEXITY_T_SAMPLES, DiniConfig, c_convexity_check,
                        convexity_pairs, dini_table, _pseudo_scan, _ssqc_scan)
 from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
-from .scalarize import _excess, hausdorff_check_radial, ray_scalarizations, scalarize_many
+from .scalarize import (adjacent_excesses, hausdorff_check_radial, ray_scalarizations,
+                        scalarize_many)
 from .setmap import RayValues, SetMap, base_value, radial_rays
 from .verdicts import CheckResult, Verdict, worst
 
@@ -171,8 +172,8 @@ class ChainReport:
 
 def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
                    cfg: DiniConfig, tau: float, max_rays: int):
-    """One pass over max_rays strided rays from x0: star shape, one-step
-    movements, and the three path classes of every sampled scalarization."""
+    """One pass over max_rays strided rays from x0: star shape and the three
+    path classes of every sampled scalarization."""
     n = len(rays)
     stride = max(1, int(np.ceil(n / max_rays)))
     ray_indices = list(range(0, n, stride))
@@ -180,7 +181,6 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
 
     star = Verdict.HOLDS
     star_witness = None
-    movements = []
     class_verdicts = {"ssqc": Verdict.HOLDS, "pconvex": Verdict.HOLDS,
                       "pconcave": Verdict.HOLDS}
     class_witness = {}
@@ -194,9 +194,6 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
             if empties and star is Verdict.HOLDS:
                 star = Verdict.FAILS
                 star_witness = {"x": x.tolist(), "t": float(t_eff[empties[0]])}
-        for k in range(T - 1):
-            movements.append(_excess(values[k + 1], values[k]))
-            movements.append(_excess(values[k], values[k + 1]))
 
         phis = np.stack([scalarize_many(v, wstar.weights) for v in values])  # (T, n_w)
         probe_ts = np.concatenate([(t_eff[:, None] + steps[None, :]).ravel(),
@@ -224,7 +221,6 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
     return {
         "ray_indices": ray_indices,
         "star": (star, star_witness),
-        "movements": np.asarray(movements) if movements else np.zeros(1),
         "classes": (class_verdicts, class_witness),
     }
 
@@ -273,6 +269,7 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     cfg = cfg or DiniConfig()
     x0, v0 = base_value(map, x0)
     rays = radial_rays(map, x0, np.linspace(0.0, 1.0, ray_grid_size))
+    excesses = [adjacent_excesses(ray) for ray in rays]
 
     survey = _radial_survey(map, rays, wstar, cfg, tau, max_rays)
     star, star_witness = survey["star"]
@@ -291,13 +288,14 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
         Verdict.FAILS if v0.whole_space else Verdict.HOLDS,
         resolution={"whole_space_at_base": bool(v0.whole_space)})
 
-    # continuity epsilon: a robust multiple of the typical one-step movement,
-    # floored well above the strictness band so exact-zero movements certify
-    movements = survey["movements"]
+    # continuity epsilon: a robust multiple of the typical one-step movement
+    # on the surveyed rays, floored well above the strictness band so
+    # exact-zero movements certify
     if eps_list is None:
-        med = float(np.median(movements))
+        movements = np.concatenate([excesses[i].ravel() for i in survey["ray_indices"]])
+        med = float(np.median(movements)) if movements.size else 0.0
         eps_list = [max(8.0 * med, 10.0 * tau)]
-    radial_continuity = hausdorff_check_radial(rays, eps_list, tau=tau)
+    radial_continuity = hausdorff_check_radial(rays, excesses, eps_list, tau=tau)
 
     pairs = convexity_pairs(map, CONVEXITY_T_SAMPLES, max_pairs)
     convexity = c_convexity_check(map, cone, wstar, pairs, CONVEXITY_T_SAMPLES, tau)

@@ -203,6 +203,15 @@ def test_unknown_settings_key_exits_two(tmp_path, capsys):
     assert "wstar_densty" in capsys.readouterr().err
 
 
+def test_repeated_tabulated_x_exits_two(tmp_path, capsys):
+    doc = {"cone": HYPER_DOC["cone"],
+           "map": {"tabulated": [{"x": [0], "points": [[1, 1]]},
+                                 {"x": [0], "points": [[0, 0]]},
+                                 {"x": [1], "points": [[2, 2]]}]}}
+    assert main(["minimality", _write(tmp_path, "repeat", doc)]) == 2
+    assert "tabulated x [0.0] appears more than once" in capsys.readouterr().err
+
+
 def test_console_entry_point_help():
     assert main(["--help"]) == 0
 

@@ -5,22 +5,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setvi.cone import dual_base, make_cone
-from setvi.errors import EmptySet
+from setvi.cone import TAU_STRICT, dual_base, make_cone
 from setvi.extreal import NEG_INF, POS_INF
 from setvi.scalarize import (
     PiecewiseLinear,
     ScalarPath,
-    equicontinuity_check,
-    hausdorff_check,
+    _excess,
+    adjacent_excesses,
     hausdorff_check_radial,
     scalar_path,
     scalarize,
     scalarize_many,
-    support_profile,
 )
-from setvi.setmap import SetMap, SetValue, builtin_map, evaluate, load_problem, radial_rays
+from setvi.setmap import RayValues, SetValue, builtin_map, evaluate, load_problem, radial_rays
 from setvi.verdicts import Verdict
+from setvi.vi import theorem_chain
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
 WS = dual_base(ORTHANT, 5)
@@ -118,143 +117,176 @@ def _jump_problem():
                                     "jump_at": 0.55}, domain=grid)
 
 
-class TestEquicontinuity:
-    def test_constant_map_holds_for_every_eps(self):
-        m = builtin_map("constant_cloud", {"points": [[0, 0]]},
-                        domain=np.linspace(0, 1, 9).reshape(-1, 1))
-        for eps in (1e-6, 0.1, 2.0):
-            res = equicontinuity_check(m, [0.5], WS, [0.1, 0.3], eps)
-            assert res.verdict is Verdict.HOLDS
+def _radial(rays, eps_list, tau=TAU_STRICT):
+    return hausdorff_check_radial(rays, [adjacent_excesses(r) for r in rays], eps_list,
+                                  tau=tau)
 
-    def test_jump_fails_below_jump_size(self):
-        res = equicontinuity_check(_jump_problem(), [0.5], WS, [0.15, 0.3],
-                                   eps=0.5)
-        assert res.verdict is Verdict.FAILS
 
-    def test_jump_holds_above_jump_size(self):
-        res = equicontinuity_check(_jump_problem(), [0.5], WS, [0.15, 0.3],
-                                   eps=2.0)
-        assert res.verdict is Verdict.HOLDS
+@pytest.fixture()
+def excess_calls(monkeypatch):
+    """Count ``_excess`` calls through every setvi module that binds it."""
+    module = sys.modules["setvi.scalarize"]  # setvi.scalarize is the function
+    excess = module._excess
+    calls = []
 
-    def test_resolution_reports_probe_count(self):
-        res = equicontinuity_check(_jump_problem(), [0.5], WS, [0.15], eps=2.0)
-        assert res.details["chosen"]["probed"] > 0
+    def counted(inner, outer):
+        calls.append(1)
+        return excess(inner, outer)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("setvi.") and getattr(mod, "_excess", None) is excess:
+            monkeypatch.setattr(mod, "_excess", counted)
+    return calls
+
+
+def _reference_radial(rays, eps_list, tau):
+    """Brute force: every anchor against every sample at 0 < |dt| <= 1.5 step,
+    each eps judged on the worst of them, the first worst anchor reported."""
+    eps_list = [float(e) for e in eps_list]
+    rank = {Verdict.HOLDS: 0, Verdict.UNDETERMINED: 1, Verdict.FAILS: 2}
+    found = []
+    for ray in rays:
+        t = ray.t_grid
+        if t.size < 2:
+            continue
+        step = float(np.min(np.diff(t)))
+        for a in range(t.size):
+            if ray.values[a].is_empty:
+                continue
+            entries = [(_excess(ray.values[b], ray.values[a]), b) for b in range(t.size)
+                       if 0.0 < abs(t[b] - t[a]) <= 1.5 * step]
+            bad = max(entries, key=lambda e: e[0], default=None)
+            worst_excess = 0.0 if bad is None else bad[0]
+            verdicts = [Verdict.FAILS if not worst_excess <= eps + tau else
+                        Verdict.UNDETERMINED if worst_excess > eps - tau else Verdict.HOLDS
+                        for eps in eps_list]
+            verdict = max(verdicts, key=rank.get) if verdicts else Verdict.UNDETERMINED
+            witness = None
+            if verdict is Verdict.FAILS and bad is not None:
+                witness = {"tag": {"x": ray.x.tolist(), "t0": float(t[a]),
+                                   "t": float(t[bad[1]])}, "excess": bad[0]}
+            anchor = {"eps_list": eps_list, "t_radii": [1.5 * step, 3.0 * step],
+                      "tau_strict": tau, "ray_to": ray.x.tolist(), "anchor_t": float(t[a])}
+            found.append((verdict, witness, anchor))
+    if not found:
+        return Verdict.HOLDS, None, {"eps_list": eps_list, "rays": 0}, {}
+    overall = max((f[0] for f in found), key=rank.get)
+    verdict, witness, anchor = next(f for f in found if f[0] is overall)
+    return (verdict, witness, {"eps_list": eps_list, "rays": len(rays), "tau_strict": tau},
+            {"worst_anchor": anchor})
 
 
 class TestHausdorff:
     def test_moving_point_holds_on_fine_grid(self):
         m = builtin_map("segment_shift", {"segment": [[0, 0]], "linear": [[1], [1]]},
                         domain=np.linspace(0, 1, 21).reshape(-1, 1))
-        res = hausdorff_check(m, [0.5], eps_list=[0.2],
-                              probe_radii=[0.06, 0.12])
+        res = _radial(radial_rays(m, [0.5], np.linspace(0, 1, 21)), eps_list=[0.2])
         assert res.verdict is Verdict.HOLDS
 
     def test_jump_fails_below_jump(self):
-        res = hausdorff_check(_jump_problem(), [0.5], eps_list=[0.5],
-                              probe_radii=[0.15, 0.3])
-        assert res.verdict is Verdict.FAILS
+        # the values jump by sqrt(2) between t = 0.5 and t = 0.6 on the ray to 1
+        rays = radial_rays(_jump_problem(), [0.0], np.linspace(0, 1, 11))
+        assert _radial(rays, eps_list=[1.0]).verdict is Verdict.FAILS
+        assert _radial(rays, eps_list=[2.0]).verdict is Verdict.HOLDS
 
     def test_single_sample_domain_holds_vacuously(self):
         m = builtin_map("constant_cloud", {"points": [[0, 0]]},
                         domain=np.array([[0.0]]))
-        res = hausdorff_check(m, [0.0], eps_list=[0.1],
-                              probe_radii=[1.0])
+        res = _radial(radial_rays(m, [0.0], np.array([0.0])), eps_list=[0.1])
         assert res.verdict is Verdict.HOLDS
-        assert res.details["per_eps"][0]["probed"] == 0
+        assert res.resolution["rays"] == 0 and not res.details
 
     def test_radial_variant_detects_jump(self):
         rays = radial_rays(_jump_problem(), [0.0], np.linspace(0, 1, 11))
-        res = hausdorff_check_radial(rays, eps_list=[0.5])
+        res = _radial(rays, eps_list=[0.5])
         assert res.verdict is Verdict.FAILS
 
     def test_radial_variant_constant_holds(self):
         m = builtin_map("constant_cloud", {"points": [[0, 0], [1, 1]]},
                         domain=np.linspace(0, 1, 5).reshape(-1, 1))
-        res = hausdorff_check_radial(radial_rays(m, [0.0], np.linspace(0, 1, 5)),
-                                     eps_list=[0.1])
+        res = _radial(radial_rays(m, [0.0], np.linspace(0, 1, 5)), eps_list=[0.1])
         assert res.verdict is Verdict.HOLDS
 
-    def test_smallest_radius_decides(self):
-        # a larger radius selects a superset of samples, so it can only fail
-        # where the smallest one already does: adding radii changes no output
+    def test_radial_check_matches_brute_force_reference(self):
+        # only neighbours whose gap fits within 1.5 steps can lie that close,
+        # so reading the adjacent excesses loses no sample the scan would see
         rng = np.random.default_rng(11)
-        for _ in range(200):
-            domain = np.sort(rng.uniform(-1, 1, size=int(rng.integers(2, 9)))).reshape(-1, 1)
-            values = [SetValue.make([], dim=2) if rng.random() < 0.1 else
-                      SetValue.make([], whole_space=True, dim=2) if rng.random() < 0.05 else
-                      SetValue.make(rng.normal(size=(int(rng.integers(1, 4)), 2)))
-                      for _ in domain]
-            values[0] = SetValue.make([[0.0, 0.0]])
-            m = SetMap(domain=domain, kind="tabulated", values=values)
-            eps = rng.choice([-1.0, 0.0, 0.2, 1.0, 1e6], size=int(rng.integers(1, 4))).tolist()
-            radii = sorted(rng.uniform(0.05, 2.0, size=int(rng.integers(2, 4))).tolist())
-            one = hausdorff_check(m, domain[0], eps, radii[:1], tau=1e-3)
-            every = hausdorff_check(m, domain[0], eps, radii[::-1], tau=1e-3)
-            assert (one.verdict, one.witness, one.details) == \
-                (every.verdict, every.witness, every.details)
+        pool = [SetValue.make([], dim=2), SetValue.make([], whole_space=True, dim=2),
+                *(SetValue.make(rng.normal(size=(int(rng.integers(1, 4)), 2)))
+                  for _ in range(4))]
+        for _ in range(1500):
+            rays = []
+            for _ in range(int(rng.integers(1, 4))):
+                T = int(rng.integers(1, 7))
+                t = (np.linspace(0, 1, T) if rng.random() < 0.3 else
+                     np.unique(np.round(rng.uniform(0, 1, size=T), int(rng.integers(1, 4)))))
+                values = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=t.size))
+                x = rng.normal(size=2)
+                rays.append(RayValues(x0=np.zeros(2), x=x, t_grid=t, values=values))
+            eps = rng.choice([-1.0, 0.0, 1e-9, 0.2, 1e6, np.inf],
+                             size=int(rng.integers(0, 4))).tolist()
+            tau = float(rng.choice([1e-9, 1e-3]))
+            res = _radial(rays, eps, tau=tau)
+            assert (res.verdict, res.witness, res.resolution, res.details) == \
+                _reference_radial(rays, eps, tau)
 
-    def test_radial_scan_compares_only_neighbours(self, monkeypatch):
-        # only samples within 1.5 steps are compared: on a uniform grid each
-        # anchor meets its two neighbours, so 2 (T - 1) excesses per ray
-        module = sys.modules["setvi.scalarize"]  # setvi.scalarize is the function
-        excess = module._excess
-        calls = []
-
-        def counted(inner, outer):
-            calls.append(1)
-            return excess(inner, outer)
-
-        monkeypatch.setattr(module, "_excess", counted)
+    def test_radial_scan_compares_only_neighbours(self, excess_calls):
+        # one excess per adjacent pair and direction: 2 (T - 1) per ray, and
+        # the check itself reads them instead of computing any
         T = 9
         m = builtin_map("quadratic_vector", {"targets": [0, 1]},
                         domain=np.linspace(-1, 2, 7).reshape(-1, 1))
         rays = radial_rays(m, [0.5], np.linspace(0, 1, T))
-        hausdorff_check_radial(rays, eps_list=[0.5])
-        assert 0 < len(calls) <= 2 * (T - 1) * len(rays)
+        excesses = [adjacent_excesses(r) for r in rays]
+        assert len(excess_calls) == 2 * (T - 1) * len(rays)
+        hausdorff_check_radial(rays, excesses, eps_list=[0.5])
+        assert len(excess_calls) == 2 * (T - 1) * len(rays)
+
+    def test_chain_computes_each_adjacent_excess_once(self, excess_calls):
+        # the default eps and the radial check share one table per ray
+        m = builtin_map("quadratic_vector", {"targets": [0, 1]},
+                        domain=np.linspace(-1, 2, 7).reshape(-1, 1))
+        theorem_chain(m, [0.5], ORTHANT, WS, ray_grid_size=9)
+        rays = radial_rays(m, [0.5], np.linspace(0, 1, 9))
+        assert len(excess_calls) == sum(2 * (r.t_grid.size - 1) for r in rays)
 
 
 def test_continuity_bridge_scales_with_weight_norms():
-    # containment within eps forces every scalarization to move by at most
-    # eps times the largest weight norm, at the same radius
+    # a value within excess e of its neighbour keeps every scalarization
+    # from dropping by more than e times the weight norm
     m = builtin_map("segment_shift", {"segment": [[0, 0], [0.5, 0.5]],
                                       "linear": [[1], [-1]]},
                     domain=np.linspace(0, 1, 21).reshape(-1, 1))
-    eps = 0.2
-    radii = [0.06, 0.12]
-    h = hausdorff_check(m, [0.5], eps_list=[eps], probe_radii=radii)
-    assert h.verdict is Verdict.HOLDS
-    delta = h.details["per_eps"][0]["delta"]
     norms = np.linalg.norm(WS.weights, axis=1)
-    e = equicontinuity_check(m, [0.5], WS, [delta], eps * norms.max())
-    assert e.verdict is Verdict.HOLDS
+    for ray in radial_rays(m, [0.5], np.linspace(0, 1, 9)):
+        phis = np.stack([scalarize_many(v, WS.weights) for v in ray.values])
+        ex = adjacent_excesses(ray)
+        assert ex.shape == (ray.t_grid.size - 1, 2) and np.all(ex >= 0.0)
+        assert np.all(phis[1:] >= phis[:-1] - ex[:, :1] * norms - 1e-12)
+        assert np.all(phis[:-1] >= phis[1:] - ex[:, 1:] * norms - 1e-12)
 
 
 class TestSupportProfile:
+    # w -> inf w . y is a minimum of linear functions of the weight
     def test_two_point_value_profile_is_min_of_linear(self):
         value = SetValue.make([[1, 0], [0, 1]])
         segment = np.linspace([1, 0], [0, 1], 9)
-        profile, concavity = support_profile(value, segment)
+        profile = scalarize_many(value, segment)
         np.testing.assert_allclose(profile, np.minimum(segment[:, 0], segment[:, 1]))
-        assert concavity.verdict is Verdict.HOLDS
 
     def test_singleton_profile_linear(self):
         value = SetValue.make([[2, -1]])
         segment = np.linspace([1, 0], [0, 1], 7)
-        profile, concavity = support_profile(value, segment)
-        np.testing.assert_allclose(profile, segment @ np.array([2.0, -1.0]))
-        assert concavity.verdict is Verdict.HOLDS
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySet):
-            support_profile(SetValue.make([], dim=2), np.eye(2))
+        np.testing.assert_allclose(scalarize_many(value, segment),
+                                   segment @ np.array([2.0, -1.0]))
 
     def test_randomized_values_always_concave(self):
         rng = np.random.default_rng(3)
         segment = np.linspace([1, 0], [0, 1], 17)
         for _ in range(100):
             value = SetValue.make(rng.normal(size=(rng.integers(1, 8), 2)))
-            _, concavity = support_profile(value, segment)
-            assert concavity.verdict is Verdict.HOLDS
+            profile = scalarize_many(value, segment)
+            assert np.all(profile[1:-1] >= 0.5 * (profile[:-2] + profile[2:]) - 1e-9)
 
 
 def test_scalarize_many_matches_scalar():

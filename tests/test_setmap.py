@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,8 @@ class TestLoadProblem:
         assert evaluate(problem.map, [1]).is_empty
         assert problem.map.domain_indices().tolist() == [0]
 
-    def test_duplicate_samples_keep_first(self):
+    def test_duplicate_samples_are_rejected(self):
+        # a repeated x would otherwise hide one of its two values
         doc = {
             "cone": MINIMAL_DOC["cone"],
             "map": {"tabulated": [
@@ -65,9 +67,8 @@ class TestLoadProblem:
                 {"x": [0], "points": [[9, 9]]},
             ]},
         }
-        problem = load_problem(doc)
-        assert problem.map.domain.shape == (1, 1)
-        assert evaluate(problem.map, [0]).points.tolist() == [[1.0, 1.0]]
+        with pytest.raises(SchemaError, match=r"\[0\.0\]"):
+            load_problem(doc)
 
     def test_generator_document_with_grid(self):
         doc = {
@@ -200,3 +201,13 @@ class TestBuiltinCatalog:
 def test_set_value_rejects_ragged_dim():
     with pytest.raises(DimensionMismatch):
         SetValue.make([], dim=None)
+
+
+DIGEST_PROBLEMS = sorted((Path(__file__).parent.parent / "scripts" / "digest_problems")
+                         .glob("*.json"))
+
+
+@pytest.mark.parametrize("path", DIGEST_PROBLEMS, ids=lambda p: p.stem)
+def test_digest_problems_load(path):
+    # the problem set scripts/report_digests.py compares checkouts on
+    assert load_problem(str(path)).map.domain.shape[0] > 0
