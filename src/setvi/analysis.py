@@ -391,28 +391,39 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     scalar_witness = None
     scalar_tau = tau * max(1.0, wstar.max_norm())
     checked = 0
+    values = {}
+
+    def value_at(x):
+        # endpoints and combination points repeat across pairs; the map is
+        # deterministic, so one evaluation per distinct point gives the same bits
+        key = x.tobytes()
+        if key not in values:
+            values[key] = evaluate(map, x)
+        return values[key]
+
     for (x1, x2) in pair_samples:
         x1 = np.atleast_1d(np.asarray(x1, dtype=float))
         x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        v1 = evaluate(map, x1)
-        v2 = evaluate(map, x2)
+        v1 = value_at(x1)
+        v2 = value_at(x2)
+        empty = v1.is_empty or v2.is_empty
+        whole = v1.whole_space or v2.whole_space
+        if not (empty or whole):
+            phi1 = scalarize_many(v1, wstar.weights)
+            phi2 = scalarize_many(v2, wstar.weights)
         for s in t_samples:
             xt = s * x1 + (1.0 - s) * x2
-            vt = evaluate(map, xt)
-            if v1.is_empty or v2.is_empty:
+            vt = value_at(xt)
+            if empty:
                 continue  # the combination is empty; nothing to contain
             checked += 1
-            if v1.whole_space or v2.whole_space:
+            if whole:
                 if not vt.whole_space and mink_witness is None:
                     mink_witness = {"x1": x1.tolist(), "x2": x2.tolist(), "t": s,
                                     "reason": "whole-space combination not covered"}
                 continue
-            combo = (s * v1.points[:, None, :]
-                     + (1.0 - s) * v2.points[None, :, :]).reshape(-1, v1.dim)
             # scalar cross-check on the same sample
             phit = scalarize_many(vt, wstar.weights)
-            phi1 = scalarize_many(v1, wstar.weights)
-            phi2 = scalarize_many(v2, wstar.weights)
             gaps = phit - (s * phi1 + (1.0 - s) * phi2)
             if scalar_witness is None and np.any(gaps > scalar_tau):
                 j = int(np.argmax(gaps))
@@ -427,6 +438,8 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
                                     "reason": "empty value at the combination point"}
                 continue
             if mink_witness is None:
+                combo = (s * v1.points[:, None, :]
+                         + (1.0 - s) * v2.points[None, :, :]).reshape(-1, v1.dim)
                 margins, _ = ext_margins(vt.points, cone, combo)
                 worst = int(np.argmin(margins))
                 if margins[worst] < -tau:

@@ -12,6 +12,13 @@ Margins are taken against unit-length facet normals: for a point y,
 epsilon-ball around y stays inside C whenever the margin is positive.
 That turns "there is a neighborhood U with y + U inside the cone" into a
 single closed-form number.
+
+Margins against an extended set A + C read only the C-minimal anchors of
+a finite cloud A, since A + C = Min(A) + C.  ``ext_margins`` drops the
+anchors that another anchor dominates by more than a rounding bound, so
+the margins and witnesses keep their bits; it prunes only when the cloud
+of probed points is over four times the anchor cloud, where the pairwise
+scan costs less than it saves.  Its docstring derives the bound.
 """
 
 from __future__ import annotations
@@ -35,6 +42,11 @@ TAU_STRICT = 1e-9
 
 # Guard against combinatorial blowup when gridding a dual base.
 _MAX_BASE_SAMPLE = 200_000
+
+# Machine epsilon (twice the unit roundoff) and a bound on the underflow
+# error of one product: the rounding model of ext_margins' pruning bound.
+_EPS = float(np.finfo(float).eps)
+_ETA = float(np.finfo(float).smallest_subnormal)
 
 
 class Region(Enum):
@@ -152,20 +164,71 @@ def membership(cone: Cone, y, tau: float = TAU_STRICT) -> Membership:
     return Membership(_classify(margin, tau), margin)
 
 
+def _facet_min(ys: np.ndarray, pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """(n_y, n_a) table of min_j ghat_j . (y - a) over every y - a pair.
+
+    The facet axis leads the einsum output, so the reduction over it runs
+    on contiguous (n_y, n_a) slabs instead of a short last axis.  Each
+    entry is the same length-m dot product as in the facet-last layout;
+    tests compare the two bit for bit.
+    """
+    diff = ys[:, None, :] - pts[None, :, :]
+    return np.einsum("yak,jk->jya", diff, normals).min(axis=0)
+
+
+def _kept_anchors(pts: np.ndarray, ys: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the anchors no other anchor strictly dominates.
+
+    Anchor a is dropped when some a' has a computed
+    min_j ghat_j . (a - a') > delta; see ext_margins for why such an
+    anchor never realizes a margin and how delta is chosen.
+    """
+    m = normals.shape[1]
+    scale = np.abs(pts).sum(axis=1).max() + np.abs(ys).sum(axis=1).max()
+    delta = 8 * (m + 2) * (_EPS * scale + _ETA)
+    dominated = (_facet_min(pts, pts, normals) > delta).any(axis=1)
+    return np.flatnonzero(~dominated)
+
+
 def ext_margins(points: np.ndarray, cone: Cone, ys: np.ndarray):
     """Margins of each row of ys against the extended set points + C.
 
     Returns (margins, witnesses) where margins[i] = max_a min_j
-    ghat_j . (ys[i] - a) and witnesses[i] is the maximizing point index.
+    ghat_j . (ys[i] - a) and witnesses[i] is the first maximizing index.
+
+    A + C equals Min(A) + C for a finite cloud, so the maximum never needs
+    a dominated anchor: if s = min_j ghat_j . (a - a') > 0, then
+    ghat_j . (y - a) = ghat_j . (y - a') - ghat_j . (a - a') gives
+    d(y, a) <= d(y, a') - s for d(y, a) = min_j ghat_j . (y - a).  Anchors
+    are pruned on computed values, so the bound must survive rounding.
+    A computed d(y, a) is a length-m dot product of rounded differences;
+    its error is at most gamma_(m+1) ||ghat_j||_2 ||y - a||_2 plus m
+    underflow terms eta, below E = (m + 1) (eps N + eta) with
+    N = max_a ||a||_1 + max_y ||y||_1, and that of s is below 2 E.  A
+    computed s > delta = 8 (m + 2) (eps N + eta) >= 8 E leaves an exact
+    s > 6 E, so the computed d(y, a) is strictly below the computed
+    d(y, a') for every y.  The strict order on anchors is acyclic, so each
+    pruned anchor sits strictly below some kept one: the margins keep
+    their bits and the first-index witness maps back through the kept
+    indices unchanged.  A nonfinite cloud makes delta nonfinite and
+    prunes nothing.
+
+    Pruning scans n_a^2 anchor pairs to shrink an (n_y, n_a) table, so it
+    runs only when 1 < n_a and 4 n_a < n_y, where the scan is small next
+    to what it saves; otherwise every anchor is kept.
     """
     pts = np.asarray(points, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    # (n_y, n_a, k) facet distances of every y - a pair
-    diff = ys[:, None, :] - pts[None, :, :]
-    dists = np.einsum("yak,jk->yaj", diff, cone.normalized_normals)
-    per_anchor = dists.min(axis=2)          # (n_y, n_a)
-    witnesses = per_anchor.argmax(axis=1)   # (n_y,)
+    normals = cone.normalized_normals
+    kept = None
+    if 1 < pts.shape[0] and 4 * pts.shape[0] < ys.shape[0]:
+        kept = _kept_anchors(pts, ys, normals)
+        pts = pts[kept]
+    per_anchor = _facet_min(ys, pts, normals)  # (n_y, n_kept)
+    witnesses = per_anchor.argmax(axis=1)
     margins = per_anchor[np.arange(ys.shape[0]), witnesses]
+    if kept is not None:
+        witnesses = kept[witnesses]
     return margins, witnesses
 
 

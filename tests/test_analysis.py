@@ -9,6 +9,7 @@ from setvi.analysis import (
     diewert_witness,
     dini_lower,
 )
+from setvi import cone as cone_mod
 from setvi.cone import dual_base, make_cone
 from setvi.errors import NoWitnessFound, StepOutsideDomain
 from setvi.scalarize import PiecewiseLinear, ScalarPath
@@ -192,6 +193,34 @@ class TestConeConvexity:
         assert res.witness["point"] == [1.0, 1.0]
         assert res.witness["margin"] == -1.0
         assert res.details["scalar_witness"] is None
+
+    def test_containment_witness_survives_anchor_pruning(self, monkeypatch):
+        # each F(x) is an 8-point chain under the orthant, shifted by a
+        # concave first component: 64 combination points against 8 anchors
+        # of which 7 are dominated, so the FAILS witness comes from pruned
+        # margins and must equal the one computed over every anchor
+        steps = np.tile([[0.3, 0.1], [0.1, 0.4]], (4, 1))[:7]
+        chain = np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
+        m = builtin_map("segment_shift", {"segment": chain.tolist(), "quadratic": [-1.0, 0.0]})
+        pairs = [(np.array([-1.0]), np.array([1.0])), (np.array([-0.5]), np.array([1.0]))]
+        kept = []
+        prune = cone_mod._kept_anchors
+
+        def spy(pts, ys, normals):
+            idx = prune(pts, ys, normals)
+            kept.append((len(pts), len(idx)))
+            return idx
+
+        monkeypatch.setattr(cone_mod, "_kept_anchors", spy)
+        pruned = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
+        monkeypatch.setattr(cone_mod, "_kept_anchors",
+                            lambda pts, ys, normals: np.arange(len(pts)))
+        full = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
+        assert kept == [(8, 1)]
+        assert pruned.verdict is Verdict.FAILS
+        assert pruned.witness["margin"] < 0
+        assert pruned.witness == full.witness
+        assert pruned.details == full.details
 
     def test_pair_count_of_an_iterator(self):
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})

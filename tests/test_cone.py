@@ -3,8 +3,10 @@ import pytest
 
 from setvi.cone import (
     Region,
+    _kept_anchors,
     cone_extended_member,
     dual_base,
+    ext_margins,
     make_cone,
     membership,
 )
@@ -156,3 +158,79 @@ def test_extended_membership_agrees_with_ball_oracle():
         pts = rng.normal(size=(rng.integers(1, 6), m))
         y = rng.normal(scale=2.0, size=m)
         assert ball_oracle_agrees(rng, cone, pts, y)
+
+
+def reference_ext_margins(points, cone, ys):
+    """The facet-last kernel over every anchor: the reference ext_margins
+    must match bit for bit, witnesses included."""
+    diff = ys[:, None, :] - points[None, :, :]
+    dists = np.einsum("yak,jk->yaj", diff, cone.normalized_normals)
+    per_anchor = dists.min(axis=2)
+    witnesses = per_anchor.argmax(axis=1)
+    return per_anchor[np.arange(ys.shape[0]), witnesses], witnesses
+
+
+def parity_cone(rng, m):
+    """k in 1..m+2 facets, one-generator cones included, with interior point e."""
+    k = int(rng.integers(1, m + 3))
+    while True:
+        gens = rng.uniform(-0.3, 1.0, size=(k, m))
+        e = rng.uniform(0.5, 1.5, size=m)
+        if np.all(np.linalg.norm(gens, axis=1) > 1e-3) and np.all(gens @ e > 0.05):
+            return make_cone(gens, e)
+
+
+def parity_cloud(rng, cone, n_a):
+    """Random, near-tie, duplicated or strictly ordered anchors at unit scale."""
+    m = cone.dim
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return rng.normal(size=(n_a, m))
+    if kind == 1:
+        # chains along e whose steps (down to 1e-17) sit near the rounding bound
+        steps = 10.0 ** rng.uniform(-17, -12, size=(n_a - 1, 1)) * rng.uniform(size=(n_a - 1, m))
+        return rng.normal(size=m) + np.cumsum(np.vstack([np.zeros(m), steps]), axis=0)
+    if kind == 2:
+        pts = rng.normal(size=(n_a, m))
+        pts[rng.integers(0, n_a, size=n_a)] = pts[0]
+        return pts
+    steps = rng.uniform(size=(n_a - 1, m)) * cone.interior_point
+    return rng.normal(size=m) + np.cumsum(np.vstack([np.zeros(m), steps]), axis=0)
+
+
+def test_ext_margins_matches_the_unpruned_kernel():
+    rng = np.random.default_rng(20240811)
+    pruning_cases = dropped = 0
+    for _ in range(3000):
+        m = int(rng.integers(1, 6))
+        cone = parity_cone(rng, m)
+        scale = 10.0 ** rng.uniform(-6, 6)
+        n_a = int(rng.integers(1, 10))
+        n_y = int(rng.integers(1, 8 * n_a + 8))  # both sides of 4 n_a < n_y
+        pts = parity_cloud(rng, cone, n_a) * scale
+        ys = rng.normal(size=(n_y, m)) * scale
+        near = n_y // 2
+        ys[:near] = pts[rng.integers(0, n_a, size=near)] + rng.normal(size=(near, m)) * scale * 1e-15
+        margins, witnesses = ext_margins(pts, cone, ys)
+        ref_margins, ref_witnesses = reference_ext_margins(pts, cone, ys)
+        assert margins.tobytes() == ref_margins.tobytes()
+        assert witnesses.tolist() == ref_witnesses.tolist()
+        if 1 < n_a and 4 * n_a < n_y:
+            pruning_cases += 1
+            dropped += len(_kept_anchors(pts, ys, cone.normalized_normals)) < n_a
+    assert pruning_cases > 1000 and dropped > 500
+
+
+def test_ordered_cloud_keeps_one_anchor():
+    # a cloud totally ordered by the orthant has one C-minimal point; the
+    # 4096 probes are the pairwise midpoints a convexity check forms
+    rng = np.random.default_rng(3)
+    cone = make_cone(np.eye(4), np.ones(4))
+    cloud = rng.uniform(-1, 1, size=4) + np.cumsum(
+        np.vstack([np.zeros(4), rng.uniform(0.1, 1.0, size=(63, 4))]), axis=0)
+    probes = (0.5 * cloud[:, None, :] + 0.5 * cloud[None, :, :]).reshape(-1, 4)
+    assert _kept_anchors(cloud, probes, cone.normalized_normals).tolist() == [0]
+    margins, witnesses = ext_margins(cloud, cone, probes)
+    ref_margins, ref_witnesses = reference_ext_margins(cloud, cone, probes)
+    assert margins.tobytes() == ref_margins.tobytes()
+    assert witnesses.tolist() == ref_witnesses.tolist()
