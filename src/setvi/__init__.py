@@ -11,17 +11,14 @@ from .analysis import (
 )
 from .cone import (
     Cone,
-    Membership,
     Region,
     TAU_STRICT,
     WStarSample,
     cone_extended_member,
     dual_base,
     make_cone,
-    membership,
 )
 from .config import RunSettings
-from .extreal import NEG_INF, POS_INF, ExtReal, ext_add, inf_residual
 from .order import (
     MinimalityVerdict,
     classify_weak_min,
@@ -37,7 +34,6 @@ from .scalarize import (
     adjacent_excesses,
     hausdorff_check_radial,
     scalar_path,
-    scalarize,
 )
 from .setmap import (
     Problem,
@@ -47,7 +43,6 @@ from .setmap import (
     builtin_map,
     evaluate,
     load_problem,
-    map_extended_member,
     radial_rays,
     ray_restriction,
 )

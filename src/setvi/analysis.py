@@ -12,6 +12,18 @@ path as +inf (segment restrictions are +inf elsewhere), and a base point
 sitting at +inf whose forward probes are all +inf reports +inf: a ray that
 never re-enters the domain of the map carries no descent information and
 must not manufacture a derivative of -inf out of the empty set.
+
+Extended reals are plain floats that may be -inf or +inf, never NaN, and
+the order residual
+
+    res(s, t) = inf{r in R : s <= t + r}
+
+replaces ``s - t`` in every difference quotient, so that empty values
+(scalarizing to +inf) and whole-space values (scalarizing to -inf)
+propagate without special cases at the call sites.  Infinities absorb a
+finite summand, and (-inf) residual anything = anything residual (+inf)
+= -inf.  Comparisons are exact; strictness thresholds live in the
+verdict layers.
 """
 
 from __future__ import annotations
@@ -28,7 +40,6 @@ from .errors import (
     OutsideSampleDomain,
     StepOutsideDomain,
 )
-from .extreal import ExtReal, inf_residual, residual_floats
 from .scalarize import PiecewiseLinear, ScalarPath, scalarize_many
 from .setmap import SetMap, evaluate
 from .verdicts import CheckResult, Verdict
@@ -58,6 +69,25 @@ class DiniConfig:
         return {"t_max": self.t_max, "ratio": self.ratio, "steps": self.steps}
 
 
+def residual_floats(s, t) -> np.ndarray:
+    """The order residual res(s, t) elementwise on NaN-free float arrays.
+
+    Case split: if s = -inf or t = +inf every finite r qualifies, so the
+    infimum is -inf.  Otherwise if s = +inf or t = -inf no finite r
+    qualifies and the infimum over the empty set is +inf.  Finite values
+    subtract.
+    """
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    out = np.empty(s.shape, dtype=float)
+    neg = (s == -np.inf) | (t == np.inf)
+    pos = ~neg & ((s == np.inf) | (t == -np.inf))
+    fin = ~neg & ~pos
+    out[neg] = -np.inf
+    out[pos] = np.inf
+    out[fin] = s[fin] - t[fin]
+    return out
+
+
 def dini_table(bases: np.ndarray, probes: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """Minimum difference quotient per row: bases (n,), probes (n, k), steps (k,).
 
@@ -76,7 +106,7 @@ def dini_table(bases: np.ndarray, probes: np.ndarray, steps: np.ndarray) -> np.n
 
 
 def dini_lower(path: ScalarPath, t: float, direction: int,
-               cfg: DiniConfig | None = None) -> ExtReal:
+               cfg: DiniConfig | None = None) -> float:
     """Lower Dini derivative of the path at t in unit direction +-1.
 
     Exact one-sided slopes are used when the path carries breakpoints;
@@ -91,11 +121,11 @@ def dini_lower(path: ScalarPath, t: float, direction: int,
         raise StepOutsideDomain(f"t = {t} is outside the path interval [0, 1]")
     if path.breakpoints is not None:
         d_plus, d_minus = _exact_grid_slopes(path.breakpoints, np.array([t]))
-        return ExtReal(float((d_plus if direction > 0 else d_minus)[0]))
+        return float((d_plus if direction > 0 else d_minus)[0])
     steps = cfg.step_grid()
     probes = path.eval_many(t + direction * steps)
     base = path.eval(t)
-    return ExtReal(float(dini_table(np.array([base]), probes[None, :], steps)[0]))
+    return float(dini_table(np.array([base]), probes[None, :], steps)[0])
 
 
 def _exact_grid_slopes(breakpoints: PiecewiseLinear, t: np.ndarray):
@@ -479,23 +509,22 @@ def diewert_witness(path: ScalarPath, side: str = "forward",
     cfg = cfg or DiniConfig()
     if side not in ("forward", "backward"):
         raise ValueError("side must be 'forward' or 'backward'")
-    phi0 = ExtReal(path.eval(0.0))
-    phi1 = ExtReal(path.eval(1.0))
+    phi0, phi1 = path.eval(0.0), path.eval(1.0)
     candidates = set(float(x) for x in path.t_grid)
     if path.breakpoints is not None:
         candidates.update(float(x) for x in path.breakpoints.knots)
     if side == "forward":
-        target = inf_residual(phi1, phi0)
+        target = float(residual_floats(phi1, phi0))
         scan = sorted(c for c in candidates if 0.0 <= c < 1.0)
         direction = +1
     else:
-        target = inf_residual(phi0, phi1)
+        target = float(residual_floats(phi0, phi1))
         scan = sorted(c for c in candidates if 0.0 < c <= 1.0)
         direction = -1
     for tcand in scan:
         d = dini_lower(path, tcand, direction, cfg)
-        if target.value <= d.value + tau or target.is_neg_inf:
-            return tcand, inf_residual(d, target)
+        if target <= d + tau or target == -np.inf:
+            return tcand, float(residual_floats(d, target))
     raise NoWitnessFound(
         f"no {side} mean-value witness among {len(scan)} grid points: either the "
         "scan grid is too coarse or the path is not lower semicontinuous"

@@ -38,15 +38,19 @@ def _exit_from(statuses: list[str]) -> int:
     return _OK
 
 
+# settings field -> the command-line flag that overrides it
+_FLAGS = {"tau_strict": "tau", "wstar_density": "density", "output": "output",
+          "vi_domain": "vi_domain", "seed": "seed"}
+
+
+def _overrides(args) -> dict:
+    """The settings given on the command line; validated by RunSettings."""
+    return {key: getattr(args, flag) for key, flag in _FLAGS.items()
+            if getattr(args, flag, None) is not None}
+
+
 def _settings(problem, args) -> RunSettings:
-    overrides = {
-        "tau_strict": getattr(args, "tau", None),
-        "wstar_density": getattr(args, "density", None),
-        "output": getattr(args, "output", None),
-        "vi_domain": getattr(args, "vi_domain", None),
-        "seed": getattr(args, "seed", None),
-    }
-    return RunSettings.from_dict(problem.settings if problem else {}, **overrides)
+    return RunSettings.from_dict(problem.settings, **_overrides(args))
 
 
 def _emit(report: dict, lines: list[str], settings: RunSettings) -> None:
@@ -244,7 +248,7 @@ def _cmd_mvt(args) -> int:
             try:
                 t, residual = diewert_witness(path, side, settings.dini,
                                               settings.tau_strict)
-                entry[side] = {"t": t, "residual": residual.value}
+                entry[side] = {"t": t, "residual": residual}
             except NoWitnessFound as exc:
                 entry[side] = {"error": str(exc)}
                 failed = True
@@ -258,9 +262,7 @@ def _cmd_mvt(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    settings = SUITE_DEFAULTS.with_(vi_domain=args.vi_domain or "formula")
-    if args.tau:
-        settings = settings.with_(tau_strict=args.tau)
+    settings = SUITE_DEFAULTS.with_(**_overrides(args))
     report = run_suite(seed=args.seed, instances=args.instances, settings=settings)
     summary = report["summary"]
     violated = summary["violated"]
@@ -270,8 +272,7 @@ def _cmd_suite(args) -> int:
         f"implication statuses: {summary['implication_statuses']}",
         f"violated: {len(violated)}, replay failures: {len(replay_failures)}",
     ]
-    out_settings = SUITE_DEFAULTS.with_(output=args.output or "text")
-    _emit(report, lines, out_settings)
+    _emit(report, lines, settings)
     if violated or replay_failures:
         return _FAILED
     return _OK

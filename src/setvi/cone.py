@@ -55,11 +55,6 @@ class Region(Enum):
     OUTSIDE = "OUTSIDE"
 
 
-class Membership(NamedTuple):
-    region: Region
-    margin: float
-
-
 class ExtMembership(NamedTuple):
     region: Region
     margin: float
@@ -156,12 +151,6 @@ def _classify(margin: float, tau: float) -> Region:
     if margin < -tau:
         return Region.OUTSIDE
     return Region.BOUNDARY
-
-
-def membership(cone: Cone, y, tau: float = TAU_STRICT) -> Membership:
-    """Locate y relative to C with the signed ball-radius margin."""
-    margin = cone_margin(cone, y)
-    return Membership(_classify(margin, tau), margin)
 
 
 def _facet_min(ys: np.ndarray, pts: np.ndarray, normals: np.ndarray) -> np.ndarray:

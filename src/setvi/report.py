@@ -14,7 +14,15 @@ from enum import Enum
 
 import numpy as np
 
-from .extreal import ExtReal, format_float
+
+def format_float(x: float) -> str:
+    """Decimal literal with 17 significant digits, or the strings +-inf."""
+    x = float(x)
+    if x == math.inf:
+        return "+inf"
+    if x == -math.inf:
+        return "-inf"
+    return f"{x:.17g}"
 
 
 def _render(obj, out: list, indent: int, level: int) -> None:
@@ -26,8 +34,6 @@ def _render(obj, out: list, indent: int, level: int) -> None:
         out.append("true" if obj else "false")
     elif isinstance(obj, Enum):
         out.append(json.dumps(obj.value))
-    elif isinstance(obj, ExtReal):
-        _render_float(obj.value, out)
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):

@@ -19,23 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .cone import TAU_STRICT
-from .errors import DimensionMismatch
-from .extreal import NEG_INF, POS_INF, ExtReal
 from .setmap import (RayValues, SetMap, SetValue, evaluate, evaluate_batch, ray_restriction,
                      segment_sample_ts)
 from .verdicts import CheckResult, Verdict
-
-
-def scalarize(value: SetValue, w) -> ExtReal:
-    """inf of w . y over the value: +inf if empty, -inf if whole-space."""
-    w = np.asarray(w, dtype=float)
-    if value.whole_space:
-        return NEG_INF
-    if value.is_empty:
-        return POS_INF
-    if w.shape != (value.dim,):
-        raise DimensionMismatch(f"weight shape {w.shape} vs value in R^{value.dim}")
-    return ExtReal(float(np.min(value.points @ w)))
 
 
 def scalarize_many(value: SetValue, weights: np.ndarray) -> np.ndarray:
@@ -217,7 +203,7 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     """
     w = np.asarray(w, dtype=float)
     ray = ray_restriction(map, x0, x, t_grid)
-    values = np.array([scalarize(v, w).value for v in ray.values])
+    values = np.array([scalarize_many(v, w[None, :])[0] for v in ray.values])
     evaluator = None
     if map.kind == "generator":
         def evaluator(ts: np.ndarray) -> np.ndarray:

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
 
-from .cone import Cone, ExtMembership, Region, _readonly, cone_extended_member, make_cone
+from .cone import Cone, _readonly, make_cone
 from .errors import (
     BadParameters,
     BasePointOutsideDomain,
@@ -118,11 +119,6 @@ class SetMap:
         if self.kind == "generator":
             return {"generator": self.generator.name, "params": self.generator.params}
         return {"tabulated": True}
-
-    def domain_indices(self) -> np.ndarray:
-        """Indices of samples inside dom F (value nonempty or whole-space)."""
-        return np.asarray([i for i, v in enumerate(self.values) if not v.is_empty],
-                          dtype=int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,20 +233,6 @@ def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
     """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
     domain order: the one reading of the rays that radial checks share."""
     return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid)) for x in map.domain]
-
-
-def map_extended_member(map: SetMap, cone: Cone, x, y) -> ExtMembership:
-    """Locate y relative to F(x) + C without materializing the sum.
-
-    A whole-space value contains every y at margin +inf, an empty value
-    none at margin -inf; neither has an anchoring point (witness -1).
-    """
-    value = evaluate(map, x)
-    if value.whole_space:
-        return ExtMembership(Region.INTERIOR, np.inf, -1)
-    if value.is_empty:
-        return ExtMembership(Region.OUTSIDE, -np.inf, -1)
-    return cone_extended_member(value.points, cone, y)
 
 
 # ---------------------------------------------------------------------------
@@ -438,13 +420,21 @@ def _as_point_list(raw, what: str) -> np.ndarray:
     return arr
 
 
+def _known_keys(where: str, doc: dict, known: set) -> None:
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise SchemaError(f"unknown {where} keys {unknown}; known: {sorted(known)}")
+
+
 def load_problem(document) -> Problem:
     """Validate a problem document (dict, JSON string, or path to one).
 
     Schema: top-level "cone" {dual_generators, interior_point}, "map"
     (either {"tabulated": [{x, points, whole_space}]} or {"generator":
-    {name, params, domain_grid | domain_points}}), optional "base_points"
-    and "settings".
+    {name, params, domain_grid {from, to, steps} | domain_points}}),
+    optional "base_points" and "settings".  A key outside this schema is a
+    SchemaError, as are a non-boolean whole_space and non-integer steps:
+    a typo fails instead of running with defaults.
     """
     if isinstance(document, (str, bytes)):
         text = document
@@ -457,6 +447,7 @@ def load_problem(document) -> Problem:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("problem document must be a JSON object")
+    _known_keys("problem", document, {"cone", "map", "base_points", "settings"})
 
     if "cone" not in document:
         raise SchemaError("missing 'cone'")
@@ -464,11 +455,13 @@ def load_problem(document) -> Problem:
     if not isinstance(cone_doc, dict) or "dual_generators" not in cone_doc \
             or "interior_point" not in cone_doc:
         raise SchemaError("'cone' needs 'dual_generators' and 'interior_point'")
+    _known_keys("cone", cone_doc, {"dual_generators", "interior_point"})
     cone = make_cone(cone_doc["dual_generators"], cone_doc["interior_point"])
 
     if "map" not in document or not isinstance(document["map"], dict):
         raise SchemaError("missing 'map' object")
     map_doc = document["map"]
+    _known_keys("map", map_doc, {"tabulated", "generator"})
 
     if "tabulated" in map_doc:
         entries = map_doc["tabulated"]
@@ -478,12 +471,16 @@ def load_problem(document) -> Problem:
         for entry in entries:
             if not isinstance(entry, dict) or "x" not in entry:
                 raise SchemaError("tabulated entries need an 'x' field")
+            _known_keys("tabulated entry", entry, {"x", "points", "whole_space"})
             x = np.atleast_1d(np.asarray(entry["x"], dtype=float))
             key = tuple(x.tolist())
             if key in seen:
                 raise SchemaError(f"tabulated x {list(key)} appears more than once")
             seen.add(key)
-            whole = bool(entry.get("whole_space", False))
+            whole = entry.get("whole_space", False)
+            if not isinstance(whole, bool):
+                raise SchemaError(f"tabulated 'whole_space' must be true or false, "
+                                  f"not {whole!r}")
             pts = entry.get("points", [])
             value = SetValue.make(pts, whole_space=whole, dim=_image_dim(entry, cone))
             xs.append(x)
@@ -501,12 +498,16 @@ def load_problem(document) -> Problem:
         gdoc = map_doc["generator"]
         if not isinstance(gdoc, dict) or "name" not in gdoc:
             raise SchemaError("'generator' needs a 'name'")
+        _known_keys("generator", gdoc, {"name", "params", "domain_grid", "domain_points"})
         params = gdoc.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("generator 'params' must be an object")
         domain = None
         if "domain_grid" in gdoc:
             grid = gdoc["domain_grid"]
+            if not isinstance(grid, dict):
+                raise SchemaError("'domain_grid' must be an object")
+            _known_keys("domain_grid", grid, {"from", "to", "steps"})
             for key in ("from", "to", "steps"):
                 if key not in grid:
                     raise SchemaError(f"domain_grid needs '{key}'")
@@ -515,9 +516,12 @@ def load_problem(document) -> Problem:
             if lo.shape != hi.shape:
                 raise SchemaError("domain_grid 'from' and 'to' differ in shape")
             steps = grid["steps"]
-            steps = [int(steps)] * lo.size if np.isscalar(steps) else [int(s) for s in steps]
-            if len(steps) != lo.size or any(s < 1 for s in steps):
-                raise SchemaError("domain_grid 'steps' must give >= 1 step per axis")
+            steps = list(steps) if isinstance(steps, (list, tuple)) else [steps] * lo.size
+            if len(steps) != lo.size or not all(
+                    isinstance(s, Integral) and not isinstance(s, bool) and s >= 1
+                    for s in steps):
+                raise SchemaError("domain_grid 'steps' must give an integer >= 1 per axis, "
+                                  f"not {grid['steps']!r}")
             axes = [np.linspace(lo[i], hi[i], steps[i]) for i in range(lo.size)]
             domain = _grid_points(axes)
         if "domain_points" in gdoc:

@@ -31,24 +31,24 @@ class TestDiniLower:
     def test_quadratic_at_zero_small_error(self):
         path = ScalarPath.from_function(lambda t: t * t, GRID)
         d = dini_lower(path, 0.0, +1)
-        assert abs(d.value - 0.0) <= 1e-5
+        assert abs(d - 0.0) <= 1e-5
 
     def test_piecewise_linear_exact_forward(self):
         path = pl_path([0, 0.5, 1], [0.5, 0.0, 0.5])
-        assert dini_lower(path, 0.5, +1).value == 1.0
-        assert dini_lower(path, 0.5, -1).value == 1.0
+        assert dini_lower(path, 0.5, +1) == 1.0
+        assert dini_lower(path, 0.5, -1) == 1.0
 
     def test_asymmetric_kink_backward(self):
         # slopes -1 then +2: walking backward from the kink climbs at rate 1
         path = pl_path([0, 0.5, 1], [0.5, 0.0, 1.0])
-        assert dini_lower(path, 0.5, -1).value == 1.0
-        assert dini_lower(path, 0.5, +1).value == 2.0
+        assert dini_lower(path, 0.5, -1) == 1.0
+        assert dini_lower(path, 0.5, +1) == 2.0
 
     def test_interior_of_segment_uses_local_slope(self):
         path = pl_path([0, 0.5, 1], [0.0, 1.0, 0.5])
-        assert dini_lower(path, 0.25, +1).value == 2.0
-        assert dini_lower(path, 0.75, +1).value == -1.0
-        assert dini_lower(path, 0.75, -1).value == 1.0
+        assert dini_lower(path, 0.25, +1) == 2.0
+        assert dini_lower(path, 0.75, +1) == -1.0
+        assert dini_lower(path, 0.75, -1) == 1.0
 
     def test_outside_interval_rejected(self):
         path = pl_path([0, 1], [0, 1])
@@ -57,7 +57,7 @@ class TestDiniLower:
 
     def test_boundary_forward_reads_plus_infinity(self):
         path = pl_path([0, 1], [0.0, 1.0])
-        assert dini_lower(path, 1.0, +1).value == np.inf
+        assert dini_lower(path, 1.0, +1) == np.inf
 
     def test_base_at_plus_infinity_with_infinite_ray(self):
         # a ray that never re-enters the domain carries no descent information
@@ -65,12 +65,12 @@ class TestDiniLower:
         values[0] = 0.0
         path = ScalarPath(np.linspace(0, 1, 5), values)
         d = dini_lower(path, 0.5, +1, DiniConfig(t_max=0.05))
-        assert d.value == np.inf
+        assert d == np.inf
 
     def test_finite_base_with_empty_ray_is_plus_infinity(self):
         values = np.array([0.0, np.inf, np.inf, np.inf, np.inf])
         path = ScalarPath(np.linspace(0, 1, 5), values)
-        assert dini_lower(path, 0.0, +1).value == np.inf
+        assert dini_lower(path, 0.0, +1) == np.inf
 
     def test_numeric_matches_exact_below_first_breakpoint(self):
         # dyadic knots and values keep the interpolation arithmetic exact, so
@@ -81,8 +81,8 @@ class TestDiniLower:
         numeric = ScalarPath.from_function(exact.eval_many, np.linspace(0, 1, 9))
         cfg = DiniConfig(t_max=0.125, ratio=0.5, steps=12)  # below the kink
         for t, direction in ((0.0, +1), (0.125, +1), (0.125, -1)):
-            assert dini_lower(numeric, t, direction, cfg).value == \
-                dini_lower(exact, t, direction).value
+            assert dini_lower(numeric, t, direction, cfg) == \
+                dini_lower(exact, t, direction)
 
     def test_value_scaling_scales_derivative_exactly(self):
         knots = [0, 0.25, 0.75, 1]
@@ -91,8 +91,8 @@ class TestDiniLower:
         base = pl_path(knots, vals)
         scaled = pl_path(knots, lam * vals)
         for t in (0.0, 0.25, 0.5, 0.75):
-            assert dini_lower(scaled, t, +1).value == \
-                lam * dini_lower(base, t, +1).value
+            assert dini_lower(scaled, t, +1) == \
+                lam * dini_lower(base, t, +1)
 
 
 class TestClassifyPath:
@@ -247,13 +247,13 @@ class TestDiewertWitness:
     def test_linear_path_any_point(self):
         path = pl_path([0, 1], [0.0, 1.0], grid_size=5)
         t, residual = diewert_witness(path, "forward")
-        assert residual.value >= -1e-9
+        assert residual >= -1e-9
 
     def test_v_shape_finds_steep_side(self):
         path = pl_path([0, 0.5, 1], [0.5, 0.0, 1.0], grid_size=5)
         t, residual = diewert_witness(path, "forward")
         assert 0.5 <= t < 1.0
-        assert residual.value == pytest.approx(1.5)
+        assert residual == pytest.approx(1.5)
 
     def test_plus_infinity_start_witnessed_at_zero(self):
         values = np.array([np.inf, 1.0, 0.5, 0.2, 0.1])
@@ -265,7 +265,7 @@ class TestDiewertWitness:
         path = pl_path([0, 0.5, 1], [0.5, 0.0, 1.0], grid_size=5)
         s, residual = diewert_witness(path, "backward")
         assert 0.0 < s <= 1.0
-        assert residual.value >= -1e-9
+        assert residual >= -1e-9
 
     def test_no_witness_raises(self):
         # an upper semicontinuous step: the difference is 1 but every
@@ -302,7 +302,7 @@ def test_mean_value_witness_on_random_lsc_paths():
         path = make_lsc_piecewise(rng)
         for side in ("forward", "backward"):
             t, residual = diewert_witness(path, side)
-            assert residual.value >= -1e-9 or residual.value == -np.inf
+            assert residual >= -1e-9 or residual == -np.inf
 
 
 def _brute_pseudo(t, v, d_plus, d_minus, tau):

@@ -7,6 +7,7 @@ import pytest
 import setvi.vi
 from setvi.cli import main
 from setvi.errors import InternalCheckError
+from setvi.report import format_float
 
 QUAD_DOC = {
     "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
@@ -175,6 +176,22 @@ def test_suite_json_identical_across_runs(capsys):
     json.loads(first)
 
 
+def test_suite_applies_the_density_flag(capsys):
+    args = ["suite", "--instances", "2", "--seed", "5", "--output", "json"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main([*args, "--density", "3"]) == 0
+    dense3 = capsys.readouterr().out
+    assert json.loads(default)["settings"]["wstar_density"] == 7
+    assert json.loads(dense3)["settings"]["wstar_density"] == 3
+    assert dense3 != default
+
+
+def test_suite_rejects_a_zero_tau(capsys):
+    assert main(["suite", "--instances", "1", "--tau", "0"]) == 2
+    assert "tau_strict" in capsys.readouterr().err
+
+
 def test_convexity_on_tabulated_problem(tmp_path, capsys):
     # five stored samples: some pair combinations (0.375, ...) are not
     # stored, and the rays to the neighbours of 0.5 hold only their ends
@@ -212,6 +229,28 @@ def test_repeated_tabulated_x_exits_two(tmp_path, capsys):
     assert "tabulated x [0.0] appears more than once" in capsys.readouterr().err
 
 
+# one typo per document, and the key the error message must name
+_GENERATOR = QUAD_DOC["map"]["generator"]
+TYPO_DOCS = {
+    "whole_space-string": ({"cone": HYPER_DOC["cone"], "map": {"tabulated": [
+        {"x": [0], "points": [[1, 1]]},
+        {"x": [1], "points": [], "whole_space": "false"}]}}, "whole_space"),
+    "point-key": ({"cone": HYPER_DOC["cone"], "map": {"tabulated": [
+        {"x": [0], "points": [[1, 1]]}, {"x": [1], "point": [[0, 0]]}]}}, "point"),
+    "fractional-steps": ({**QUAD_DOC, "map": {"generator": {
+        **_GENERATOR, "domain_grid": {"from": [-1], "to": [2], "steps": 2.9}}}}, "steps"),
+    "domian_points": ({**QUAD_DOC, "map": {"generator": {
+        **_GENERATOR, "domian_points": [[0.25]]}}}, "domian_points"),
+    "base_point": ({**QUAD_DOC, "base_point": [[0.5]]}, "base_point"),
+}
+
+
+@pytest.mark.parametrize("doc, key", TYPO_DOCS.values(), ids=TYPO_DOCS.keys())
+def test_problem_typo_exits_two(tmp_path, capsys, doc, key):
+    assert main(["minimality", _write(tmp_path, "typo", doc)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_console_entry_point_help():
     assert main(["--help"]) == 0
 
@@ -232,6 +271,13 @@ def test_json_report_bytes_are_pinned(tmp_path, capsys, doc, args, code, size, d
     assert main([args[0], path, *args[1:], "--output", "json"]) == code
     out = capsys.readouterr().out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+def test_report_formatting():
+    assert format_float(float("inf")) == "+inf"
+    assert format_float(float("-inf")) == "-inf"
+    assert format_float(0.1) == f"{0.1:.17g}"
+    assert len(format_float(1 / 3).replace("0.", "")) == 17
 
 
 def test_chain_on_non_convex_extended_values_reports_fails(tmp_path, capsys):

@@ -5,10 +5,10 @@ from setvi.cone import (
     Region,
     _kept_anchors,
     cone_extended_member,
+    cone_margin,
     dual_base,
     ext_margins,
     make_cone,
-    membership,
 )
 from setvi.errors import (
     DimensionMismatch,
@@ -55,18 +55,15 @@ class TestMakeCone:
         assert (cone.dual_generators @ cone.interior_point).tolist() == [1.0, 1.0]
 
 
-class TestMembership:
+class TestConeMargin:
     def test_interior_with_coordinate_margin(self):
-        region, margin = membership(ORTHANT, [3, 4])
-        assert region is Region.INTERIOR and margin == 3.0
+        assert cone_margin(ORTHANT, [3, 4]) == 3.0
 
     def test_boundary(self):
-        region, margin = membership(ORTHANT, [0, 5])
-        assert region is Region.BOUNDARY and margin == 0.0
+        assert cone_margin(ORTHANT, [0, 5]) == 0.0
 
     def test_outside(self):
-        region, margin = membership(ORTHANT, [-1, 2])
-        assert region is Region.OUTSIDE and margin == -1.0
+        assert cone_margin(ORTHANT, [-1, 2]) == -1.0
 
     def test_scale_invariance_of_verdicts(self):
         rng = np.random.default_rng(11)
@@ -77,7 +74,7 @@ class TestMembership:
                 cone.interior_point,
             )
             y = rng.normal(size=cone.dim)
-            assert membership(cone, y).region is membership(scaled, y).region
+            assert np.sign(cone_margin(cone, y)) == np.sign(cone_margin(scaled, y))
 
 
 class TestDualBase:

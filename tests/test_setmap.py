@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from setvi.cone import Region, make_cone
 from setvi.errors import (
     BadParameters,
     DimensionMismatch,
@@ -17,11 +16,8 @@ from setvi.setmap import (
     builtin_map,
     evaluate,
     load_problem,
-    map_extended_member,
     ray_restriction,
 )
-
-ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
 
 MINIMAL_DOC = {
     "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
@@ -56,7 +52,6 @@ class TestLoadProblem:
         }
         problem = load_problem(doc)
         assert evaluate(problem.map, [1]).is_empty
-        assert problem.map.domain_indices().tolist() == [0]
 
     def test_duplicate_samples_are_rejected(self):
         # a repeated x would otherwise hide one of its two values
@@ -133,30 +128,6 @@ class TestRayRestriction:
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})
         ray = ray_restriction(m, [0.0], [1.0], np.array([0.0, 1.0]))
         assert len(ray.values) == 2
-
-
-class TestConeExtendView:
-    def test_plain_value(self):
-        m = builtin_map("constant_cloud", {"points": [[1, 1]]})
-        assert map_extended_member(m, ORTHANT, [0], [2, 1.5]).region is Region.INTERIOR
-
-    def test_empty_value_sentinel(self):
-        doc = {
-            "cone": MINIMAL_DOC["cone"],
-            "map": {"tabulated": [{"x": [0], "points": []}]},
-        }
-        problem = load_problem(doc)
-        res = map_extended_member(problem.map, ORTHANT, [0], [5, 5])
-        assert res.region is Region.OUTSIDE and res.margin == -np.inf
-
-    def test_whole_space_sentinel(self):
-        doc = {
-            "cone": MINIMAL_DOC["cone"],
-            "map": {"tabulated": [{"x": [0], "points": [], "whole_space": True}]},
-        }
-        problem = load_problem(doc)
-        res = map_extended_member(problem.map, ORTHANT, [0], [-9, -9])
-        assert res.region is Region.INTERIOR and res.margin == np.inf
 
 
 class TestBuiltinCatalog:
