@@ -11,10 +11,8 @@ from .analysis import (
 )
 from .cone import (
     Cone,
-    Region,
     TAU_STRICT,
     WStarSample,
-    cone_extended_member,
     dual_base,
     make_cone,
 )

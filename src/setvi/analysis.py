@@ -319,7 +319,7 @@ def _pseudo_scan(t: np.ndarray, v: np.ndarray, d_plus: np.ndarray,
                 elif d <= 0:
                     settle(ccv, "band", b, dmax, d)
                 elif d < np.inf and d < tau / step_min:
-                    a = _nearest_qualifying(v, b, left, hi_thr[b], False)
+                    a = _nearest_qualifying(vq, b, left, hi_thr[b], False)
                     if a is not None and d * abs(t[b] - t[a]) < tau:
                         settle(ccv, "band", b, abs(t[b] - t[a]), d)
     return (cvx[0], cvx[1]), (ccv[0], ccv[1]), pair_count

@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dual-base sample density override")
         p.add_argument("--vi-domain", dest="vi_domain",
                        choices=["formula", "dom"], default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("relations", help="order relations between two set values")
     common(p)
@@ -328,8 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="randomized property suite")
     common(p, with_file=False)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=200)
-    p.set_defaults(func=_cmd_suite, seed=0)
+    p.set_defaults(func=_cmd_suite)
     return parser
 
 
@@ -339,8 +339,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return _INPUT_ERROR if exc.code not in (0,) else 0
-    if getattr(args, "seed", None) is None:
-        args.seed = 0
     try:
         return args.func(args)
     except InternalCheckError as exc:

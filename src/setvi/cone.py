@@ -24,20 +24,13 @@ scan costs less than it saves.  Its docstring derives the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySet,
-    InteriorWitnessInvalid,
-    ZeroGenerator,
-)
+from .errors import DimensionMismatch, InteriorWitnessInvalid, ZeroGenerator
 
-# Strictness tolerance separating INTERIOR / BOUNDARY / OUTSIDE verdicts.
+# Default strictness band: a margin within [-tau, tau] decides nothing.
 TAU_STRICT = 1e-9
 
 # Guard against combinatorial blowup when gridding a dual base.
@@ -47,18 +40,6 @@ _MAX_BASE_SAMPLE = 200_000
 # error of one product: the rounding model of ext_margins' pruning bound.
 _EPS = float(np.finfo(float).eps)
 _ETA = float(np.finfo(float).smallest_subnormal)
-
-
-class Region(Enum):
-    INTERIOR = "INTERIOR"
-    BOUNDARY = "BOUNDARY"
-    OUTSIDE = "OUTSIDE"
-
-
-class ExtMembership(NamedTuple):
-    region: Region
-    margin: float
-    witness: int  # index into the anchoring cloud of the maximizing point
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +62,6 @@ class WStarSample:
     """
 
     weights: np.ndarray           # (n, m)
-    normalization_point: np.ndarray  # e
 
     def __len__(self) -> int:
         return self.weights.shape[0]
@@ -132,25 +112,12 @@ def make_cone(dual_generators, interior_point) -> Cone:
     )
 
 
-def _check_dim(cone: Cone, y: np.ndarray) -> np.ndarray:
+def cone_margin(cone: Cone, y) -> float:
+    """min_j ghat_j . y; positive = radius of a ball around y inside C."""
     y = np.asarray(y, dtype=float)
     if y.shape[-1] != cone.dim:
         raise DimensionMismatch(f"point of dimension {y.shape[-1]} vs cone in R^{cone.dim}")
-    return y
-
-
-def cone_margin(cone: Cone, y) -> float:
-    """min_j ghat_j . y; positive = radius of a ball around y inside C."""
-    y = _check_dim(cone, y)
     return float(np.min(cone.normalized_normals @ y))
-
-
-def _classify(margin: float, tau: float) -> Region:
-    if margin > tau:
-        return Region.INTERIOR
-    if margin < -tau:
-        return Region.OUTSIDE
-    return Region.BOUNDARY
 
 
 def _facet_min(ys: np.ndarray, pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
@@ -226,26 +193,6 @@ def ext_margins(points: np.ndarray, cone: Cone, ys: np.ndarray):
     return margins, witnesses
 
 
-def cone_extended_member(points, cone: Cone, y, tau: float = TAU_STRICT) -> ExtMembership:
-    """Locate y relative to A + C for a finite nonempty cloud A.
-
-    The margin max_a min_j ghat_j . (y - a) is positive exactly when y is
-    in A + Int C, which coincides with the interior of A + C; the witness
-    is the anchoring point realizing the maximum.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1)
-    if pts.shape[0] == 0:
-        raise EmptySet("cone_extended_member needs a nonempty anchor cloud")
-    y = _check_dim(cone, np.asarray(y, dtype=float))
-    if pts.shape[1] != cone.dim:
-        raise DimensionMismatch(f"cloud in R^{pts.shape[1]} vs cone in R^{cone.dim}")
-    margins, witnesses = ext_margins(pts, cone, y.reshape(1, -1))
-    margin = float(margins[0])
-    return ExtMembership(_classify(margin, tau), margin, int(witnesses[0]))
-
-
 def _compositions(total: int, parts: int):
     """All integer vectors of the given length summing to total, lexicographic."""
     for combo in combinations_with_replacement(range(parts), total):
@@ -281,4 +228,4 @@ def dual_base(cone: Cone, density: int) -> WStarSample:
             )
         lattice = np.array(list(_compositions(n, k)), dtype=float) / float(n)
         weights = lattice @ vertices
-    return WStarSample(weights=_readonly(weights), normalization_point=cone.interior_point)
+    return WStarSample(weights=_readonly(weights))

@@ -163,10 +163,9 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
         order_verdict = Verdict.HOLDS
         order_witness = None
 
-    w_l = CheckResult(order_verdict, witness=order_witness, resolution=resolution,
-                      details={"worst_margin": float(worst_margin)})
-    w_m = CheckResult(order_verdict, witness=order_witness, resolution=resolution,
-                      details={"worst_margin": float(worst_margin)})
+    # the lower and uniform notions coincide on finite clouds: one result serves both
+    order_result = CheckResult(order_verdict, witness=order_witness, resolution=resolution,
+                               details={"worst_margin": float(worst_margin)})
     if sc_witness is None:
         w_sc = CheckResult(Verdict.HOLDS, resolution=resolution,
                            details={"per_x_weight_index": per_x_weights})
@@ -174,7 +173,8 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
         w_sc = CheckResult(Verdict.FAILS, witness=sc_witness, resolution=resolution,
                            details={"per_x_weight_index": per_x_weights})
 
-    verdict = MinimalityVerdict(w_l, w_sc, w_m, degenerate_whole_space=False)
+    verdict = MinimalityVerdict(order_result, w_sc, order_result,
+                                degenerate_whole_space=False)
     _enforce_consistency(verdict, worst_margin, wstar, tau)
     return verdict
 

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from enum import Enum
-
-import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -26,23 +23,25 @@ def format_float(x: float) -> str:
 
 
 def _render(obj, out: list, indent: int, level: int) -> None:
+    """Report trees hold only None, bool, int, float, str, list and dict.
+
+    Types are matched exactly, so a numpy scalar, a tuple or an enum that
+    leaks into a report raises instead of being coerced.
+    """
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
+    kind = type(obj)
     if obj is None:
         out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+    elif kind is bool:
         out.append("true" if obj else "false")
-    elif isinstance(obj, Enum):
-        out.append(json.dumps(obj.value))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        _render_float(float(obj), out)
-    elif isinstance(obj, str):
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is float:
+        _render_float(obj, out)
+    elif kind is str:
         out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _render(obj.tolist(), out, indent, level)
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list:
         if not obj:
             out.append("[]")
             return
@@ -52,7 +51,7 @@ def _render(obj, out: list, indent: int, level: int) -> None:
             _render(item, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "]")
-    elif isinstance(obj, dict):
+    elif kind is dict:
         if not obj:
             out.append("{}")
             return
@@ -63,10 +62,8 @@ def _render(obj, out: list, indent: int, level: int) -> None:
             _render(value, out, indent, level + 1)
             out.append(",\n" if i + 1 < len(items) else "\n")
         out.append(pad + "}")
-    elif hasattr(obj, "to_dict"):
-        _render(obj.to_dict(), out, indent, level)
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r} into a report")
+        raise TypeError(f"cannot serialize {kind!r} into a report")
 
 
 def _render_float(x: float, out: list) -> None:

@@ -124,9 +124,6 @@ class PiecewiseLinear:
         out[inside] = interp_extended(self.knots, self.knot_values, ts[inside])
         return out
 
-    def eval(self, t: float) -> float:
-        return float(self.eval_many(np.asarray([t]))[0])
-
 
 @dataclass(eq=False)
 class ScalarPath:

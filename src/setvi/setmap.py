@@ -240,6 +240,18 @@ def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
 # ---------------------------------------------------------------------------
 
 
+def _is_count(v) -> bool:
+    """An integer that is not a bool: the rule for every count in a problem."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _int_param(params: dict, key: str, default: int) -> int:
+    value = params.get(key, default)
+    if not _is_count(value):
+        raise BadParameters(f"parameter {key!r} must be an integer, not {value!r}")
+    return value
+
+
 def _param_array(params: dict, key: str, default=None) -> np.ndarray | None:
     if key not in params:
         return None if default is None else np.asarray(default, dtype=float)
@@ -273,7 +285,7 @@ def _make_segment_shift(params: dict) -> _Generator:
         raise BadParameters("segment_shift needs a nonempty 'segment' cloud")
     segment = np.atleast_2d(segment)
     m = segment.shape[1]
-    n = int(params.get("domain_dim", 1))
+    n = _int_param(params, "domain_dim", 1)
     offset = _param_array(params, "offset", default=np.zeros(m))
     linear = _param_array(params, "linear", default=np.zeros((m, n)))
     linear = np.atleast_2d(linear)
@@ -297,7 +309,7 @@ def _make_constant_cloud(params: dict) -> _Generator:
     if points is None or points.size == 0:
         raise BadParameters("constant_cloud needs a nonempty 'points' cloud")
     points = np.atleast_2d(points)
-    n = int(params.get("domain_dim", 1))
+    n = _int_param(params, "domain_dim", 1)
     m = points.shape[1]
 
     def batch(xs: np.ndarray) -> np.ndarray:
@@ -310,12 +322,12 @@ def _make_hyperbola_truncation(params: dict) -> _Generator:
     T = float(params.get("T", 0.0))
     if T <= 1.0:
         raise BadParameters("hyperbola_truncation needs a truncation scale T > 1")
-    samples = int(params.get("samples", 33))
+    samples = _int_param(params, "samples", 33)
     if samples < 2:
         raise BadParameters("hyperbola_truncation needs at least 2 samples")
     s = np.logspace(-np.log10(T), np.log10(T), samples)
     cloud = np.column_stack([s, 1.0 / s])
-    n = int(params.get("domain_dim", 1))
+    n = _int_param(params, "domain_dim", 1)
 
     def batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(cloud[None, :, :], (xs.shape[0],) + cloud.shape).copy()
@@ -433,8 +445,8 @@ def load_problem(document) -> Problem:
     (either {"tabulated": [{x, points, whole_space}]} or {"generator":
     {name, params, domain_grid {from, to, steps} | domain_points}}),
     optional "base_points" and "settings".  A key outside this schema is a
-    SchemaError, as are a non-boolean whole_space and non-integer steps:
-    a typo fails instead of running with defaults.
+    SchemaError, as are a map with both kinds, a non-boolean whole_space
+    and non-integer steps: a typo fails instead of running with defaults.
     """
     if isinstance(document, (str, bytes)):
         text = document
@@ -462,6 +474,8 @@ def load_problem(document) -> Problem:
         raise SchemaError("missing 'map' object")
     map_doc = document["map"]
     _known_keys("map", map_doc, {"tabulated", "generator"})
+    if "tabulated" in map_doc and "generator" in map_doc:
+        raise SchemaError("'map' holds both 'tabulated' and 'generator'; give one")
 
     if "tabulated" in map_doc:
         entries = map_doc["tabulated"]
@@ -482,7 +496,7 @@ def load_problem(document) -> Problem:
                 raise SchemaError(f"tabulated 'whole_space' must be true or false, "
                                   f"not {whole!r}")
             pts = entry.get("points", [])
-            value = SetValue.make(pts, whole_space=whole, dim=_image_dim(entry, cone))
+            value = SetValue.make(pts, whole_space=whole, dim=cone.dim)
             xs.append(x)
             values.append(value)
         dims = {x.shape[0] for x in xs}
@@ -517,9 +531,7 @@ def load_problem(document) -> Problem:
                 raise SchemaError("domain_grid 'from' and 'to' differ in shape")
             steps = grid["steps"]
             steps = list(steps) if isinstance(steps, (list, tuple)) else [steps] * lo.size
-            if len(steps) != lo.size or not all(
-                    isinstance(s, Integral) and not isinstance(s, bool) and s >= 1
-                    for s in steps):
+            if len(steps) != lo.size or not all(_is_count(s) and s >= 1 for s in steps):
                 raise SchemaError("domain_grid 'steps' must give an integer >= 1 per axis, "
                                   f"not {grid['steps']!r}")
             axes = [np.linspace(lo[i], hi[i], steps[i]) for i in range(lo.size)]
@@ -551,10 +563,3 @@ def load_problem(document) -> Problem:
         raise SchemaError("'settings' must be an object")
 
     return Problem(cone=cone, map=map_, base_points=base_points, settings=dict(settings))
-
-
-def _image_dim(entry: dict, cone: Cone) -> int:
-    pts = np.asarray(entry.get("points", []), dtype=float)
-    if pts.size:
-        return pts.shape[-1] if pts.ndim > 1 else pts.shape[0]
-    return cone.dim

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import DiniConfig
-from .cone import cone_extended_member, dual_base, ext_margins, make_cone
+from .cone import dual_base, ext_margins, make_cone
 from .config import RunSettings
 from .order import dominance_margin, relation_ll, relation_lt
 from .setmap import SetValue, builtin_map
@@ -185,13 +185,13 @@ def _membership_properties(seed: int, trials: int) -> dict:
         cone = make_cone(gens, np.ones(m) * float(gens.sum(axis=1).max()))
         pts = rng.normal(size=(rng.integers(1, 5), m))
         y = rng.normal(scale=2.0, size=m)
-        res = cone_extended_member(pts, cone, y)
-        if res.margin <= 1e-9:
+        margin = ext_margins(pts, cone, y[None, :])[0][0]
+        if margin <= 1e-9:
             continue
         decisive += 1
         dirs = rng.normal(size=(32, m))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        margins, _ = ext_margins(pts, cone, y + 0.5 * res.margin * dirs)
+        margins, _ = ext_margins(pts, cone, y + 0.5 * margin * dirs)
         if np.any(margins <= 0.0):
             escapes += 1
     return {"trials": trials, "decisive": decisive, "escapes": escapes,

@@ -253,6 +253,24 @@ def _implication(name: str, needed: list[str], hypotheses: dict,
     return entry
 
 
+def _equivalence(hypotheses: dict, trio: tuple) -> dict:
+    """svi <=> w-min <=> mvi: confirmed when the three verdicts agree."""
+    needs = ["c_convexity", "compactness", "radial_continuity",
+             "properness", "non_degenerate"]
+    missing = [h for h in needs if hypotheses[h].verdict is not Verdict.HOLDS]
+    entry = {"implication": "svi <=> w-min <=> mvi", "needs": needs}
+    if missing:
+        entry.update(status=ChainStatus.NOT_APPLICABLE.value, blocked_by=missing)
+    elif any(v is Verdict.UNDETERMINED for v in trio):
+        entry.update(status=ChainStatus.NOT_APPLICABLE.value,
+                     blocked_by=["undetermined verdict"])
+    elif len(set(trio)) == 1:
+        entry["status"] = ChainStatus.CONFIRMED.value
+    else:
+        entry.update(status=ChainStatus.VIOLATED.value, verdicts=[v.value for v in trio])
+    return entry
+
+
 def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                   cfg: DiniConfig | None = None, tau: float = TAU_STRICT,
                   ray_grid_size: int = 9, max_rays: int = 8,
@@ -354,21 +372,8 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                      ["c_convexity", "non_degenerate"],
                      hypotheses, minim.w_sc_min.verdict, mvi.verdict),
     ]
-    equiv_needs = ["c_convexity", "compactness", "radial_continuity",
-                   "properness", "non_degenerate"]
-    missing = [h for h in equiv_needs if hypotheses[h].verdict is not Verdict.HOLDS]
-    trio = (svi.verdict, minim.w_min.verdict, mvi.verdict)
-    equiv = {"implication": "svi <=> w-min <=> mvi", "needs": equiv_needs}
-    if missing:
-        equiv.update(status=ChainStatus.NOT_APPLICABLE.value, blocked_by=missing)
-    elif any(v is Verdict.UNDETERMINED for v in trio):
-        equiv.update(status=ChainStatus.NOT_APPLICABLE.value,
-                     blocked_by=["undetermined verdict"])
-    elif len(set(trio)) == 1:
-        equiv["status"] = ChainStatus.CONFIRMED.value
-    else:
-        equiv.update(status=ChainStatus.VIOLATED.value, verdicts=[v.value for v in trio])
-    implications.append(equiv)
+    implications.append(_equivalence(hypotheses,
+                                     (svi.verdict, minim.w_min.verdict, mvi.verdict)))
 
     resolution = {"wstar_size": len(wstar), "domain_size": int(map.domain.shape[0]),
                   "ray_grid_size": ray_grid_size, "max_rays": max_rays,

@@ -11,7 +11,7 @@ from setvi.analysis import (
 )
 from setvi import cone as cone_mod
 from setvi.cone import dual_base, make_cone
-from setvi.errors import NoWitnessFound, StepOutsideDomain
+from setvi.errors import InternalCheckError, NoWitnessFound, StepOutsideDomain
 from setvi.scalarize import PiecewiseLinear, ScalarPath
 from setvi.setmap import builtin_map, load_problem
 from setvi.verdicts import Verdict
@@ -222,6 +222,47 @@ class TestConeConvexity:
         assert pruned.witness == full.witness
         assert pruned.details == full.details
 
+    def tabulated(self, values):
+        """A tabulated map on x = 0, 1, 2; None marks an empty value, "whole"
+        a whole-space one."""
+        entries = [{"x": [x], "points": [], "whole_space": True} if v == "whole"
+                   else {"x": [x], "points": [] if v is None else v}
+                   for x, v in enumerate(values)]
+        return load_problem({"cone": {"dual_generators": [[1, 0], [0, 1]],
+                                      "interior_point": [1, 1]},
+                             "map": {"tabulated": entries}}).map
+
+    def test_empty_endpoint_is_skipped(self):
+        m = self.tabulated([None, [[0, 0]], [[1, 1]]])
+        res = c_convexity_check(m, ORTHANT, WS, [(np.array([0.0]), np.array([2.0]))], [0.5])
+        assert res.verdict is Verdict.UNDETERMINED
+        assert res.resolution["combinations_checked"] == 0
+
+    def test_whole_space_endpoint_needs_a_whole_space_combination(self):
+        m = self.tabulated(["whole", [[0, 0]], [[1, 1]]])
+        res = c_convexity_check(m, ORTHANT, WS, [(np.array([0.0]), np.array([2.0]))], [0.5])
+        assert res.verdict is Verdict.FAILS
+        assert res.witness["reason"] == "whole-space combination not covered"
+
+    def test_empty_combination_fails(self):
+        m = self.tabulated([[[0, 0]], None, [[1, 1]]])
+        res = c_convexity_check(m, ORTHANT, WS, [(np.array([0.0]), np.array([2.0]))], [0.5])
+        assert res.verdict is Verdict.FAILS
+        assert res.witness["reason"] == "empty value at the combination point"
+
+    def test_scalar_witness_without_containment_witness_raises(self, monkeypatch):
+        # the containment forces convex scalarizations, so only margins
+        # forced positive let a non-convex scalarization through alone
+        import setvi.analysis
+
+        def inside(points, cone, ys):
+            return np.ones(len(ys)), np.zeros(len(ys), dtype=int)
+
+        monkeypatch.setattr(setvi.analysis, "ext_margins", inside)
+        m = builtin_map("segment_shift", {"segment": [[0, 0]], "quadratic": [-1.0, 0.0]})
+        with pytest.raises(InternalCheckError, match="convexity tests disagree"):
+            c_convexity_check(m, ORTHANT, WS, self.pairs(), [0.5])
+
     def test_pair_count_of_an_iterator(self):
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})
         pairs = ((np.array([lo]), np.array([1.0])) for lo in (-1.0, -0.5, 0.0))
@@ -373,3 +414,18 @@ def test_pair_scans_match_brute_force_reference():
         assert got[1][0] is want[1], f"trial {trial}: pseudoconcave {got[1][0]} != {want[1]}"
         sv, _ = _ssqc_scan(t, v, tau)
         assert sv is _brute_ssqc(t, v, tau), f"trial {trial}: ssqc"
+
+
+def test_ascent_band_partner_stays_in_the_domain():
+    # the nearest sample clearly above phi(0) = 0 is the +inf one at t = 0.25,
+    # outside the domain; the band partner must be t = 0.5, where the scaled
+    # derivative 3e-9 * 0.5 clears the band, so pseudoconcavity holds
+    from setvi.analysis import _pseudo_scan
+
+    t = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    v = np.array([0.0, np.inf, 5.0, 5.0, 5.0])
+    d_plus = np.array([3e-9, 0.0, 0.0, 0.0, np.inf])
+    d_minus = np.array([np.inf, 0.0, 0.0, 0.0, 0.0])
+    _, (ccv, witness), _ = _pseudo_scan(t, v, d_plus, d_minus, 1e-9)
+    assert (ccv, witness) == (Verdict.HOLDS, None)
+    assert _brute_pseudo(t, v, d_plus, d_minus, 1e-9)[1] is Verdict.HOLDS

@@ -7,7 +7,8 @@ import pytest
 import setvi.vi
 from setvi.cli import main
 from setvi.errors import InternalCheckError
-from setvi.report import format_float
+from setvi.report import format_float, render_json
+from setvi.verdicts import Verdict
 
 QUAD_DOC = {
     "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
@@ -242,6 +243,14 @@ TYPO_DOCS = {
     "domian_points": ({**QUAD_DOC, "map": {"generator": {
         **_GENERATOR, "domian_points": [[0.25]]}}}, "domian_points"),
     "base_point": ({**QUAD_DOC, "base_point": [[0.5]]}, "base_point"),
+    "tabulated-and-generator": ({**QUAD_DOC, "map": {
+        **QUAD_DOC["map"], "tabulated": [{"x": [0], "points": [[0, 0]]}]}}, "both"),
+    "fractional-samples": ({**QUAD_DOC, "map": {"generator": {
+        **_GENERATOR, "name": "hyperbola_truncation", "params": {"T": 100, "samples": 5.9}}}},
+        "samples"),
+    "boolean-domain_dim": ({**QUAD_DOC, "map": {"generator": {
+        **_GENERATOR, "name": "constant_cloud",
+        "params": {"points": [[0, 0]], "domain_dim": True}}}}, "domain_dim"),
 }
 
 
@@ -249,6 +258,25 @@ TYPO_DOCS = {
 def test_problem_typo_exits_two(tmp_path, capsys, doc, key):
     assert main(["minimality", _write(tmp_path, "typo", doc)]) == 2
     assert key in capsys.readouterr().err
+
+
+def test_seed_is_a_suite_flag(quad_file, tmp_path, capsys):
+    assert main(["chain", quad_file, "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert main(["suite", "--seed", "1", "--instances", "2"]) == 0
+    assert "instances: 2" in capsys.readouterr().out
+    # a problem's own seed reaches its report unchanged
+    path = _write(tmp_path, "seeded", {**QUAD_DOC, "settings": {"seed": 7}})
+    assert main(["minimality", path, "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["settings"]["seed"] == 7
+
+
+@pytest.mark.parametrize("value", [
+    (1.0, 2.0), np.float64(0.5), np.int64(3), np.bool_(True), np.array([1.0]), Verdict.HOLDS,
+], ids=["tuple", "float64", "int64", "bool_", "ndarray", "enum"])
+def test_render_json_rejects_non_report_types(value):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        render_json({"value": [value]})
 
 
 def test_console_entry_point_help():

@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 
 from setvi.cone import (
-    Region,
     _kept_anchors,
-    cone_extended_member,
     cone_margin,
     dual_base,
     ext_margins,
     make_cone,
 )
-from setvi.errors import (
-    DimensionMismatch,
-    EmptySet,
-    InteriorWitnessInvalid,
-    ZeroGenerator,
-)
+from setvi.errors import DimensionMismatch, InteriorWitnessInvalid, ZeroGenerator
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
 
@@ -110,41 +103,38 @@ class TestDualBase:
         assert bound < 0
 
 
+def ext_margin(points, cone, y):
+    """Margin and witness of the single point y against points + C."""
+    margins, witnesses = ext_margins(points, cone, np.asarray(y, dtype=float)[None, :])
+    return margins[0], witnesses[0]
+
+
 class TestExtendedMembership:
     def test_single_anchor(self):
-        res = cone_extended_member([[0, 0]], ORTHANT, [1, 1])
-        assert res.region is Region.INTERIOR and res.margin == 1.0
+        assert ext_margin([[0, 0]], ORTHANT, [1, 1]) == (1.0, 0)
 
     def test_witness_selection(self):
-        res = cone_extended_member([[0, 0], [2, -2]], ORTHANT, [2.5, -1.5])
-        assert res.region is Region.INTERIOR
-        assert res.margin == 0.5
-        assert res.witness == 1
+        assert ext_margin([[0, 0], [2, -2]], ORTHANT, [2.5, -1.5]) == (0.5, 1)
 
     def test_outside(self):
-        res = cone_extended_member([[0, 0]], ORTHANT, [-0.1, 3])
-        assert res.region is Region.OUTSIDE and res.margin == pytest.approx(-0.1)
-
-    def test_empty_cloud_rejected(self):
-        with pytest.raises(EmptySet):
-            cone_extended_member(np.zeros((0, 2)), ORTHANT, [1, 1])
+        margin, _ = ext_margin([[0, 0]], ORTHANT, [-0.1, 3])
+        assert margin < -1e-9 and margin == pytest.approx(-0.1)
 
 
 def ball_oracle_agrees(rng, cone, points, y, directions=64):
     """Sample a |margin|/2 ball: inside-margin points must stay inside the
     extended set, and a negative-margin center must itself be outside."""
-    res = cone_extended_member(points, cone, y)
-    if abs(res.margin) <= 1e-9 or not np.isfinite(res.margin):
+    margin, _ = ext_margin(points, cone, y)
+    if abs(margin) <= 1e-9 or not np.isfinite(margin):
         return True
-    if res.margin > 0:
+    if margin > 0:
         dirs = rng.normal(size=(directions, cone.dim))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         for d in dirs:
-            probe = cone_extended_member(points, cone, y + 0.5 * res.margin * d)
-            if probe.margin < 0:
+            if ext_margin(points, cone, y + 0.5 * margin * d)[0] < 0:
                 return False
         return True
-    return cone_extended_member(points, cone, y).margin < 0
+    return margin < 0
 
 
 def test_extended_membership_agrees_with_ball_oracle():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from setvi.cone import dual_base, make_cone
-from setvi.errors import EmptySet, NonSingletonValue
+from setvi.errors import EmptySet, InternalCheckError, NonSingletonValue
 from setvi.order import (
+    MinimalityVerdict,
+    _enforce_consistency,
     classify_weak_min,
     dominance_margin,
     relation_ll,
@@ -12,7 +14,7 @@ from setvi.order import (
     vector_weak_efficient,
 )
 from setvi.setmap import SetValue, builtin_map, evaluate, load_problem
-from setvi.verdicts import Verdict
+from setvi.verdicts import CheckResult, Verdict
 from test_cone import random_cone
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
@@ -46,6 +48,13 @@ class TestRelations:
             assert margin == pytest.approx(1.0 / T, abs=1e-12)
             assert margin < previous
             previous = margin
+
+    def test_whole_space_margins(self):
+        point = SetValue.make([[0, 0]])
+        whole = SetValue.make([], whole_space=True, dim=2)
+        assert dominance_margin(whole, point, ORTHANT) == np.inf
+        assert dominance_margin(point, whole, ORTHANT) == -np.inf
+        assert not relation_lt(point, whole, ORTHANT)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
@@ -181,6 +190,27 @@ class TestClassifyWeakMin:
         v = classify_weak_min(problem.map, [0], ORTHANT, WS)
         assert v.w_min.verdict is Verdict.FAILS
         assert v.w_sc_min.verdict is Verdict.FAILS
+
+    def test_scalar_notion_may_lag_the_order_notions(self):
+        # the staircase value at x = 1 improves every weight on (1, 1) by at
+        # least 0.05 without dominating it, since its extended set is not convex
+        doc = {
+            "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
+            "map": {"tabulated": [
+                {"x": [0], "points": [[1, 1]]},
+                {"x": [1], "points": [[1.9, 0], [0, 1.9]]},
+            ]},
+        }
+        v = classify_weak_min(load_problem(doc).map, [0], ORTHANT, WS)
+        assert v.w_min.verdict is Verdict.HOLDS
+        assert v.w_sc_min.verdict is Verdict.FAILS
+        assert not v.consistent and "no scalar witness" in v.note
+
+    def test_scalar_minimality_under_clear_domination_raises(self):
+        hold, fail = CheckResult(Verdict.HOLDS), CheckResult(Verdict.FAILS)
+        verdict = MinimalityVerdict(fail, hold, fail, degenerate_whole_space=False)
+        with pytest.raises(InternalCheckError, match="uniform domination"):
+            _enforce_consistency(verdict, 1.0, WS, 1e-9)
 
 
 class TestVectorWeakEfficiency:

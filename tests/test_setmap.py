@@ -141,6 +141,17 @@ class TestBuiltinCatalog:
         with pytest.raises(BadParameters):
             builtin_map("hyperbola_truncation", {"T": 0.5})
 
+    @pytest.mark.parametrize("name, params", [
+        ("hyperbola_truncation", {"T": 100, "samples": 5.9}),
+        ("constant_cloud", {"points": [[0, 0]], "domain_dim": 1.7}),
+        ("constant_cloud", {"points": [[0, 0]], "domain_dim": True}),
+        ("segment_shift", {"segment": [[0, 0]], "domain_dim": 2.0}),
+    ], ids=["samples-5.9", "domain_dim-1.7", "domain_dim-true", "domain_dim-2.0"])
+    def test_integer_parameters_are_not_truncated(self, name, params):
+        key = "samples" if "samples" in params else "domain_dim"
+        with pytest.raises(BadParameters, match=f"'{key}' must be an integer"):
+            builtin_map(name, params)
+
     def test_unknown_parameter_is_rejected(self):
         # a misspelt key must not run with the default centre 0
         with pytest.raises(BadParameters, match="centre"):

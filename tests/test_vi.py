@@ -5,9 +5,11 @@ from setvi.analysis import DiniConfig
 from setvi.cone import dual_base, make_cone
 from setvi.errors import BasePointOutsideDomain
 from setvi.setmap import builtin_map, load_problem
-from setvi.verdicts import Verdict
+from setvi.verdicts import CheckResult, Verdict
 from setvi.vi import (
     ChainStatus,
+    _equivalence,
+    _implication,
     replay_derivative,
     theorem_chain,
     vi_check,
@@ -185,6 +187,34 @@ class TestTheoremChain:
                                           np.array(entry["x"]),
                                           entry["witness_w"])
                 assert again == entry["derivative"]
+
+
+HOLDING = {name: CheckResult(Verdict.HOLDS)
+           for name in ("c_convexity", "compactness", "radial_continuity", "properness",
+                        "non_degenerate")}
+H, F, U = Verdict.HOLDS, Verdict.FAILS, Verdict.UNDETERMINED
+
+
+@pytest.mark.parametrize("antecedent, consequent, status, extra", [
+    (U, H, "NOT_APPLICABLE", {"blocked_by": ["antecedent undetermined"]}),
+    (H, U, "NOT_APPLICABLE", {"blocked_by": ["consequent undetermined"]}),
+    (H, F, "VIOLATED", {}),
+])
+def test_implication_with_its_hypotheses_holding(antecedent, consequent, status, extra):
+    entry = _implication("a => b", ["compactness"], HOLDING, antecedent, consequent)
+    assert entry == {"implication": "a => b", "needs": ["compactness"],
+                     "status": status, **extra}
+
+
+@pytest.mark.parametrize("trio, status, extra", [
+    ((H, U, F), "NOT_APPLICABLE", {"blocked_by": ["undetermined verdict"]}),
+    ((H, H, F), "VIOLATED", {"verdicts": ["HOLDS", "HOLDS", "FAILS"]}),
+    ((F, F, F), "CONFIRMED", {}),
+])
+def test_equivalence_with_its_hypotheses_holding(trio, status, extra):
+    entry = _equivalence(HOLDING, trio)
+    assert entry == {"implication": "svi <=> w-min <=> mvi", "needs": list(HOLDING),
+                     "status": status, **extra}
 
 
 def test_chain_on_tabulated_map_uses_stored_segment_samples():
