@@ -175,69 +175,89 @@ class ConvexityReport:
         }
 
 
-def _ssqc_scan(t: np.ndarray, v: np.ndarray, tau: float):
-    """Semistrict quasiconvexity on grid triples.
+def _first_events(fails: np.ndarray, bands: np.ndarray, witness) -> list:
+    """One (verdict, witness) per column of (K, W) event masks listed in
+    scan order: the first FAILS event wins, else the first band event
+    makes the column UNDETERMINED; ``witness(k, w)`` describes event k."""
+    any_fail, any_band = fails.any(axis=0), bands.any(axis=0)
+    first_fail, first_band = fails.argmax(axis=0), bands.argmax(axis=0)
+    return [(Verdict.FAILS, witness(kf, w)) if f else
+            (Verdict.UNDETERMINED, witness(kb, w)) if b else (Verdict.HOLDS, None)
+            for w, (f, b, kf, kb) in enumerate(zip(any_fail.tolist(), any_band.tolist(),
+                                                   first_fail.tolist(), first_band.tolist()))]
+
+
+def _ssqc_scan(t: np.ndarray, V: np.ndarray, tau: float) -> list:
+    """Semistrict quasiconvexity on grid triples, for every column of the
+    (T, W) value matrix V; returns one (verdict, witness) per column.
 
     A triple (i, j, k) with clearly distinct endpoint values must keep the
-    interior value clearly below the larger endpoint.  Candidate interior
-    indices are filtered with prefix/suffix minima before the exact pair
-    scan, which keeps typical paths near-linear cost.
+    interior value clearly below the larger endpoint.  For an interior j
+    the smallest admissible larger endpoint is the smallest of three
+    candidates: the larger of the prefix and suffix minima, and the
+    smallest value on either side clearly above the other side's minimum.
+    Only the last two need a pass over the far side, one per interior j
+    for all columns.  A column FAILS at its first failing j, else it is
+    UNDETERMINED at its first j within the band.  Maxima and minima of
+    candidates keep the first of equal values.
     """
-    n = v.size
-    prefix = np.minimum.accumulate(v)
-    suffix = np.minimum.accumulate(v[::-1])[::-1]
-    verdict = Verdict.HOLDS
-    witness = None
-    for j in range(1, n - 1):
-        left_min, right_min = prefix[j - 1], suffix[j + 1]
-        if not (np.isfinite(left_min) and np.isfinite(right_min)):
-            continue
-        if v[j] < max(left_min, right_min) - tau:
-            continue
-        cap = v[j] + tau
-        lv = v[:j]
-        rv = v[j + 1:]
-        lv = lv[lv <= cap]
-        rv = rv[rv <= cap]
-        if lv.size == 0 or rv.size == 0:
-            continue
-        a_min, b_min = lv.min(), rv.min()
-        candidates = []
-        if abs(a_min - b_min) > tau:
-            candidates.append(max(a_min, b_min))
-        rb = rv[rv > a_min + tau]
-        if rb.size:
-            candidates.append(max(a_min, rb.min()))
-        la = lv[lv > b_min + tau]
-        if la.size:
-            candidates.append(max(b_min, la.min()))
-        if not candidates:
-            continue
-        minmax = min(candidates)
-        if v[j] - minmax >= tau:
-            return Verdict.FAILS, {"t": float(t[j]), "value": float(v[j]),
-                                   "endpoint_level": float(minmax)}
-        if abs(v[j] - minmax) < tau and verdict is Verdict.HOLDS:
-            verdict = Verdict.UNDETERMINED
-            witness = {"t": float(t[j]), "value": float(v[j]),
-                       "endpoint_level": float(minmax)}
-    return verdict, witness
+    T, W = V.shape
+    if T < 3:
+        return [(Verdict.HOLDS, None)] * W
+    # row r of each array below belongs to the interior point j = r + 1
+    a = np.minimum.accumulate(V, axis=0)[:-2]                 # min of V[:j]
+    b = np.minimum.accumulate(V[::-1], axis=0)[::-1][2:]      # min of V[j+1:]
+    v = V[1:-1]
+    cap = v + tau
+    with np.errstate(invalid="ignore"):
+        # each side needs a value at most cap; its minimum is one if any is
+        live = (np.isfinite(a) & np.isfinite(b) & ~(v < np.maximum(a, b) - tau)
+                & (a <= cap) & (b <= cap))
+        if not live.any():
+            return [(Verdict.HOLDS, None)] * W
+        inf_left = (np.maximum.accumulate(V, axis=0) == np.inf)[:-2]
+        inf_right = (np.maximum.accumulate(V[::-1], axis=0) == np.inf)[::-1][2:]
+        # the smallest far-side value clearly above the near-side minimum
+        right_above = np.full((T - 2, W), np.inf)
+        left_above = np.full((T - 2, W), np.inf)
+        a_lo, b_lo = a + tau, b + tau
+        for r in np.flatnonzero(live.any(axis=1)).tolist():
+            rv, lv = V[r + 2:], V[:r + 1]
+            right_above[r] = np.where(rv > a_lo[r], rv, np.inf).min(axis=0)
+            left_above[r] = np.where(lv > b_lo[r], lv, np.inf).min(axis=0)
+        level = np.zeros((T - 2, W))
+        found = np.zeros((T - 2, W), dtype=bool)
+        # an inf above the minimum shows as inf; it counts when cap is inf
+        for has, cand in (
+                (np.abs(a - b) > tau, np.where(b > a, b, a)),
+                ((right_above <= cap) & ((right_above < np.inf) | inf_right),
+                 np.where(right_above > a, right_above, a)),
+                ((left_above <= cap) & ((left_above < np.inf) | inf_left),
+                 np.where(left_above > b, left_above, b))):
+            take = has & (~found | (cand < level))
+            level = np.where(take, cand, level)
+            found |= has
+        live &= found
+        gap = v - level
+        fails = live & (gap >= tau)
+        bands = live & (np.abs(gap) < tau)
+    return _first_events(fails, bands, lambda r, w: {
+        "t": float(t[r + 1]), "value": float(v[r, w]), "endpoint_level": float(level[r, w])})
 
 
-def _farthest_below(values: np.ndarray, thresholds: np.ndarray):
-    """For each threshold, the first index whose value is strictly below it.
-
-    Works through the running minimum, which is non-increasing, so a
-    single vectorized binary search answers every threshold at once.
-    Returns indices == len(values) where no element qualifies.
-    """
-    running = np.minimum.accumulate(values)
-    return np.searchsorted(-running, -thresholds, side="right")
-
-
-def _farthest_above(values: np.ndarray, thresholds: np.ndarray):
-    running = np.maximum.accumulate(values)
-    return np.searchsorted(running, thresholds, side="right")
+def _count_at_most(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(keys[w], probes[w], side="right")`` for every row w
+    of the (W, n) matrix keys, each row non-decreasing, and the (W, q)
+    probes.  One stable sort of each row of keys and probes together
+    places equal keys before a probe, so the keys sorted before a probe
+    are the ones at most it."""
+    W, n = keys.shape
+    order = np.argsort(np.concatenate([keys, probes], axis=1), axis=1, kind="stable")
+    is_probe = order >= n
+    at_most = np.cumsum(~is_probe, axis=1)[is_probe].reshape(W, -1)
+    out = np.empty(probes.shape, dtype=np.intp)
+    np.put_along_axis(out, order[is_probe].reshape(W, -1) - n, at_most, axis=1)
+    return out
 
 
 def _nearest_qualifying(v: np.ndarray, b: int, left: bool, thr: float,
@@ -250,79 +270,78 @@ def _nearest_qualifying(v: np.ndarray, b: int, left: bool, thr: float,
     return None
 
 
-def _pseudo_scan(t: np.ndarray, v: np.ndarray, d_plus: np.ndarray,
-                 d_minus: np.ndarray, tau: float):
-    """Pseudoconvexity and pseudoconcavity over all ordered grid pairs.
+def _pseudo_scan(t: np.ndarray, V: np.ndarray, D_plus: np.ndarray,
+                 D_minus: np.ndarray, tau: float):
+    """Pseudoconvexity and pseudoconcavity over all ordered grid pairs, for
+    every column of the (T, W) value matrix V with its one-sided unit
+    derivatives D_plus and D_minus.
 
     The derivative at b toward a is the one-sided unit derivative scaled
     by |t_a - t_b|, which is monotone in the distance for a fixed side of
     b.  Each (base point, side) therefore only needs its farthest
-    qualifying partner (for clear violations) and, in the rare regime of
+    qualifying partner (for clear violations), found for every column at
+    once by searches over running extrema, and, in the rare regime of
     derivatives smaller than the band over one grid step, its nearest one
-    (for band detection); both come from running-extremum binary searches
-    instead of the full pair matrix.
+    (for band detection), found by a walk.  Events are read in the order
+    of (b, left side first); a column FAILS at its first violation, else
+    it is UNDETERMINED at its first band event.  Returns the per-column
+    (verdict, witness) lists of both classes and the per-column counts of
+    ordered pairs within the domain.
     """
-    n = v.size
-    dom = v < np.inf
-    n_dom = int(np.count_nonzero(dom))
-    pair_count = n_dom * (n_dom - 1)
+    T, W = V.shape
+    dom = V < np.inf
+    n_dom = np.count_nonzero(dom, axis=0)
     step_min = float(np.min(np.diff(t)))
     # qualifying values for the ascent trigger must themselves be in dom
-    vq = np.where(dom, v, -np.inf)
-    rev = v[::-1]
-    rev_q = vq[::-1]
+    Vq = np.where(dom, V, -np.inf)
+    lo_thr = V - tau        # descent trigger: phi(a) < phi(b) - tau
+    hi_thr = V + tau        # ascent trigger: phi(a) > phi(b) + tau
+    # the first a whose running extremum passes the threshold is the first
+    # qualifying a; on the reversed column it gives the last one
+    keys = np.concatenate([-np.minimum.accumulate(V, axis=0),
+                           -np.minimum.accumulate(V[::-1], axis=0),
+                           np.maximum.accumulate(Vq, axis=0),
+                           np.maximum.accumulate(Vq[::-1], axis=0)], axis=1)
+    probes = np.concatenate([-lo_thr, -lo_thr, hi_thr, hi_thr], axis=1)
+    counts = _count_at_most(keys.T, probes.T).T.reshape(T, 2, 2, W)
 
-    lo_thr = v - tau        # descent trigger: phi(a) < phi(b) - tau
-    hi_thr = v + tau        # ascent trigger: phi(a) > phi(b) + tau
-    far_left_lo = _farthest_below(v, lo_thr)              # smallest such a
-    far_right_lo = n - 1 - _farthest_below(rev, lo_thr)   # largest such a
-    far_left_hi = _farthest_above(vq, hi_thr)
-    far_right_hi = n - 1 - _farthest_above(rev_q, hi_thr)
+    # (class, b, side, w) arrays, read as (class, 2b + side, w): class 0 is
+    # pseudoconvexity with its descent partners, class 1 pseudoconcavity
+    # with its ascent partners and the derivative negated, so that one set
+    # of tests serves both; side 0 is the left one
+    counts = counts.transpose(1, 0, 2, 3)
+    b = np.arange(T)[:, None, None]
+    right = np.arange(2)[:, None] == 1
+    partner = np.where(right, T - 1 - counts, counts)
+    exists = dom[:, None, :] & np.where(right, b < partner, partner < b)
+    dist = np.abs(t[b] - t[np.minimum(partner, T - 1)])  # unused where no partner exists
+    d = np.stack([D_minus, D_plus], axis=1)
+    d = np.stack([d, -d])
+    with np.errstate(invalid="ignore"):
+        viol = exists & ((d == np.inf) | ((d > 0) & (d * dist >= tau)))
+        band = exists & ~viol & (d >= 0)
+        near = exists & ~viol & ~band & (d > -np.inf) & (-d < tau / step_min)
+    viol, band, near, dist, d = (x.reshape(2, 2 * T, W) for x in (viol, band, near, dist, d))
+    # a nearest-partner band event only matters before every other event
+    k = np.arange(2 * T)[:, None]
+    first_band = np.where(band.any(axis=1), band.argmax(axis=1), 2 * T)[:, None, :]
+    walks = near & ~viol.any(axis=1, keepdims=True) & (k < first_band)
+    for c, r, w in np.argwhere(walks).tolist():
+        bb = r // 2
+        column, thr = (V, lo_thr) if c == 0 else (Vq, hi_thr)
+        a = _nearest_qualifying(column[:, w], bb, r % 2 == 0, thr[bb, w], c == 0)
+        if a is not None and d[c, r, w] * abs(t[bb] - t[a]) > -tau:
+            band[c, r, w] = True
+            dist[c, r, w] = abs(t[bb] - t[a])
+    with np.errstate(invalid="ignore"):
+        value = np.where(np.isfinite(d), d * dist, d)
+    value[1] = -value[1]
 
-    cvx = [Verdict.HOLDS, None]
-    ccv = [Verdict.HOLDS, None]
+    def witness(c):
+        return lambda r, w: {"b": float(t[r // 2]), "derivative": float(value[c, r, w])}
 
-    def settle(state, kind, b, dist, d):
-        value = d * dist if np.isfinite(d) else d
-        witness = {"b": float(t[b]), "derivative": float(value)}
-        if kind == "viol" and state[0] is not Verdict.FAILS:
-            state[0] = Verdict.FAILS
-            state[1] = witness
-        elif kind == "band" and state[0] is Verdict.HOLDS:
-            state[0] = Verdict.UNDETERMINED
-            state[1] = witness
-
-    for b in range(n):
-        if not dom[b]:
-            continue
-        for left, d in ((True, d_minus[b]), (False, d_plus[b])):
-            # descent side: a with phi(a) clearly below phi(b)
-            a_far = far_left_lo[b] if left else far_right_lo[b]
-            exists = (a_far < b) if left else (b < a_far <= n - 1)
-            if exists:
-                dmax = abs(t[b] - t[a_far])
-                if d == np.inf or (d > 0 and d * dmax >= tau):
-                    settle(cvx, "viol", b, dmax, d)
-                elif d >= 0:
-                    settle(cvx, "band", b, dmax, d)
-                elif d > -np.inf and -d < tau / step_min:
-                    a = _nearest_qualifying(v, b, left, lo_thr[b], True)
-                    if a is not None and d * abs(t[b] - t[a]) > -tau:
-                        settle(cvx, "band", b, abs(t[b] - t[a]), d)
-            # ascent side: a with phi(a) clearly above phi(b)
-            a_far = far_left_hi[b] if left else far_right_hi[b]
-            exists = (a_far < b) if left else (b < a_far <= n - 1)
-            if exists:
-                dmax = abs(t[b] - t[a_far])
-                if d == -np.inf or (d < 0 and d * dmax <= -tau):
-                    settle(ccv, "viol", b, dmax, d)
-                elif d <= 0:
-                    settle(ccv, "band", b, dmax, d)
-                elif d < np.inf and d < tau / step_min:
-                    a = _nearest_qualifying(vq, b, left, hi_thr[b], False)
-                    if a is not None and d * abs(t[b] - t[a]) < tau:
-                        settle(ccv, "band", b, abs(t[b] - t[a]), d)
-    return (cvx[0], cvx[1]), (ccv[0], ccv[1]), pair_count
+    return (_first_events(viol[0], band[0], witness(0)),
+            _first_events(viol[1], band[1], witness(1)), n_dom * (n_dom - 1))
 
 
 def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
@@ -339,7 +358,7 @@ def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
     if t.size < 3:
         raise GridTooCoarse("path classification needs at least 3 grid points")
 
-    ssqc_verdict, ssqc_witness = _ssqc_scan(t, v, tau)
+    (ssqc_verdict, ssqc_witness), = _ssqc_scan(t, v[:, None], tau)
     if path.breakpoints is not None:
         d_plus, d_minus = _exact_grid_slopes(path.breakpoints, t)
     else:
@@ -347,7 +366,8 @@ def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
         fw = path.eval_many((t[:, None] + steps[None, :]).ravel()).reshape(t.size, -1)
         bw = path.eval_many((t[:, None] - steps[None, :]).ravel()).reshape(t.size, -1)
         d_plus, d_minus = dini_table(v, fw, steps), dini_table(v, bw, steps)
-    (cvx, cvx_w), (ccv, ccv_w), pairs = _pseudo_scan(t, v, d_plus, d_minus, tau)
+    ((cvx, cvx_w),), ((ccv, ccv_w),), pairs = _pseudo_scan(
+        t, v[:, None], d_plus[:, None], d_minus[:, None], tau)
 
     diffs = np.diff(v)
     dec = diffs < -tau
@@ -362,7 +382,7 @@ def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
     t0 = float(t[t.size - 1 - j])
     t0 = max(t0, s0)
 
-    resolution = {"grid_size": int(t.size), "pairs": pairs,
+    resolution = {"grid_size": int(t.size), "pairs": int(pairs[0]),
                   "dini": cfg.to_dict(), "tau_strict": tau,
                   "exact": path.breakpoints is not None}
     return ConvexityReport(

@@ -231,10 +231,36 @@ def _excess(inner: SetValue, outer: SetValue) -> float:
 
 def adjacent_excesses(ray: RayValues) -> np.ndarray:
     """(T - 1, 2) excesses of neighbouring ray samples: row k holds the
-    excess of F(t_k+1) over F(t_k), then that of F(t_k) over F(t_k+1)."""
+    excess of F(t_k+1) over F(t_k), then that of F(t_k) over F(t_k+1).
+
+    A ray of nonempty, bounded clouds of one shape is stacked to (T, p, m)
+    and takes one array pass: the same differences as ``_excess``,
+    reduced over the same axes, so the same bits.  Any other ray compares
+    its pairs one at a time.
+    """
     v = ray.values
+    if (len(v) > 1 and not any(x.whole_space or x.is_empty for x in v)
+            and len({x.points.shape for x in v}) == 1):
+        P = np.stack([x.points for x in v])
+        return np.stack([_excess_rows(P[1:], P[:-1]), _excess_rows(P[:-1], P[1:])], axis=1)
     return np.array([(_excess(v[k + 1], v[k]), _excess(v[k], v[k + 1]))
                      for k in range(len(v) - 1)]).reshape(-1, 2)
+
+
+# difference entries one array pass of _excess_rows may hold (16 MB of floats)
+_EXCESS_BLOCK = 1 << 21
+
+
+def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """``_excess`` of inner[k] over outer[k] for stacked (K, p, m) clouds,
+    in blocks of rows that keep the (rows, p, q, m) differences bounded."""
+    K, p, m = inner.shape
+    rows = max(1, _EXCESS_BLOCK // (p * outer.shape[1] * m))
+    out = np.empty(K)
+    for k in range(0, K, rows):
+        d = inner[k:k + rows, :, None, :] - outer[k:k + rows, None, :, :]
+        out[k:k + rows] = np.sqrt(np.sum(d * d, axis=3)).min(axis=2).max(axis=1)
+    return out
 
 
 def hausdorff_check_radial(rays: list[RayValues], excesses: list[np.ndarray], eps_list,

@@ -57,19 +57,6 @@ class VIVerdict:
                 "per_x": self.per_x, "resolution": self.resolution}
 
 
-def _derivative_row(map: SetMap, base, target, wstar: WStarSample,
-                    cfg: DiniConfig):
-    """Per-weight lower derivative at `base` toward `target`, plus the base
-    scalarizations (needed for the properness guard of the convex Minty form)."""
-    base = np.asarray(base, dtype=float)
-    target = np.asarray(target, dtype=float)
-    steps = cfg.step_grid()
-    svals = np.concatenate([[0.0], steps])
-    phis = ray_scalarizations(map, base, target, svals, wstar.weights)
-    derivs = dini_table(phis[0], phis[1:].T, steps)
-    return derivs, phis[0]
-
-
 def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
              cfg: DiniConfig | None = None, kind: str = "mvi",
              tau: float = TAU_STRICT, vi_domain: str = "formula") -> VIVerdict:
@@ -95,19 +82,33 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                          resolution={**resolution, "degenerate_whole_space": True})
 
     quantify_dom_only = (kind == "svi" and vi_domain == "formula") or vi_domain == "dom"
+    minty = kind in ("mvi", "mvi2")
+    rows = [i for i in range(map.domain.shape[0])
+            if not (quantify_dom_only and map.values[i].is_empty)]
+    # one (S+1, W) scalarization table per x: s = 0, then the Dini steps,
+    # from x toward x0 (Minty) or from x0 toward x (Stampacchia); the
+    # derivatives of every (x, weight) row come from one dini_table call
+    steps = cfg.step_grid()
+    svals = np.concatenate([[0.0], steps])
+    W = len(wstar)
+    tables = np.empty((len(rows), svals.size, W))
+    for r, i in enumerate(rows):
+        x = map.domain[i]
+        base, target = (x, x0) if minty else (x0, x)
+        tables[r] = ray_scalarizations(map, base, target, svals, wstar.weights)
+    probes = np.ascontiguousarray(tables[:, 1:].transpose(0, 2, 1)).reshape(-1, steps.size)
+    derivs_all = dini_table(tables[:, 0].ravel(), probes, steps).reshape(len(rows), W)
+
     per_x = []
     verdict = Verdict.HOLDS
-    for i in range(map.domain.shape[0]):
+    for r, i in enumerate(rows):
         x = map.domain[i]
-        if quantify_dom_only and map.values[i].is_empty:
-            continue
-        if kind in ("mvi", "mvi2"):
-            derivs, phi_base = _derivative_row(map, x, x0, wstar, cfg)
+        derivs = derivs_all[r]
+        if minty:
             ok = derivs <= tau
             if kind == "mvi2":
-                ok &= phi_base > -np.inf
+                ok &= tables[r, 0] > -np.inf
         else:
-            derivs, _ = _derivative_row(map, x0, x, wstar, cfg)
             ok = derivs >= -tau
         hits = np.flatnonzero(ok)
         if hits.size:
@@ -116,8 +117,7 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                           "w": wstar.weights[j].tolist(),
                           "derivative": float(derivs[j])})
         else:
-            j = int(np.argmin(derivs)) if kind in ("mvi", "mvi2") \
-                else int(np.argmax(derivs))
+            j = int(np.argmin(derivs)) if minty else int(np.argmax(derivs))
             per_x.append({"x_index": i, "x": x.tolist(), "witness_w": None,
                           "best_w": wstar.weights[j].tolist(),
                           "derivative": float(derivs[j])})
@@ -129,16 +129,17 @@ def replay_derivative(map: SetMap, x0, wstar: WStarSample, cfg: DiniConfig,
                       kind: str, x, w_index: int) -> float:
     """Recompute the derivative a verdict recorded for (x, w).
 
-    Runs the same batched evaluation as the original check and selects the
-    recorded weight column, so the float comes back bit-identical.
+    Tabulates the same (S+1, W) scalarizations as the original check, for
+    this x alone, and selects the recorded weight column; dini_table is
+    elementwise in its rows, so the float comes back bit-identical.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if kind in ("mvi", "mvi2"):
-        derivs, _ = _derivative_row(map, x, x0, wstar, cfg)
-    else:
-        derivs, _ = _derivative_row(map, x0, x, wstar, cfg)
-    return float(derivs[w_index])
+    base, target = (x, x0) if kind in ("mvi", "mvi2") else (x0, x)
+    steps = cfg.step_grid()
+    phis = ray_scalarizations(map, base, target, np.concatenate([[0.0], steps]),
+                              wstar.weights)
+    return float(dini_table(phis[0], phis[1:].T, steps)[w_index])
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,7 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
     stride = max(1, int(np.ceil(n / max_rays)))
     ray_indices = list(range(0, n, stride))
     steps = cfg.step_grid()
+    S, W = steps.size, len(wstar)
 
     star = Verdict.HOLDS
     star_witness = None
@@ -199,22 +201,22 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
         probe_ts = np.concatenate([(t_eff[:, None] + steps[None, :]).ravel(),
                                    (t_eff[:, None] - steps[None, :]).ravel()])
         inside = (probe_ts >= 0.0) & (probe_ts <= 1.0)
-        probe_phis = np.full((probe_ts.size, len(wstar)), np.inf)
+        probe_phis = np.full((probe_ts.size, W), np.inf)
         if np.any(inside):
             probe_phis[inside] = ray_scalarizations(map, ray.x0, x, probe_ts[inside],
                                                     wstar.weights)
-        fw = probe_phis[: T * steps.size].reshape(T, steps.size, -1)
-        bw = probe_phis[T * steps.size:].reshape(T, steps.size, -1)
-        for widx in range(len(wstar)):
-            v = phis[:, widx]
-            d_plus = dini_table(v, fw[:, :, widx], steps)
-            d_minus = dini_table(v, bw[:, :, widx], steps)
-            sv, sw = _ssqc_scan(t_eff, v, tau)
-            (cv, cw), (ccv, ccw), _ = _pseudo_scan(t_eff, v, d_plus, d_minus, tau)
-            for name, verdict, witness in (("ssqc", sv, sw), ("pconvex", cv, cw),
-                                           ("pconcave", ccv, ccw)):
+        # rows (t, w) with the step axis last: one dini_table call per side
+        fw, bw = (np.ascontiguousarray(half.reshape(T, S, W).transpose(0, 2, 1))
+                  .reshape(T * W, S) for half in (probe_phis[:T * S], probe_phis[T * S:]))
+        d_plus, d_minus = (dini_table(phis.ravel(), probes, steps).reshape(T, W)
+                           for probes in (fw, bw))
+        cvx, ccv, _ = _pseudo_scan(t_eff, phis, d_plus, d_minus, tau)
+        for name, results in (("ssqc", _ssqc_scan(t_eff, phis, tau)), ("pconvex", cvx),
+                              ("pconcave", ccv)):
+            for widx, (verdict, witness) in enumerate(results):
                 # only a strictly worse verdict replaces the recorded witness
-                if worst(class_verdicts[name], verdict) is not class_verdicts[name]:
+                current = class_verdicts[name]
+                if verdict is not current and worst(current, verdict) is not current:
                     class_verdicts[name] = verdict
                     class_witness[name] = {"x": x.tolist(), "w_index": widx,
                                            **(witness or {})}
@@ -284,6 +286,10 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     along the surveyed rays so that genuine jumps fail while smooth
     instances pass at their own scale; pass ``eps_list`` to override.
     """
+    if ray_grid_size < 2:
+        raise ValueError(f"ray_grid_size must be an integer >= 2, not {ray_grid_size!r}")
+    if max_rays < 1:
+        raise ValueError(f"max_rays must be an integer >= 1, not {max_rays!r}")
     cfg = cfg or DiniConfig()
     x0, v0 = base_value(map, x0)
     rays = radial_rays(map, x0, np.linspace(0.0, 1.0, ray_grid_size))

@@ -392,28 +392,31 @@ def _brute_ssqc(t, v, tau):
 
 
 def test_pair_scans_match_brute_force_reference():
+    # every column of one matrix call against the naive scans of that column
     from setvi.analysis import _pseudo_scan, _ssqc_scan
 
     rng = np.random.default_rng(97)
     tau = 1e-9
     for trial in range(150):
         n = int(rng.integers(4, 12))
+        W = int(rng.integers(1, 6))
         t = np.sort(rng.uniform(0, 1, size=n))
         t[0], t[-1] = 0.0, 1.0
         if np.any(np.diff(t) <= 0):
             continue
-        v = np.round(rng.uniform(-2, 2, size=n), 2)  # exact-tie opportunities
+        V = np.round(rng.uniform(-2, 2, size=(n, W)), 2)  # exact-tie opportunities
         if trial % 3 == 0:
-            v[rng.integers(0, n)] = np.inf
-        d_plus = rng.choice([-np.inf, -1.5, -2e-9, -1e-12, 0.0, 1e-12, 2e-9, 2.0, np.inf],
-                            size=n)
-        d_minus = rng.choice([-np.inf, -0.5, -2e-9, 0.0, 2e-9, 3.0, np.inf], size=n)
-        got = _pseudo_scan(t, v, d_plus, d_minus, tau)
-        want = _brute_pseudo(t, v, d_plus, d_minus, tau)
-        assert got[0][0] is want[0], f"trial {trial}: pseudoconvex {got[0][0]} != {want[0]}"
-        assert got[1][0] is want[1], f"trial {trial}: pseudoconcave {got[1][0]} != {want[1]}"
-        sv, _ = _ssqc_scan(t, v, tau)
-        assert sv is _brute_ssqc(t, v, tau), f"trial {trial}: ssqc"
+            V[rng.integers(0, n, size=W), np.arange(W)] = np.inf
+        D_plus = rng.choice([-np.inf, -1.5, -2e-9, -1e-12, 0.0, 1e-12, 2e-9, 2.0, np.inf],
+                            size=(n, W))
+        D_minus = rng.choice([-np.inf, -0.5, -2e-9, 0.0, 2e-9, 3.0, np.inf], size=(n, W))
+        cvx, ccv, _ = _pseudo_scan(t, V, D_plus, D_minus, tau)
+        ssqc = _ssqc_scan(t, V, tau)
+        for w in range(W):
+            want = _brute_pseudo(t, V[:, w], D_plus[:, w], D_minus[:, w], tau)
+            assert cvx[w][0] is want[0], f"trial {trial} column {w}: pseudoconvex"
+            assert ccv[w][0] is want[1], f"trial {trial} column {w}: pseudoconcave"
+            assert ssqc[w][0] is _brute_ssqc(t, V[:, w], tau), f"trial {trial} column {w}: ssqc"
 
 
 def test_ascent_band_partner_stays_in_the_domain():
@@ -426,6 +429,7 @@ def test_ascent_band_partner_stays_in_the_domain():
     v = np.array([0.0, np.inf, 5.0, 5.0, 5.0])
     d_plus = np.array([3e-9, 0.0, 0.0, 0.0, np.inf])
     d_minus = np.array([np.inf, 0.0, 0.0, 0.0, 0.0])
-    _, (ccv, witness), _ = _pseudo_scan(t, v, d_plus, d_minus, 1e-9)
+    _, ((ccv, witness),), _ = _pseudo_scan(t, v[:, None], d_plus[:, None],
+                                           d_minus[:, None], 1e-9)
     assert (ccv, witness) == (Verdict.HOLDS, None)
     assert _brute_pseudo(t, v, d_plus, d_minus, 1e-9)[1] is Verdict.HOLDS

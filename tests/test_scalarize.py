@@ -121,21 +121,31 @@ def _radial(rays, eps_list, tau=TAU_STRICT):
                                   tau=tau)
 
 
-@pytest.fixture()
-def excess_calls(monkeypatch):
-    """Count ``_excess`` calls through every setvi module that binds it."""
+def _count_calls(monkeypatch, name):
+    """Count calls of ``setvi.scalarize.<name>`` through every setvi module
+    that binds it."""
     module = sys.modules["setvi.scalarize"]  # setvi.scalarize is the function
-    excess = module._excess
+    func = getattr(module, name)
     calls = []
 
-    def counted(inner, outer):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return excess(inner, outer)
+        return func(*args, **kwargs)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("setvi.") and getattr(mod, "_excess", None) is excess:
-            monkeypatch.setattr(mod, "_excess", counted)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("setvi.") and getattr(mod, name, None) is func:
+            monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+@pytest.fixture()
+def excess_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_excess")
+
+
+@pytest.fixture()
+def adjacent_calls(monkeypatch):
+    return _count_calls(monkeypatch, "adjacent_excesses")
 
 
 def _reference_radial(rays, eps_list, tau):
@@ -230,24 +240,79 @@ class TestHausdorff:
                 _reference_radial(rays, eps, tau)
 
     def test_radial_scan_compares_only_neighbours(self, excess_calls):
-        # one excess per adjacent pair and direction: 2 (T - 1) per ray, and
-        # the check itself reads them instead of computing any
+        # uniform clouds take one array pass per ray, and the check itself
+        # reads the excesses instead of computing any
         T = 9
         m = builtin_map("quadratic_vector", {"targets": [0, 1]},
                         domain=np.linspace(-1, 2, 7).reshape(-1, 1))
         rays = radial_rays(m, [0.5], np.linspace(0, 1, T))
         excesses = [adjacent_excesses(r) for r in rays]
-        assert len(excess_calls) == 2 * (T - 1) * len(rays)
+        assert [e.shape for e in excesses] == [(T - 1, 2)] * len(rays)
+        assert len(excess_calls) == 0
         hausdorff_check_radial(rays, excesses, eps_list=[0.5])
-        assert len(excess_calls) == 2 * (T - 1) * len(rays)
+        assert len(excess_calls) == 0
 
-    def test_chain_computes_each_adjacent_excess_once(self, excess_calls):
-        # the default eps and the radial check share one table per ray
+    def test_ragged_ray_compares_each_adjacent_pair_once(self, excess_calls):
+        # clouds of several sizes fall back to one excess per adjacent pair
+        # and direction: 2 (T - 1) on the ray
+        problem = load_problem({
+            "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
+            "map": {"tabulated": [
+                {"x": [0.0], "points": [[0, 0]]},
+                {"x": [0.25], "points": [[0, 1], [1, 0]]},
+                {"x": [0.5], "points": [[1, 1]]},
+                {"x": [0.75], "points": [[2, 1], [1, 2], [0, 3]]},
+                {"x": [1.0], "points": [[2, 2], [3, 0]]},
+            ]},
+        })
+        ray = radial_rays(problem.map, [0.0], np.linspace(0, 1, 9))[-1]
+        T = ray.t_grid.size
+        assert T == 5
+        ex = adjacent_excesses(ray)
+        assert len(excess_calls) == 2 * (T - 1) and ex.shape == (T - 1, 2)
+
+    def test_chain_computes_each_adjacent_excess_once(self, excess_calls, adjacent_calls):
+        # the default eps and the radial check share one table per ray, and
+        # uniform clouds fill it in one array pass
         m = builtin_map("quadratic_vector", {"targets": [0, 1]},
                         domain=np.linspace(-1, 2, 7).reshape(-1, 1))
         theorem_chain(m, [0.5], ORTHANT, WS, ray_grid_size=9)
-        rays = radial_rays(m, [0.5], np.linspace(0, 1, 9))
-        assert len(excess_calls) == sum(2 * (r.t_grid.size - 1) for r in rays)
+        assert len(adjacent_calls) == len(radial_rays(m, [0.5], np.linspace(0, 1, 9)))
+        assert len(excess_calls) == 0
+
+    @pytest.mark.parametrize("block", [None, 1, 300])
+    def test_array_pass_matches_the_pair_loop_bit_for_bit(self, monkeypatch, block):
+        # seeded rays of every kind: uniform clouds (the array pass, whole or
+        # in blocks of rows), ragged, empty and whole-space values and
+        # one-sample rays (the pair loop)
+        if block is not None:
+            monkeypatch.setattr(sys.modules["setvi.scalarize"], "_EXCESS_BLOCK", block)
+        rng = np.random.default_rng(41)
+        kinds = {"uniform": 0, "other": 0}
+        for _ in range(400):
+            T = int(rng.integers(1, 12))
+            m = int(rng.integers(1, 11))
+            p = int(rng.integers(1, 9))
+            style = rng.choice(["uniform", "ragged", "empty", "whole"], p=[0.5, 0.2, 0.15, 0.15])
+            values = []
+            for _ in range(T):
+                n = p if style == "uniform" else int(rng.integers(1, 5))
+                scale = rng.choice([1e-3, 1.0, 1e3])
+                values.append(SetValue.make(rng.normal(size=(n, m)) * scale))
+            if style in ("empty", "whole") and T:
+                k = int(rng.integers(0, T))
+                values[k] = SetValue.make([], whole_space=style == "whole", dim=m)
+            ray = RayValues(x0=np.zeros(1), x=np.ones(1), t_grid=np.linspace(0, 1, T),
+                            values=tuple(values))
+            want = np.array([(_excess(values[k + 1], values[k]),
+                              _excess(values[k], values[k + 1]))
+                             for k in range(T - 1)]).reshape(-1, 2)
+            got = adjacent_excesses(ray)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            uniform = T > 1 and len({v.points.shape for v in values}) == 1 and not any(
+                v.whole_space or v.is_empty for v in values)
+            kinds["uniform" if uniform else "other"] += 1
+        assert min(kinds.values()) > 100
 
 
 def test_continuity_bridge_scales_with_weight_norms():

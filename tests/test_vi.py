@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,35 @@ class TestTheoremChain:
                                           np.array(entry["x"]),
                                           entry["witness_w"])
                 assert again == entry["derivative"]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"ray_grid_size": 1}, "ray_grid_size must be an integer >= 2"),
+        ({"ray_grid_size": 0}, "ray_grid_size must be an integer >= 2"),
+        ({"max_rays": 0}, "max_rays must be an integer >= 1"),
+    ])
+    def test_grid_arguments_are_checked_up_front(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            theorem_chain(quad_map(), [0.5], ORTHANT, WS, cfg=CFG, tau=TAU, **kwargs)
+
+    @pytest.mark.parametrize("max_rays", [1, 4, 8, 13])
+    def test_dini_tables_per_surveyed_ray_and_per_vi_check(self, monkeypatch, max_rays):
+        # two batched dini_table calls per surveyed ray (one per side) and
+        # one per vi_check, whatever the number of weights and samples
+        table = sys.modules["setvi.analysis"].dini_table
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return table(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("setvi.") and getattr(mod, "dini_table", None) is table:
+                monkeypatch.setattr(mod, "dini_table", counted)
+        rep = theorem_chain(quad_map(), [0.5], ORTHANT, WS, cfg=CFG, tau=TAU,
+                            max_rays=max_rays)
+        surveyed = rep.hypotheses["star_shaped"].resolution["rays"]
+        assert surveyed == len(range(0, GRID.shape[0], -(-GRID.shape[0] // max_rays)))
+        assert len(calls) == 2 * surveyed + 2
 
 
 HOLDING = {name: CheckResult(Verdict.HOLDS)
