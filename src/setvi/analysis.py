@@ -241,8 +241,10 @@ def _ssqc_scan(t: np.ndarray, V: np.ndarray, tau: float) -> list:
         gap = v - level
         fails = live & (gap >= tau)
         bands = live & (np.abs(gap) < tau)
+    # + 0.0 stores a zero level as 0.0: which of -0.0 and 0.0 a minimum
+    # returns depends on its reduction order
     return _first_events(fails, bands, lambda r, w: {
-        "t": float(t[r + 1]), "value": float(v[r, w]), "endpoint_level": float(level[r, w])})
+        "t": float(t[r + 1]), "value": float(v[r, w]), "endpoint_level": float(level[r, w] + 0.0)})
 
 
 def _count_at_most(keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
@@ -337,8 +339,8 @@ def _pseudo_scan(t: np.ndarray, V: np.ndarray, D_plus: np.ndarray,
         value = np.where(np.isfinite(d), d * dist, d)
     value[1] = -value[1]
 
-    def witness(c):
-        return lambda r, w: {"b": float(t[r // 2]), "derivative": float(value[c, r, w])}
+    def witness(c):  # + 0.0 as in _ssqc_scan
+        return lambda r, w: {"b": float(t[r // 2]), "derivative": float(value[c, r, w] + 0.0)}
 
     return (_first_events(viol[0], band[0], witness(0)),
             _first_events(viol[1], band[1], witness(1)), n_dom * (n_dom - 1))

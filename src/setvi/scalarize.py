@@ -35,9 +35,65 @@ def scalarize_many(value: SetValue, weights: np.ndarray) -> np.ndarray:
     return np.min(value.points @ weights.T, axis=0)
 
 
-def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Scalarize a (T, p, m) stack of clouds under (n, m) weights -> (T, n)."""
+# clouds of fewer points skip the dominance scan of scalarize_batch.  A
+# measured cost rule (2-vCPU host, 21- and 360-row stacks, 33 and 84
+# weights): from 8 points on, pruning a chain takes 0.16-1.25x the unpruned
+# time and a scan that drops nothing (an antichain) costs at most 1.2x;
+# below 8 points the fixed cost of the scan wins on short stacks.
+_PRUNE_MIN_POINTS = 8
+
+
+def _products_min(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("tpm,nm->tpn", clouds, weights).min(axis=1)
+
+
+def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Scalarize a (T, p, m) stack of clouds under (n, m) weights -> (T, n).
+
+    Only points that no other point of their cloud dominates
+    componentwise can attain the minimum under weights >= 0, and rounding
+    keeps that: when w >= 0 and a <= b in every coordinate, each rounded
+    product and each rounded partial sum of fl(w . a) is at most its
+    counterpart in fl(w . b), in any fixed evaluation order, because
+    rounding is monotone.  This needs no rounding bound, only that nothing
+    overflows (inf - inf is NaN).  So for weights >= 0 and at least
+    ``_PRUNE_MIN_POINTS`` points, the dominance order is read once on
+    ``clouds[0]``, each point that is not minimal there gets one minimal
+    dominator, and it is dropped when that dominator dominates it on every
+    row.  The minimum keeps its value, and equal values share their bits
+    except a zero, whose sign depends on which zero the reduction meets
+    first: a row whose minimum is a zero is taken again over every point.
+    The einsum computes each (t, p, n) entry the same way in any stack, so
+    the result has the bits of the unpruned reduction.
+    """
+    T, p, m = clouds.shape
+    if p < _PRUNE_MIN_POINTS or T == 0 or not (weights >= 0).all():
+        return _products_min(clouds, weights)
+    c0 = clouds[0].T
+    below = c0[0][:, None] <= c0[0]                 # below[i, j]: a_i <= a_j
+    for k in range(1, m):
+        below &= c0[k][:, None] <= c0[k]
+    if np.count_nonzero(below) == p:                # an antichain: nothing drops
+        return _products_min(clouds, weights)
+    # every |partial sum| is at most max|a| * max_n sum_k w_nk
+    if not (float(np.abs(clouds).max()) * float(weights.sum(axis=1).max())
+            <= np.finfo(float).max / 4):
+        return _products_min(clouds, weights)
+    # a strict order: a_i <= a_j, except a_i = a_j with i >= j
+    precedes = below & ~(below.T & np.tri(p, dtype=bool))
+    minimal = ~precedes.any(axis=0)
+    dropped = np.flatnonzero(~minimal)
+    dominator = (precedes[:, dropped] & minimal[:, None]).argmax(axis=0)
+    holds = clouds[:, dominator, 0] <= clouds[:, dropped, 0]
+    for k in range(1, m):
+        holds &= clouds[:, dominator, k] <= clouds[:, dropped, k]
+    keep = minimal
+    keep[dropped[~holds.all(axis=0)]] = True
+    out = _products_min(clouds[:, keep], weights)
+    zero = (out == 0.0).any(axis=1)
+    if zero.any():
+        out[zero] = _products_min(clouds[zero], weights)
+    return out
 
 
 def interp_extended(knots: np.ndarray, values: np.ndarray,
@@ -253,14 +309,34 @@ _EXCESS_BLOCK = 1 << 21
 
 def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """``_excess`` of inner[k] over outer[k] for stacked (K, p, m) clouds,
-    in blocks of rows that keep the (rows, p, q, m) differences bounded."""
+    in blocks of rows that keep the (rows, p, q, m) differences bounded.
+
+    The reductions run on squared distances and one square root follows:
+    ``sqrt`` is monotone and correctly rounded, so the square root of a
+    minimum or maximum is the minimum or maximum of the square roots, bit
+    for bit.  ``np.sum`` adds fewer than 8 terms one after another, so for
+    m < 8 the squares are summed one coordinate at a time, which gives its
+    bits without the 4-D array; from 8 terms on it sums pairwise, and the
+    4-D squares go through ``np.sum`` itself.
+    """
     K, p, m = inner.shape
     rows = max(1, _EXCESS_BLOCK // (p * outer.shape[1] * m))
     out = np.empty(K)
     for k in range(0, K, rows):
-        d = inner[k:k + rows, :, None, :] - outer[k:k + rows, None, :, :]
-        out[k:k + rows] = np.sqrt(np.sum(d * d, axis=3)).min(axis=2).max(axis=1)
-    return out
+        a, b = inner[k:k + rows, :, None, :], outer[k:k + rows, None, :, :]
+        if m < 8:
+            s = a[..., 0] - b[..., 0]
+            s *= s
+            for j in range(1, m):
+                d = a[..., j] - b[..., j]
+                d *= d
+                s += d
+        else:
+            d = a - b
+            d *= d
+            s = np.sum(d, axis=3)
+        out[k:k + rows] = s.min(axis=2).max(axis=1)
+    return np.sqrt(out)
 
 
 def hausdorff_check_radial(rays: list[RayValues], excesses: list[np.ndarray], eps_list,

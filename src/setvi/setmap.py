@@ -211,6 +211,15 @@ def ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:
     return segment_sample_ts(map, x0, x)
 
 
+def _ray_ts(t_grid) -> np.ndarray:
+    t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1 or t.size == 0:
+        raise ValueError("t_grid must be a nonempty 1-D array")
+    if np.any(t < 0.0) or np.any(t > 1.0):
+        raise ValueError("ray grid points must lie within [0, 1]")
+    return t
+
+
 def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     """Restrict the map to the segment from x0 to x, sampled on t_grid.
 
@@ -219,11 +228,7 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     """
     x0 = _as_domain_point(map, x0)
     x = _as_domain_point(map, x)
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("t_grid must be a nonempty 1-D array")
-    if np.any(t < 0.0) or np.any(t > 1.0):
-        raise ValueError("ray grid points must lie within [0, 1]")
+    t = _ray_ts(t_grid)
     points = x0[None, :] + t[:, None] * (x - x0)[None, :]
     vals = tuple(evaluate(map, p) for p in points)
     return RayValues(x0=_readonly(x0), x=_readonly(x), t_grid=_readonly(t), values=vals)
@@ -231,8 +236,25 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
 
 def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
     """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
-    domain order: the one reading of the rays that radial checks share."""
-    return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid)) for x in map.domain]
+    domain order: the one reading of the rays that radial checks share.
+
+    A generator map with a batch kernel evaluates the points of every ray
+    in one ``eval_batch`` call.  The kernels compute each row on its own,
+    so every value has the bits ``evaluate`` gives it.
+    """
+    gen = map.generator
+    if map.kind != "generator" or gen.eval_batch is None:
+        return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid))
+                for x in map.domain]
+    x0 = _readonly(_as_domain_point(map, x0))
+    t = _readonly(_ray_ts(t_grid))
+    points = x0[None, None, :] + t[None, :, None] * (map.domain - x0)[:, None, :]
+    clouds = gen.eval_batch(points.reshape(-1, map.domain_dim))
+    if not np.all(np.isfinite(clouds)):
+        raise ValueError("set value points must be finite")
+    clouds = _readonly(clouds).reshape(points.shape[:2] + clouds.shape[1:])
+    return [RayValues(x0=x0, x=x, t_grid=t, values=tuple(SetValue(c) for c in ray))
+            for x, ray in zip(map.domain, clouds)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +320,12 @@ def _make_segment_shift(params: dict) -> _Generator:
 
     def batch(xs: np.ndarray) -> np.ndarray:
         r2 = np.sum((xs - center[None, :]) ** 2, axis=1)
-        shift = offset[None, :] + xs @ linear.T + r2[:, None] * quadratic[None, :]
+        # a fixed-order sum over the domain axis, so a row has the same bits
+        # in any batch (a matmul's do not); the first product keeps a -0.0
+        lin = xs[:, 0:1] * linear[:, 0]
+        for j in range(1, n):
+            lin = lin + xs[:, j:j + 1] * linear[:, j]
+        shift = offset[None, :] + lin + r2[:, None] * quadratic[None, :]
         return segment[None, :, :] + shift[:, None, :]
 
     return _Generator("segment_shift", dict(params), n, m, batch)

@@ -9,10 +9,13 @@ from setvi.cone import TAU_STRICT, dual_base, make_cone
 from setvi.scalarize import (
     PiecewiseLinear,
     ScalarPath,
+    _PRUNE_MIN_POINTS,
     _excess,
+    _excess_rows,
     adjacent_excesses,
     hausdorff_check_radial,
     scalar_path,
+    scalarize_batch,
     scalarize_many,
 )
 from setvi.setmap import RayValues, SetValue, builtin_map, evaluate, load_problem, radial_rays
@@ -362,3 +365,92 @@ def test_scalarize_many_matches_scalar():
         value = SetValue.make(rng.normal(size=(int(rng.integers(1, 65)), m)))
         w = rng.uniform(0.0, 1.0, size=m)
         assert scalarize_many(value, w[None, :])[0] == np.min(value.points @ w)
+
+
+def _ref_scalarize_batch(clouds, weights):
+    # the unpruned kernel, verbatim
+    return np.einsum("tpm,nm->tpn", clouds, weights).min(axis=1)
+
+
+def _stack(rng):
+    """A seeded (T, p, m) stack of clouds and (n, m) weights: chains (with
+    repeated points), antichains, coarse rounding with signed zeros, rows
+    that keep or break the first row's order, and now and then a weight
+    with a negative entry."""
+    T = 1 if rng.random() < 0.2 else int(rng.integers(1, 40))
+    p = int(rng.integers(1, _PRUNE_MIN_POINTS)) if rng.random() < 0.2 else int(rng.integers(1, 80))
+    m, n = int(rng.integers(1, 6)), int(rng.integers(1, 90))
+    scale = float(rng.choice([1e-300, 1e-3, 1.0, 1e3, 1e306]))
+    style = rng.choice(["chain", "antichain", "rounded", "normal"])
+    if style == "chain":
+        steps = rng.uniform(0, 1, size=(p, m)) * (rng.random((p, 1)) < 0.8)
+        cloud = np.cumsum(steps, axis=0)[rng.permutation(p)] - rng.uniform(0, 1, size=m)
+    elif style == "antichain":
+        s = rng.uniform(-1, 1, size=p)
+        cloud = np.column_stack([s, -s] + [rng.normal(size=p) for _ in range(m - 2)])[:, :m]
+    elif style == "rounded":
+        cloud = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], size=(p, m))
+    else:
+        cloud = rng.normal(size=(p, m))
+    cloud = cloud * scale
+    shift = rng.choice([0.0, 1.0]) * rng.normal(size=(T, 1, m)) * scale
+    noise = (rng.random((T, p, m)) < rng.choice([0.0, 0.01, 0.3])) * rng.normal(size=(T, p, m))
+    clouds = cloud[None] + shift + noise * scale
+    if style == "rounded":
+        clouds = np.where(rng.random(clouds.shape) < 0.5, -0.0, 0.0) + np.round(clouds)
+    weights = rng.uniform(0, 1, size=(n, m))
+    weights[rng.random((n, m)) < 0.3] = rng.choice([0.0, -0.0])
+    if rng.random() < 0.1:
+        weights[rng.integers(0, n), rng.integers(0, m)] = -0.25
+    return clouds, weights
+
+
+def test_scalarize_batch_matches_the_unpruned_kernel_bit_for_bit(monkeypatch):
+    module = sys.modules["setvi.scalarize"]
+    calls = []
+    kernel = module._products_min
+    monkeypatch.setattr(module, "_products_min",
+                        lambda c, w: calls.append(c.shape[:2]) or kernel(c, w))
+    rng = np.random.default_rng(20240811)
+    counts = {"negative": 0, "pruned": 0, "zero rows": 0}
+    for case in range(2500):
+        clouds, weights = _stack(rng)
+        want = _ref_scalarize_batch(clouds, weights)
+        calls.clear()
+        got = scalarize_batch(clouds, weights)
+        assert got.shape == want.shape, f"case {case}"
+        assert (got.view(np.int64) == want.view(np.int64)).all(), f"case {case}"
+        counts["negative"] += not (weights >= 0).all()
+        counts["pruned"] += calls[0][1] < clouds.shape[1]
+        counts["zero rows"] += len(calls) == 2
+    assert min(counts.values()) > 100, counts
+
+
+def test_scalarize_batch_keeps_the_nan_of_a_dominated_point():
+    # w . a overflows to -inf on the minimal point, but to inf - inf on the
+    # points it dominates: the unpruned minimum is NaN, so nothing may be
+    # dropped when a product can overflow
+    cloud = np.array([[0.0, 0.0, -1e308]] + [[1e308, 1e308, -1e308]] * 7)
+    weights = np.array([[2.0, 2.0, 2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _ref_scalarize_batch(cloud[None], weights)
+        got = scalarize_batch(cloud[None], weights)
+    assert np.isnan(want).all()
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("block", [None, 1, 500])
+def test_excess_rows_match_the_square_root_formula(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_EXCESS_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for m in range(1, 11):
+        for _ in range(40):
+            K, p, q = (int(rng.integers(1, 7)), int(rng.integers(1, 13)),
+                       int(rng.integers(1, 13)))
+            scale = float(rng.choice([1e-150, 1.0, 1e150]))
+            inner = rng.normal(size=(K, p, m)) * scale
+            outer = np.round(rng.normal(size=(K, q, m)), 1) * scale
+            d = inner[:, :, None, :] - outer[:, None, :, :]
+            want = np.sqrt(np.sum(d * d, axis=3)).min(axis=2).max(axis=1)
+            assert _excess_rows(inner, outer).tobytes() == want.tobytes(), (m, K, p, q)

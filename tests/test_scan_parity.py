@@ -6,8 +6,8 @@ names.  ``analysis._ssqc_scan`` and ``analysis._pseudo_scan`` take a
 (T, W) matrix; every column must reproduce the reference verdict and
 witness, float for float.  Floats are compared by value: which of several
 equal zeros a numpy minimum returns depends on its reduction order (it
-differs between array lengths and SIMD widths), so only the sign of a
-zero level is left open.
+differs between array lengths and SIMD widths), so the reference may give
+either zero; the matrix scans store 0.0, which the last test checks.
 """
 
 import numpy as np
@@ -226,3 +226,22 @@ def test_matrix_scans_match_the_scalar_scans_column_by_column():
             assert int(pairs[w]) == want_pairs, where
             columns += 1
     assert columns > 10000
+
+
+def test_zero_witness_levels_are_plus_zero():
+    # case 311 holds columns whose candidate levels tie between -0.0 and
+    # 0.0; which one a minimum returns depends on its reduction order, so
+    # the scans store 0.0 whatever the column's neighbours
+    rng = np.random.default_rng(20240811)
+    for _ in range(311):
+        _case(rng)
+    t, V, D_plus, D_minus, tau = _case(rng)
+    zeros = 0
+    W = V.shape[1]
+    for idx in [np.arange(W), np.arange(W)[::-1]] + [[w] for w in range(W)]:
+        cvx, ccv, _ = _pseudo_scan(t, V[:, idx], D_plus[:, idx], D_minus[:, idx], tau)
+        levels = [w["endpoint_level"] for _, w in _ssqc_scan(t, V[:, idx], tau) if w]
+        levels += [w["derivative"] for _, w in cvx + ccv if w]
+        zeros += sum(level == 0.0 for level in levels)
+        assert not any(level == 0.0 and np.signbit(level) for level in levels), idx
+    assert zeros >= 6

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,10 +13,14 @@ from setvi.errors import (
     UnknownGenerator,
 )
 from setvi.setmap import (
+    SetMap,
     SetValue,
+    _Generator,
     builtin_map,
     evaluate,
     load_problem,
+    radial_rays,
+    ray_grid,
     ray_restriction,
 )
 
@@ -128,6 +133,80 @@ class TestRayRestriction:
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})
         ray = ray_restriction(m, [0.0], [1.0], np.array([0.0, 1.0]))
         assert len(ray.values) == 2
+
+
+def _catalog_maps(rng):
+    """One seeded map of every generator that has a batch kernel, on a
+    domain of 1 to 4 dimensions, with signed zeros among the coefficients."""
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+
+    def coef(*shape):
+        return np.where(rng.random(shape) < 0.2, rng.choice([0.0, -0.0], shape),
+                        rng.normal(size=shape)).tolist()
+
+    return n, [
+        builtin_map("quadratic_vector", {"targets": coef(m, n)},
+                    domain=rng.normal(size=(3, n))),
+        builtin_map("segment_shift", {"segment": coef(int(rng.integers(1, 6)), m),
+                                      "domain_dim": n, "offset": coef(m),
+                                      "linear": coef(m, n), "quadratic": coef(m),
+                                      "center": coef(n)},
+                    domain=rng.normal(size=(3, n))),
+        builtin_map("constant_cloud", {"points": coef(3, m), "domain_dim": n},
+                    domain=rng.normal(size=(3, n))),
+        builtin_map("hyperbola_truncation", {"T": 10.0, "samples": 5, "domain_dim": n},
+                    domain=rng.normal(size=(3, n))),
+    ]
+
+
+def test_batch_kernels_give_each_row_its_own_bits():
+    # a row evaluated alone, in a batch, or through evaluate has the same
+    # bits: radial_rays batches every ray of a base point on this promise
+    rng = np.random.default_rng(20240811)
+    rows = 0
+    for _ in range(150):
+        n, maps = _catalog_maps(rng)
+        xs = rng.normal(size=(int(rng.integers(1, 40)), n))
+        xs[rng.random(xs.shape) < 0.1] = rng.choice([0.0, -0.0])
+        for m in maps:
+            batch = m.generator.eval_batch(xs)
+            for i, x in enumerate(xs):
+                alone = m.generator.eval_batch(xs[i:i + 1])[0]
+                assert batch[i].tobytes() == alone.tobytes(), m.generator.name
+                assert evaluate(m, x).points.tobytes() == alone.tobytes(), m.generator.name
+                rows += 1
+    assert rows > 10000
+
+
+def test_radial_rays_batch_matches_the_per_point_rays(monkeypatch):
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        _, maps = _catalog_maps(rng)
+        for m in maps:
+            x0 = m.domain[int(rng.integers(0, 3))] * rng.choice([1.0, 0.5])
+            t_grid = np.linspace(0.0, 1.0, int(rng.integers(2, 10)))
+            calls = []
+            original = m.generator.eval_batch
+            monkeypatch.setattr(m, "generator", dataclasses.replace(
+                m.generator, eval_batch=lambda xs: calls.append(len(xs)) or original(xs)))
+            rays = radial_rays(m, x0, t_grid)
+            assert calls == [len(m.domain) * t_grid.size]
+            for x, ray in zip(m.domain, rays):
+                want = ray_restriction(m, x0, x, ray_grid(m, x0, x, t_grid))
+                assert ray.x.tobytes() == want.x.tobytes()
+                assert ray.x0.tobytes() == want.x0.tobytes()
+                assert ray.t_grid.tobytes() == want.t_grid.tobytes()
+                assert [v.points.tobytes() for v in ray.values] == [
+                    v.points.tobytes() for v in want.values]
+                assert all(not v.points.flags.writeable for v in ray.values)
+
+
+def test_radial_rays_reject_a_nonfinite_batch():
+    # finite at both samples, a pole between them
+    gen = _Generator("pole", {}, 1, 1, lambda xs: 1.0 / (xs[:, None, :] - 0.5))
+    m = SetMap(domain=[[0.0], [1.0]], kind="generator", generator=gen)
+    with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite"):
+        radial_rays(m, [0.0], np.linspace(0, 1, 3))
 
 
 class TestBuiltinCatalog:
