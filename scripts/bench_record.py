@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
-"""Run the benchmark on one or more checkouts and write a BENCH_<n>.json file.
+"""Run the benchmark on two or more checkouts and write a BENCH_<n>.json file.
 
-Each ``--side NAME=DIR`` names a checkout (a directory holding
-``perfbench/run.py`` and ``src/setvi``); the default is this checkout,
-named ``change``.  For every workload and every seed the sides run
+Each of two or more ``--side NAME=DIR`` names a checkout (a directory
+holding ``perfbench/run.py`` and ``src/setvi``).  For every workload and
+every seed (default 101-110) the sides run
 ``python3 perfbench/run.py --workload W --seed S --seconds N --trace 0``
-from their own root, one after the other, and the order of the sides
-alternates from one seed to the next.  The output file holds, per run, the
-workload, side, seed, position in its pair, the ``stamp:`` line and the
-last-line JSON result, and per workload and side the repeat count and the
-median and quartiles of every end-to-end metric.  With two or more sides,
-each later side also gets, per metric, the number of pairs in which it
-read better than the first side, "better" as ``BENCHMARK.json`` defines
-it.  A parent/change comparison:
+(default N = 12) from their own root, one after the other, and the order
+of the sides alternates from one seed to the next.  The output file holds,
+per run, the workload, side, seed, position in its pair, the ``stamp:``
+line and the last-line JSON result, and per workload and side the repeat
+count and the median and quartiles of every end-to-end metric.  Each side
+after the first also gets, per metric, the number of pairs in which it read
+better than the first side, "better" as ``BENCHMARK.json`` defines it.  A
+parent/change comparison:
 
     python3 scripts/bench_record.py --out BENCH_N.json \\
-        --side parent=PARENT_CHECKOUT --side change=. --seconds 12 --seeds 101-110
+        --side parent=PARENT_CHECKOUT --side change=.
 
 Exits 1 when any run failed an operation or reported wrong output.
 """
@@ -66,8 +66,6 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
@@ -106,21 +104,23 @@ def summarize(runs: list[dict], sides: list[str], better: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
-    parser.add_argument("--side", action="append", type=_side, dest="sides",
-                        help="NAME=DIR of a checkout to measure (repeatable)")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seeds", type=_seeds, default=[1], help="e.g. 101-110 or 1,5,9")
-    parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--side", action="append", type=_side, dest="sides", default=[],
+                        help="NAME=DIR of a checkout to measure (two or more)")
+    parser.add_argument("--seeds", type=_seeds, default=_seeds("101-110"),
+                        help="e.g. 101-110 (the default) or 1,5,9")
+    parser.add_argument("--seconds", type=float, default=12.0)
     args = parser.parse_args(argv)
-    sides = args.sides or [("change", ROOT)]
-    if len({name for name, _ in sides}) != len(sides):
-        parser.error("side names must differ")
+    sides = args.sides
+    if len(sides) < 2 or len({name for name, _ in sides}) != len(sides):
+        parser.error("give two or more --side checkouts with different names")
+    if len(args.seeds) < 2:
+        parser.error("give two or more seeds")
 
     better = {m["name"]: m["better"]
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs = []
     ok = True
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         for k, seed in enumerate(args.seeds):
             order = sides if k % 2 == 0 else sides[::-1]
             for position, (name, root) in enumerate(order):

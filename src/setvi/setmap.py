@@ -36,6 +36,12 @@ from .errors import (
 _LOOKUP_TOL = 1e-9
 
 
+def _finite(points) -> np.ndarray:
+    if not np.all(np.isfinite(points)):
+        raise ValueError("set value points must be finite")
+    return _readonly(points)
+
+
 @dataclass(frozen=True, eq=False)
 class SetValue:
     """A compact set value: a finite cloud, possibly empty or whole-space."""
@@ -56,9 +62,12 @@ class SetValue:
             pts = pts.reshape(1, -1)
         if pts.ndim != 2:
             raise DimensionMismatch("a set value must be a (p, m) cloud")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("set value points must be finite")
-        return SetValue(points=_readonly(pts), whole_space=bool(whole_space))
+        return SetValue(points=_finite(pts), whole_space=bool(whole_space))
+
+    @staticmethod
+    def rows(clouds: np.ndarray) -> tuple["SetValue", ...]:
+        """The values of a (T, p, m) batch, as read-only row views."""
+        return tuple(SetValue(c) for c in _finite(clouds))
 
     @property
     def dim(self) -> int:
@@ -211,13 +220,29 @@ def ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:
     return segment_sample_ts(map, x0, x)
 
 
-def _ray_ts(t_grid) -> np.ndarray:
+def _rays(map: SetMap, x0, xs: np.ndarray, t_grid) -> list[RayValues]:
+    """The rays from x0 to every row of xs, sampled on one grid.
+
+    A map with a batch kernel evaluates every point of every ray in one
+    call; the kernels compute each row on its own, so every value has the
+    bits ``evaluate`` gives it.
+    """
+    x0 = _readonly(_as_domain_point(map, x0))
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("t_grid must be a nonempty 1-D array")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("ray grid points must lie within [0, 1]")
-    return t
+    t = _readonly(t)
+    points = (x0[None, None, :] + t[None, :, None] * (xs - x0)[:, None, :]
+              ).reshape(-1, map.domain_dim)
+    clouds = evaluate_batch(map, points)
+    if clouds is None:
+        values = tuple(evaluate(map, p) for p in points)
+    else:
+        values = SetValue.rows(clouds)
+    return [RayValues(x0=x0, x=x, t_grid=t, values=values[i * t.size:(i + 1) * t.size])
+            for i, x in enumerate(xs)]
 
 
 def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
@@ -226,35 +251,18 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     Outside [0, 1] the restriction is empty by definition, so grid points
     are required to lie within [0, 1].
     """
-    x0 = _as_domain_point(map, x0)
-    x = _as_domain_point(map, x)
-    t = _ray_ts(t_grid)
-    points = x0[None, :] + t[:, None] * (x - x0)[None, :]
-    vals = tuple(evaluate(map, p) for p in points)
-    return RayValues(x0=_readonly(x0), x=_readonly(x), t_grid=_readonly(t), values=vals)
+    return _rays(map, x0, _readonly(_as_domain_point(map, x))[None, :], t_grid)[0]
 
 
 def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
     """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
     domain order: the one reading of the rays that radial checks share.
 
-    A generator map with a batch kernel evaluates the points of every ray
-    in one ``eval_batch`` call.  The kernels compute each row on its own,
-    so every value has the bits ``evaluate`` gives it.
-    """
-    gen = map.generator
-    if map.kind != "generator" or gen.eval_batch is None:
-        return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid))
-                for x in map.domain]
-    x0 = _readonly(_as_domain_point(map, x0))
-    t = _readonly(_ray_ts(t_grid))
-    points = x0[None, None, :] + t[None, :, None] * (map.domain - x0)[:, None, :]
-    clouds = gen.eval_batch(points.reshape(-1, map.domain_dim))
-    if not np.all(np.isfinite(clouds)):
-        raise ValueError("set value points must be finite")
-    clouds = _readonly(clouds).reshape(points.shape[:2] + clouds.shape[1:])
-    return [RayValues(x0=x0, x=x, t_grid=t, values=tuple(SetValue(c) for c in ray))
-            for x, ray in zip(map.domain, clouds)]
+    Generator maps read every ray on the requested grid, so all of them
+    are read together."""
+    if map.kind == "generator":
+        return _rays(map, x0, map.domain, t_grid)
+    return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid)) for x in map.domain]
 
 
 # ---------------------------------------------------------------------------

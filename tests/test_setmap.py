@@ -20,7 +20,6 @@ from setvi.setmap import (
     evaluate,
     load_problem,
     radial_rays,
-    ray_grid,
     ray_restriction,
 )
 
@@ -161,7 +160,7 @@ def _catalog_maps(rng):
 
 def test_batch_kernels_give_each_row_its_own_bits():
     # a row evaluated alone, in a batch, or through evaluate has the same
-    # bits: radial_rays batches every ray of a base point on this promise
+    # bits: ray_restriction evaluates a whole ray in one batch on this promise
     rng = np.random.default_rng(20240811)
     rows = 0
     for _ in range(150):
@@ -178,7 +177,7 @@ def test_batch_kernels_give_each_row_its_own_bits():
     assert rows > 10000
 
 
-def test_radial_rays_batch_matches_the_per_point_rays(monkeypatch):
+def test_rays_batch_match_the_per_point_values(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(40):
         _, maps = _catalog_maps(rng)
@@ -191,22 +190,24 @@ def test_radial_rays_batch_matches_the_per_point_rays(monkeypatch):
                 m.generator, eval_batch=lambda xs: calls.append(len(xs)) or original(xs)))
             rays = radial_rays(m, x0, t_grid)
             assert calls == [len(m.domain) * t_grid.size]
-            for x, ray in zip(m.domain, rays):
-                want = ray_restriction(m, x0, x, ray_grid(m, x0, x, t_grid))
-                assert ray.x.tobytes() == want.x.tobytes()
-                assert ray.x0.tobytes() == want.x0.tobytes()
-                assert ray.t_grid.tobytes() == want.t_grid.tobytes()
+            rays.append(ray_restriction(m, x0, m.domain[0], t_grid))
+            assert calls[1:] == [t_grid.size]
+            monkeypatch.undo()
+            for x, ray in zip([*m.domain, m.domain[0]], rays):
+                assert ray.x.tobytes() == x.tobytes()
+                assert ray.t_grid.tobytes() == t_grid.tobytes()
+                points = x0[None, :] + t_grid[:, None] * (x - x0)[None, :]
                 assert [v.points.tobytes() for v in ray.values] == [
-                    v.points.tobytes() for v in want.values]
+                    evaluate(m, p).points.tobytes() for p in points]
                 assert all(not v.points.flags.writeable for v in ray.values)
 
 
-def test_radial_rays_reject_a_nonfinite_batch():
+def test_rays_reject_a_nonfinite_batch():
     # finite at both samples, a pole between them
     gen = _Generator("pole", {}, 1, 1, lambda xs: 1.0 / (xs[:, None, :] - 0.5))
     m = SetMap(domain=[[0.0], [1.0]], kind="generator", generator=gen)
     with np.errstate(divide="ignore"), pytest.raises(ValueError, match="finite"):
-        radial_rays(m, [0.0], np.linspace(0, 1, 3))
+        ray_restriction(m, [0.0], [1.0], np.linspace(0, 1, 3))
 
 
 class TestBuiltinCatalog:
