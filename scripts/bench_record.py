@@ -17,7 +17,9 @@ parent/change comparison:
     python3 scripts/bench_record.py --out BENCH_N.json \\
         --side parent=PARENT_CHECKOUT --side change=.
 
-Exits 1 when any run failed an operation or reported wrong output.
+Exits 1 when any run failed an operation or reported wrong output, and
+stops with exit 1, writing nothing, when two sides' ``stamp:`` lines carry
+the same ``src_sha256``: such a file would compare a program with itself.
 """
 
 from __future__ import annotations
@@ -120,12 +122,20 @@ def main(argv=None) -> int:
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs = []
     ok = True
+    sources = {}
     for workload in WORKLOADS:
         for k, seed in enumerate(args.seeds):
             order = sides if k % 2 == 0 else sides[::-1]
             for position, (name, root) in enumerate(order):
                 started = time.perf_counter()
                 run = run_once(root, workload, seed, args.seconds)
+                sources[name] = run["stamp"]["environment"]["src_sha256"]
+                twins = [other for other, sha in sources.items()
+                         if other != name and sha == sources[name]]
+                if twins:
+                    print(f"error: sides {twins[0]} and {name} run the same source "
+                          f"(src_sha256 {sources[name]})", file=sys.stderr)
+                    return 1
                 res = run["result"]
                 ok &= bool(res["correct"]) and res["failed"] == 0
                 runs.append({"workload": workload, "side": name, "seed": seed,

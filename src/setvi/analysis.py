@@ -41,7 +41,7 @@ from .errors import (
     StepOutsideDomain,
 )
 from .scalarize import PiecewiseLinear, ScalarPath, scalarize_many
-from .setmap import SetMap, evaluate
+from .setmap import SetMap, evaluate, evaluate_rows
 from .verdicts import CheckResult, Verdict
 
 
@@ -75,16 +75,12 @@ def residual_floats(s, t) -> np.ndarray:
     Case split: if s = -inf or t = +inf every finite r qualifies, so the
     infimum is -inf.  Otherwise if s = +inf or t = -inf no finite r
     qualifies and the infimum over the empty set is +inf.  Finite values
-    subtract.
+    subtract.  IEEE subtraction gives every case but two equal infinities,
+    whose NaN is -inf.
     """
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    out = np.empty(s.shape, dtype=float)
-    neg = (s == -np.inf) | (t == np.inf)
-    pos = ~neg & ((s == np.inf) | (t == -np.inf))
-    fin = ~neg & ~pos
-    out[neg] = -np.inf
-    out[pos] = np.inf
-    out[fin] = s[fin] - t[fin]
+    with np.errstate(invalid="ignore"):
+        out = np.asarray(np.subtract(s, t, dtype=float))
+    out[np.isnan(out)] = -np.inf
     return out
 
 
@@ -437,27 +433,25 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     diagnostics.  A containment witness alone is a genuine FAILS: it occurs
     whenever some F(x) + C is not convex, which no weight can see.
     """
-    pair_samples = list(pair_samples)
     t_samples = [float(s) for s in t_samples]
     mink_witness = None
     scalar_witness = None
     scalar_tau = tau * max(1.0, wstar.max_norm())
     checked = 0
-    values = {}
+    pairs = [(np.atleast_1d(np.asarray(x1, dtype=float)),
+              np.atleast_1d(np.asarray(x2, dtype=float))) for x1, x2 in pair_samples]
+    # endpoints and combination points repeat across pairs; the map is
+    # deterministic, so one evaluation per distinct point gives the same bits
+    points = {}
+    for x1, x2 in pairs:
+        for x in (x1, x2, *(s * x1 + (1.0 - s) * x2 for s in t_samples)):
+            points.setdefault(x.tobytes(), x)
+    xs = np.reshape(list(points.values()), (len(points), map.domain_dim))
+    values = dict(zip(points, evaluate_rows(map, xs)))
 
-    def value_at(x):
-        # endpoints and combination points repeat across pairs; the map is
-        # deterministic, so one evaluation per distinct point gives the same bits
-        key = x.tobytes()
-        if key not in values:
-            values[key] = evaluate(map, x)
-        return values[key]
-
-    for (x1, x2) in pair_samples:
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-        v1 = value_at(x1)
-        v2 = value_at(x2)
+    for (x1, x2) in pairs:
+        v1 = values[x1.tobytes()]
+        v2 = values[x2.tobytes()]
         empty = v1.is_empty or v2.is_empty
         whole = v1.whole_space or v2.whole_space
         if not (empty or whole):
@@ -465,7 +459,7 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
             phi2 = scalarize_many(v2, wstar.weights)
         for s in t_samples:
             xt = s * x1 + (1.0 - s) * x2
-            vt = value_at(xt)
+            vt = values[xt.tobytes()]
             if empty:
                 continue  # the combination is empty; nothing to contain
             checked += 1
@@ -504,7 +498,7 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
             "although every combination passed the Minkowski containment, which "
             f"forces convex scalarizations. scalar={scalar_witness}"
         )
-    resolution = {"pairs": len(pair_samples), "t_samples": t_samples,
+    resolution = {"pairs": len(pairs), "t_samples": t_samples,
                   "combinations_checked": checked, "tau_strict": tau,
                   "wstar_size": len(wstar)}
     if mink_witness is not None:

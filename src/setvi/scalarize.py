@@ -123,27 +123,59 @@ def interp_extended(knots: np.ndarray, values: np.ndarray,
     return out
 
 
-def ray_scalarizations(map: SetMap, base: np.ndarray, target: np.ndarray,
-                       svals: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Scalarizations (n_s, n_w) along base + s (target - base).
+# cloud entries (points x cloud size x image dimension) one evaluate_batch call
+# of scalarize_points returns at most: 1 MB of floats.  Twice that raised the
+# peak memory of chains on 64-point 4-D clouds by 3 MB over one ray per call
+_POINTS_BLOCK = 1 << 17
 
-    Generator maps evaluate anywhere, batched when they can; tabulated maps
-    only carry values at stored samples, so their scalarizations are
-    interpolated between the samples that lie on the segment (with +inf
+
+def block_points(map: SetMap) -> int:
+    """The points one evaluate_batch call of ``scalarize_points`` reads: a
+    batch kernel gives every point a cloud shaped like the first sample's."""
+    return max(1, _POINTS_BLOCK // max(1, map.values[0].points.size))
+
+
+def scalarize_points(map: SetMap, points: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
+    """``scalarize_batch`` of the values at the rows of points, (P, n_w), read
+    ``block_points`` at a time; None when the map has no batch kernel.  The
+    kernels and ``scalarize_batch`` treat each row on its own, so a row has
+    the same bits in any block."""
+    rows = block_points(map)
+    out = []
+    for k in range(0, len(points), rows):
+        clouds = evaluate_batch(map, points[k:k + rows])
+        if clouds is None:
+            return None
+        out.append(scalarize_batch(clouds, weights))
+    return np.concatenate(out)
+
+
+def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """Scalarizations (R, n_s, n_w) along bases[r] + s (targets[r] - bases[r]).
+
+    ``bases`` and ``targets`` broadcast to (R, n) rows: one ray, rays from
+    one point, or one pair per ray.  Generator maps evaluate anywhere,
+    every ray's points together when they have a batch kernel; tabulated
+    maps only carry values at stored samples, so their scalarizations are
+    interpolated between the samples that lie on each segment (with +inf
     dominating a mixed span, matching the path-evaluation conventions).
     """
-    points = base[None, :] + svals[:, None] * (target - base)[None, :]
-    clouds = evaluate_batch(map, points)
-    if clouds is not None:
-        return scalarize_batch(clouds, weights)
-    if map.kind == "generator":
-        return np.stack([scalarize_many(evaluate(map, p), weights) for p in points])
-    knots = segment_sample_ts(map, base, target)
-    phis = np.stack([
-        scalarize_many(evaluate(map, base + t * (target - base)), weights)
-        for t in knots
-    ])
-    return interp_extended(knots, phis, svals)
+    bases, targets = np.atleast_2d(bases), np.atleast_2d(targets)
+    points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
+    flat = points.reshape(-1, points.shape[2])
+    phis = scalarize_points(map, flat, weights)
+    if phis is None and map.kind == "generator":
+        phis = np.stack([scalarize_many(evaluate(map, p), weights) for p in flat])
+    if phis is not None:
+        return phis.reshape(points.shape[:2] + (-1,))
+    out = []
+    for base, target in zip(*np.broadcast_arrays(bases, targets)):
+        knots = segment_sample_ts(map, base, target)
+        phis = np.stack([scalarize_many(evaluate(map, base + t * (target - base)), weights)
+                         for t in knots])
+        out.append(interp_extended(knots, phis, svals))
+    return np.stack(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +292,7 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     evaluator = None
     if map.kind == "generator":
         def evaluator(ts: np.ndarray) -> np.ndarray:
-            return ray_scalarizations(map, ray.x0, ray.x, ts, w.reshape(1, -1))[:, 0]
+            return ray_scalarizations(map, ray.x0, ray.x, ts, w.reshape(1, -1))[0, :, 0]
 
     return ScalarPath(t_grid=np.asarray(t_grid, dtype=float), values=values,
                       evaluator=evaluator)

@@ -190,6 +190,14 @@ def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[SetValue, ...]:
+    """The values at the rows of xs: one ``evaluate_batch`` call, or
+    ``evaluate`` per row where that gives None.  A kernel computes each row
+    on its own, so every value has the bits ``evaluate`` gives it."""
+    clouds = evaluate_batch(map, xs)
+    return tuple(evaluate(map, x) for x in xs) if clouds is None else SetValue.rows(clouds)
+
+
 def segment_sample_ts(map: SetMap, x0, x) -> np.ndarray:
     """Parameters in [0, 1] of stored samples on the segment from x0 to x.
 
@@ -221,12 +229,8 @@ def ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:
 
 
 def _rays(map: SetMap, x0, xs: np.ndarray, t_grid) -> list[RayValues]:
-    """The rays from x0 to every row of xs, sampled on one grid.
-
-    A map with a batch kernel evaluates every point of every ray in one
-    call; the kernels compute each row on its own, so every value has the
-    bits ``evaluate`` gives it.
-    """
+    """The rays from x0 to every row of xs, sampled on one grid; every
+    point of every ray is read by one ``evaluate_rows`` call."""
     x0 = _readonly(_as_domain_point(map, x0))
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -236,11 +240,7 @@ def _rays(map: SetMap, x0, xs: np.ndarray, t_grid) -> list[RayValues]:
     t = _readonly(t)
     points = (x0[None, None, :] + t[None, :, None] * (xs - x0)[:, None, :]
               ).reshape(-1, map.domain_dim)
-    clouds = evaluate_batch(map, points)
-    if clouds is None:
-        values = tuple(evaluate(map, p) for p in points)
-    else:
-        values = SetValue.rows(clouds)
+    values = evaluate_rows(map, points)
     return [RayValues(x0=x0, x=x, t_grid=t, values=values[i * t.size:(i + 1) * t.size])
             for i, x in enumerate(xs)]
 

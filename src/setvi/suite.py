@@ -205,6 +205,8 @@ def run_suite(seed: int = 0, instances: int = 200,
     Each instance is drawn from its own (seed, index) generator, so the
     instance entries of a shorter run are a prefix of those of a longer one.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be an integer >= 1, not {instances!r}")
     settings = settings or SUITE_DEFAULTS
     settings = settings.with_(seed=seed)
     results = [run_instance(build_instance(seed, i), settings) for i in range(instances)]

@@ -9,8 +9,10 @@ for rays that leave the domain of the map.
 
 Verdicts are existential over a sampled weight base, so HOLDS always
 carries a per-point witness and the derivative it cleared, and the report
-is replayable: recomputing a recorded witness goes through exactly the
-same batched arithmetic and reproduces the value bit for bit.
+is replayable: where the check reads every x in one batch, the replay
+recomputes a recorded witness for its x alone; every kernel treats its
+rows independently, so the value comes back bit for bit and each replay
+checks the batched row.
 
 The chain report wires the checks together: it evaluates the hypotheses a
 given implication needs (convexity, radial continuity, properness, star
@@ -31,8 +33,8 @@ from .analysis import (CONVEXITY_T_SAMPLES, DiniConfig, c_convexity_check,
                        convexity_pairs, dini_table, _pseudo_scan, _ssqc_scan)
 from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
-from .scalarize import (adjacent_excesses, hausdorff_check_radial, ray_scalarizations,
-                        scalarize_many)
+from .scalarize import (adjacent_excesses, block_points, hausdorff_check_radial,
+                        ray_scalarizations, scalarize_many)
 from .setmap import RayValues, SetMap, base_value, radial_rays
 from .verdicts import CheckResult, Verdict, worst
 
@@ -85,17 +87,15 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     minty = kind in ("mvi", "mvi2")
     rows = [i for i in range(map.domain.shape[0])
             if not (quantify_dom_only and map.values[i].is_empty)]
-    # one (S+1, W) scalarization table per x: s = 0, then the Dini steps,
-    # from x toward x0 (Minty) or from x0 toward x (Stampacchia); the
-    # derivatives of every (x, weight) row come from one dini_table call
+    # one (S+1, W) scalarization table per x, all read together: s = 0, then
+    # the Dini steps, from x toward x0 (Minty) or from x0 toward x
+    # (Stampacchia); every (x, weight) derivative comes from one dini_table call
     steps = cfg.step_grid()
     svals = np.concatenate([[0.0], steps])
     W = len(wstar)
-    tables = np.empty((len(rows), svals.size, W))
-    for r, i in enumerate(rows):
-        x = map.domain[i]
-        base, target = (x, x0) if minty else (x0, x)
-        tables[r] = ray_scalarizations(map, base, target, svals, wstar.weights)
+    xs = map.domain[rows]
+    tables = ray_scalarizations(map, *((xs, x0) if minty else (x0, xs)), svals,
+                                wstar.weights)
     probes = np.ascontiguousarray(tables[:, 1:].transpose(0, 2, 1)).reshape(-1, steps.size)
     derivs_all = dini_table(tables[:, 0].ravel(), probes, steps).reshape(len(rows), W)
 
@@ -129,17 +129,18 @@ def replay_derivative(map: SetMap, x0, wstar: WStarSample, cfg: DiniConfig,
                       kind: str, x, w_index: int) -> float:
     """Recompute the derivative a verdict recorded for (x, w).
 
-    Tabulates the same (S+1, W) scalarizations as the original check, for
-    this x alone, and selects the recorded weight column; dini_table is
-    elementwise in its rows, so the float comes back bit-identical.
+    The per-x path: the (S+1, W) scalarizations of the batched check, for
+    this x alone, at the recorded weight column.  The kernels and
+    dini_table treat each row on its own, so the float comes back
+    bit-identical, and a match checks the batched row.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     base, target = (x, x0) if kind in ("mvi", "mvi2") else (x0, x)
     steps = cfg.step_grid()
     phis = ray_scalarizations(map, base, target, np.concatenate([[0.0], steps]),
-                              wstar.weights)
-    return float(dini_table(phis[0], phis[1:].T, steps)[w_index])
+                              wstar.weights)[0]
+    return float(dini_table(phis[0], np.ascontiguousarray(phis[1:].T), steps)[w_index])
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +175,14 @@ class ChainReport:
 def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
                    cfg: DiniConfig, tau: float, max_rays: int):
     """One pass over max_rays strided rays from x0: star shape and the three
-    path classes of every sampled scalarization."""
+    path classes of every sampled scalarization.
+
+    Rays on one grid (every generator map's) are read in blocks whose probes
+    fit one evaluate_batch call of ``scalarize_points``; a tabulated ray is a
+    block of one.  A block's (ray, weight) paths are the ray-major columns of
+    one (T, rays * W) matrix for one dini_table call per side and one call of
+    each scan; witnesses are read first in ray order, then in weight order.
+    """
     n = len(rays)
     stride = max(1, int(np.ceil(n / max_rays)))
     ray_indices = list(range(0, n, stride))
@@ -187,39 +195,42 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
                       "pconcave": Verdict.HOLDS}
     class_witness = {}
 
-    for i in ray_indices:
-        ray = rays[i]
-        x, t_eff, values = ray.x, ray.t_grid, ray.values
-        T = t_eff.size
-        if not map.values[i].is_empty:
-            empties = [k for k, v in enumerate(values) if v.is_empty]
-            if empties and star is Verdict.HOLDS:
-                star = Verdict.FAILS
-                star_witness = {"x": x.tolist(), "t": float(t_eff[empties[0]])}
-
-        phis = np.stack([scalarize_many(v, wstar.weights) for v in values])  # (T, n_w)
+    size = (max(1, block_points(map) // (2 * rays[0].t_grid.size * S))
+            if map.kind == "generator" else 1)
+    for b in range(0, len(ray_indices), size):
+        block = [rays[i] for i in ray_indices[b:b + size]]
+        t_eff = block[0].t_grid
+        T, R = t_eff.size, len(block)
+        phis = np.stack([scalarize_many(v, wstar.weights) for ray in block for v in ray.values])
+        phis = phis.reshape(R, T, W).transpose(1, 0, 2).reshape(T, R * W)
         probe_ts = np.concatenate([(t_eff[:, None] + steps[None, :]).ravel(),
                                    (t_eff[:, None] - steps[None, :]).ravel()])
         inside = (probe_ts >= 0.0) & (probe_ts <= 1.0)
-        probe_phis = np.full((probe_ts.size, W), np.inf)
-        if np.any(inside):
-            probe_phis[inside] = ray_scalarizations(map, ray.x0, x, probe_ts[inside],
-                                                    wstar.weights)
-        # rows (t, w) with the step axis last: one dini_table call per side
-        fw, bw = (np.ascontiguousarray(half.reshape(T, S, W).transpose(0, 2, 1))
-                  .reshape(T * W, S) for half in (probe_phis[:T * S], probe_phis[T * S:]))
-        d_plus, d_minus = (dini_table(phis.ravel(), probes, steps).reshape(T, W)
+        probe_phis = np.full((R, probe_ts.size, W), np.inf)
+        probe_phis[:, inside] = ray_scalarizations(
+            map, block[0].x0, np.stack([ray.x for ray in block]), probe_ts[inside],
+            wstar.weights)
+        # rows (t, ray, w) with the step axis last: one dini_table call per side
+        fw, bw = (np.ascontiguousarray(half.reshape(R, T, S, W).transpose(1, 0, 3, 2))
+                  .reshape(T * R * W, S)
+                  for half in (probe_phis[:, :T * S], probe_phis[:, T * S:]))
+        d_plus, d_minus = (dini_table(phis.ravel(), probes, steps).reshape(T, R * W)
                            for probes in (fw, bw))
         cvx, ccv, _ = _pseudo_scan(t_eff, phis, d_plus, d_minus, tau)
-        for name, results in (("ssqc", _ssqc_scan(t_eff, phis, tau)), ("pconvex", cvx),
-                              ("pconcave", ccv)):
-            for widx, (verdict, witness) in enumerate(results):
-                # only a strictly worse verdict replaces the recorded witness
-                current = class_verdicts[name]
-                if verdict is not current and worst(current, verdict) is not current:
-                    class_verdicts[name] = verdict
-                    class_witness[name] = {"x": x.tolist(), "w_index": widx,
-                                           **(witness or {})}
+        scans = {"ssqc": _ssqc_scan(t_eff, phis, tau), "pconvex": cvx, "pconcave": ccv}
+        for r, (i, ray) in enumerate(zip(ray_indices[b:b + size], block)):
+            empties = [k for k, v in enumerate(ray.values) if v.is_empty]
+            if empties and star is Verdict.HOLDS and not map.values[i].is_empty:
+                star = Verdict.FAILS
+                star_witness = {"x": ray.x.tolist(), "t": float(ray.t_grid[empties[0]])}
+            for name, results in scans.items():
+                for widx, (verdict, witness) in enumerate(results[r * W:(r + 1) * W]):
+                    # only a strictly worse verdict replaces the recorded witness
+                    current = class_verdicts[name]
+                    if verdict is not current and worst(current, verdict) is not current:
+                        class_verdicts[name] = verdict
+                        class_witness[name] = {"x": ray.x.tolist(), "w_index": widx,
+                                               **(witness or {})}
     return {
         "ray_indices": ray_indices,
         "star": (star, star_witness),

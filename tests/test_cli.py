@@ -188,6 +188,14 @@ def test_suite_applies_the_density_flag(capsys):
     assert dense3 != default
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_suite_rejects_an_instance_count_below_one(count, capsys):
+    assert main(["suite", "--instances", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "instances must be an integer >= 1" in captured.err
+
+
 def test_suite_rejects_a_zero_tau(capsys):
     assert main(["suite", "--instances", "1", "--tau", "0"]) == 2
     assert "tau_strict" in capsys.readouterr().err

@@ -63,3 +63,28 @@ def test_residual_floats_matches_scalar():
     s, t, expected = (np.array(col) for col in zip(*cases))
     assert residual_floats(s, t).tolist() == expected.tolist()
     assert residual_floats(np.array([1.0, inf, -inf]), 0.5).tolist() == [0.5, inf, -inf]
+
+
+def _case_split(s: float, t: float) -> float:
+    # the documented case split, one pair at a time
+    if s == -inf or t == inf:
+        return -inf
+    if s == inf or t == -inf:
+        return inf
+    return s - t
+
+
+SPECIALS = [-inf, -1.5, -0.0, 0.0, 2.0, inf]
+
+
+def test_residual_floats_matches_the_case_split_bit_for_bit():
+    # all 36 pairs, signed zeros included, as arrays and one pair at a time
+    s, t = (np.array(col) for col in zip(*[(a, b) for a in SPECIALS for b in SPECIALS]))
+    want = np.array([_case_split(a, b) for a, b in zip(s.tolist(), t.tolist())])
+    assert residual_floats(s, t).tobytes() == want.tobytes()
+    grid = residual_floats(np.array(SPECIALS)[:, None], np.array(SPECIALS)[None, :])
+    assert grid.tobytes() == want.tobytes()
+    for a, b, w in zip(s.tolist(), t.tolist(), want.tolist()):
+        for args in ((a, b), (np.float64(a), np.float64(b)), (np.array(a), np.array(b))):
+            got = residual_floats(*args)
+            assert got.shape == () and got.tobytes() == np.float64(w).tobytes(), (a, b)

@@ -372,14 +372,16 @@ def _ref_scalarize_batch(clouds, weights):
     return np.einsum("tpm,nm->tpn", clouds, weights).min(axis=1)
 
 
-def _stack(rng):
+def _stack(rng, shape=None):
     """A seeded (T, p, m) stack of clouds and (n, m) weights: chains (with
     repeated points), antichains, coarse rounding with signed zeros, rows
     that keep or break the first row's order, and now and then a weight
-    with a negative entry."""
+    with a negative entry.  ``shape`` fixes (p, m)."""
     T = 1 if rng.random() < 0.2 else int(rng.integers(1, 40))
     p = int(rng.integers(1, _PRUNE_MIN_POINTS)) if rng.random() < 0.2 else int(rng.integers(1, 80))
     m, n = int(rng.integers(1, 6)), int(rng.integers(1, 90))
+    if shape is not None:
+        p, m = shape
     scale = float(rng.choice([1e-300, 1e-3, 1.0, 1e3, 1e306]))
     style = rng.choice(["chain", "antichain", "rounded", "normal"])
     if style == "chain":
@@ -424,6 +426,26 @@ def test_scalarize_batch_matches_the_unpruned_kernel_bit_for_bit(monkeypatch):
         counts["pruned"] += calls[0][1] < clouds.shape[1]
         counts["zero rows"] += len(calls) == 2
     assert min(counts.values()) > 100, counts
+
+
+def test_scalarize_batch_rows_keep_their_bits_in_any_stack():
+    # scalarize_points reads its points in blocks, so a row must have the
+    # same bits in a cut of its stack and joined with another stack
+    rng = np.random.default_rng(20240812)
+    for case in range(1500):
+        clouds, weights = _stack(rng)
+        want = scalarize_batch(clouds, weights).view(np.int64)
+        T = clouds.shape[0]
+        a, b = sorted(rng.integers(0, T + 1, size=2).tolist())
+        if a < b:
+            got = scalarize_batch(clouds[a:b], weights).view(np.int64)
+            assert (got == want[a:b]).all(), f"case {case} rows {a}:{b}"
+        other, _ = _stack(rng, shape=clouds.shape[1:])
+        first = rng.random() < 0.5
+        joined = np.concatenate([clouds, other] if first else [other, clouds])
+        got = scalarize_batch(joined, weights).view(np.int64)
+        got = got[:T] if first else got[len(other):]
+        assert (got == want).all(), f"case {case} joined"
 
 
 def test_scalarize_batch_keeps_the_nan_of_a_dominated_point():

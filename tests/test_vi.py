@@ -5,6 +5,7 @@ import pytest
 
 from setvi.analysis import DiniConfig
 from setvi.cone import dual_base, make_cone
+from setvi.scalarize import block_points
 from setvi.errors import BasePointOutsideDomain
 from setvi.setmap import builtin_map, load_problem
 from setvi.verdicts import CheckResult, Verdict
@@ -27,6 +28,15 @@ GRID = np.linspace(-1, 2, 13).reshape(-1, 1)
 
 def quad_map():
     return builtin_map("quadratic_vector", {"targets": [0, 1]}, domain=GRID)
+
+
+def cloud_map():
+    # 64 points per value on 33 samples: the probes of one ray or of a few
+    # fill a block of scalarize_points
+    s = np.linspace(0.0, 1.0, 64)
+    return builtin_map("segment_shift", {"segment": np.column_stack([s, 1.0 - s]).tolist(),
+                                         "quadratic": [1.0, 1.0], "center": [0.5]},
+                       domain=np.linspace(-1, 2, 33).reshape(-1, 1))
 
 
 class TestMintyForm:
@@ -200,24 +210,46 @@ class TestTheoremChain:
             theorem_chain(quad_map(), [0.5], ORTHANT, WS, cfg=CFG, tau=TAU, **kwargs)
 
     @pytest.mark.parametrize("max_rays", [1, 4, 8, 13])
-    def test_dini_tables_per_surveyed_ray_and_per_vi_check(self, monkeypatch, max_rays):
-        # two batched dini_table calls per surveyed ray (one per side) and
-        # one per vi_check, whatever the number of weights and samples
-        table = sys.modules["setvi.analysis"].dini_table
-        calls = []
+    @pytest.mark.parametrize("make_map, block", [("quad", None), ("cloud", None),
+                                                 ("cloud", 1 << 15)])
+    def test_batched_calls_per_survey_block_and_per_vi_check(self, monkeypatch, max_rays,
+                                                             make_map, block):
+        # per survey block two dini_table calls (one per side) and one
+        # evaluate_batch call; per vi_check one dini_table call and one
+        # evaluate_batch call per block of points; one evaluate_batch call
+        # reads the rays and one the convexity points
+        if block is not None:
+            monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
+        calls = {"dini_table": 0, "evaluate_batch": 0}
+        for fn in calls:
+            original = getattr(sys.modules["setvi.analysis" if fn == "dini_table"
+                                           else "setvi.setmap"], fn)
 
-        def counted(*args):
-            calls.append(1)
-            return table(*args)
+            def counted(*args, _fn=fn, _original=original):
+                calls[_fn] += 1
+                return _original(*args)
 
-        for name, mod in list(sys.modules.items()):
-            if name.startswith("setvi.") and getattr(mod, "dini_table", None) is table:
-                monkeypatch.setattr(mod, "dini_table", counted)
-        rep = theorem_chain(quad_map(), [0.5], ORTHANT, WS, cfg=CFG, tau=TAU,
-                            max_rays=max_rays)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("setvi.") and getattr(mod, fn, None) is original:
+                    monkeypatch.setattr(mod, fn, counted)
+        map_ = quad_map() if make_map == "quad" else cloud_map()
+        rep = theorem_chain(map_, [0.5], ORTHANT, WS, cfg=CFG, tau=TAU, max_rays=max_rays)
+        n = map_.domain.shape[0]
         surveyed = rep.hypotheses["star_shaped"].resolution["rays"]
-        assert surveyed == len(range(0, GRID.shape[0], -(-GRID.shape[0] // max_rays)))
-        assert len(calls) == 2 * surveyed + 2
+        assert surveyed == len(range(0, n, -(-n // max_rays)))
+        rows = block_points(map_)
+        survey_blocks = -(-surveyed // max(1, rows // (2 * 9 * CFG.steps)))
+        vi_blocks = -(-n * (CFG.steps + 1) // rows)
+        assert calls == {"dini_table": 2 * survey_blocks + 2,
+                         "evaluate_batch": 1 + survey_blocks + 2 * vi_blocks + 1}
+        if make_map == "cloud":  # the survey and, in a smaller block, the VI rows split
+            assert survey_blocks > 1 or max_rays < 8
+            assert (vi_blocks > 1) == (block is not None)
+        for kind, vi in rep.vi_details.items():  # a batched row has its bits alone
+            for e in vi.per_x:
+                if e["witness_w"] is not None:
+                    again = replay_derivative(map_, [0.5], WS, CFG, kind, e["x"], e["witness_w"])
+                    assert np.float64(again).tobytes() == np.float64(e["derivative"]).tobytes()
 
 
 HOLDING = {name: CheckResult(Verdict.HOLDS)
