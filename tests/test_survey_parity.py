@@ -153,8 +153,8 @@ def _big_cloud_map(rng):
 def _jump_map(rng):
     m = int(rng.integers(1, 4))
     domain = _domain(rng, 1)
-    return builtin_map("jump_map", {"left_points": _cloud(rng, int(rng.integers(1, 4)), m).tolist(),
-                                    "right_points": _cloud(rng, int(rng.integers(1, 4)), m).tolist(),
+    left, right = (_cloud(rng, int(rng.integers(1, 4)), m).tolist() for _ in range(2))
+    return builtin_map("jump_map", {"left_points": left, "right_points": right,
                                     "jump_at": float(rng.uniform(-2, 2))}, domain=domain)
 
 
