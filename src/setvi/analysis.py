@@ -37,11 +37,10 @@ from .errors import (
     GridTooCoarse,
     InternalCheckError,
     NoWitnessFound,
-    OutsideSampleDomain,
     StepOutsideDomain,
 )
-from .scalarize import PiecewiseLinear, ScalarPath, scalarize_many
-from .setmap import SetMap, evaluate, evaluate_rows
+from .scalarize import PiecewiseLinear, ScalarPath, blocks, scalarize_stack, scalarize_values
+from .setmap import SetMap, evaluate_rows, nearest_samples, stack_values
 from .verdicts import CheckResult, Verdict
 
 
@@ -399,27 +398,25 @@ def convexity_pairs(map: SetMap, t_samples, max_pairs: int) -> list:
     """Sample pairs (x_i, x_j), i < j, for the cone-convexity check.
 
     Tabulated maps keep only pairs whose combination points are stored
-    samples themselves; more than max_pairs pairs are thinned by a
-    uniform stride over the whole list.
+    samples themselves, by the rule ``evaluate`` answers with, read for
+    every combination point at once; more than max_pairs pairs are thinned
+    by a uniform stride over the whole list.
     """
-    n = map.domain.shape[0]
-    pairs = [(map.domain[i], map.domain[j]) for i in range(n) for j in range(i + 1, n)]
+    first, second = np.triu_indices(map.domain.shape[0], 1)
     if map.kind == "tabulated":
-        pairs = [p for p in pairs if _combos_stored(map, p, t_samples)]
+        s = np.asarray([float(t) for t in t_samples])[None, :, None]
+        x1, x2 = map.domain[first][:, None, :], map.domain[second][:, None, :]
+        points = (s * x1 + (1.0 - s) * x2).reshape(-1, map.domain_dim)
+        stored = np.empty(len(points), dtype=bool)
+        for rows in blocks(len(points), map.domain.size):
+            stored[rows] = nearest_samples(map, points[rows])[1]
+        keep = stored.reshape(len(first), -1).all(axis=1)
+        first, second = first[keep], second[keep]
+    pairs = [(map.domain[i], map.domain[j]) for i, j in zip(first.tolist(), second.tolist())]
     if len(pairs) > max_pairs:
         stride = int(np.ceil(len(pairs) / max_pairs))
         pairs = pairs[::stride]
     return pairs
-
-
-def _combos_stored(map: SetMap, pair, t_samples) -> bool:
-    x1, x2 = pair
-    for s in t_samples:
-        try:
-            evaluate(map, s * x1 + (1.0 - s) * x2)
-        except OutsideSampleDomain:
-            return False
-    return True
 
 
 def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
@@ -432,72 +429,96 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     the containment forces, so a scalar witness alone aborts with
     diagnostics.  A containment witness alone is a genuine FAILS: it occurs
     whenever some F(x) + C is not convex, which no weight can see.
+
+    Each distinct point is evaluated and scalarized once.  When
+    ``stack_values`` stacks the values, the containment margins of the
+    (pair, t) combinations are taken in stacked ``ext_margins`` calls of
+    at most ``_POINTS_BLOCK`` entries, else one combination at a time;
+    either way they stop at the first failing combination.  Both witnesses
+    are the first failing combination in (pair, t) order.
     """
     t_samples = [float(s) for s in t_samples]
-    mink_witness = None
-    scalar_witness = None
     scalar_tau = tau * max(1.0, wstar.max_norm())
-    checked = 0
     pairs = [(np.atleast_1d(np.asarray(x1, dtype=float)),
               np.atleast_1d(np.asarray(x2, dtype=float))) for x1, x2 in pair_samples]
+    S = len(t_samples)
+    ends = np.reshape(pairs, (len(pairs), 2, map.domain_dim))
+    w = np.asarray(t_samples)[:, None]
+    rows = np.concatenate([ends, w * ends[:, :1] + (1.0 - w) * ends[:, 1:]], axis=1
+                          ).reshape(-1, map.domain_dim)
     # endpoints and combination points repeat across pairs; the map is
     # deterministic, so one evaluation per distinct point gives the same bits
-    points = {}
-    for x1, x2 in pairs:
-        for x in (x1, x2, *(s * x1 + (1.0 - s) * x2 for s in t_samples)):
-            points.setdefault(x.tobytes(), x)
-    xs = np.reshape(list(points.values()), (len(points), map.domain_dim))
-    values = dict(zip(points, evaluate_rows(map, xs)))
+    index = {}
+    ids = np.array([index.setdefault(x.tobytes(), len(index)) for x in rows],
+                   dtype=np.intp).reshape(len(pairs), 2 + S)
+    values = evaluate_rows(map, rows[np.unique(ids, return_index=True)[1]])
+    # the (pair, t) combinations in scan order, as indices of x1, x2 and xt
+    i1, i2, it = np.repeat(ids[:, 0], S), np.repeat(ids[:, 1], S), ids[:, 2:].ravel()
+    s = np.tile(t_samples, len(pairs))
+    empty = np.array([v.is_empty for v in values], dtype=bool)
+    whole = np.array([v.whole_space for v in values], dtype=bool)
 
-    for (x1, x2) in pairs:
-        v1 = values[x1.tobytes()]
-        v2 = values[x2.tobytes()]
-        empty = v1.is_empty or v2.is_empty
-        whole = v1.whole_space or v2.whole_space
-        if not (empty or whole):
-            phi1 = scalarize_many(v1, wstar.weights)
-            phi2 = scalarize_many(v2, wstar.weights)
-        for s in t_samples:
-            xt = s * x1 + (1.0 - s) * x2
-            vt = values[xt.tobytes()]
-            if empty:
-                continue  # the combination is empty; nothing to contain
-            checked += 1
-            if whole:
-                if not vt.whole_space and mink_witness is None:
-                    mink_witness = {"x1": x1.tolist(), "x2": x2.tolist(), "t": s,
-                                    "reason": "whole-space combination not covered"}
-                continue
-            # scalar cross-check on the same sample
-            phit = scalarize_many(vt, wstar.weights)
-            gaps = phit - (s * phi1 + (1.0 - s) * phi2)
-            if scalar_witness is None and np.any(gaps > scalar_tau):
-                j = int(np.argmax(gaps))
-                scalar_witness = {"x1": x1.tolist(), "x2": x2.tolist(), "t": s,
-                                  "w": wstar.weights[j].tolist(),
-                                  "gap": float(gaps[j])}
-            if vt.whole_space:
-                continue
-            if vt.is_empty:
-                if mink_witness is None:
-                    mink_witness = {"x1": x1.tolist(), "x2": x2.tolist(), "t": s,
-                                    "reason": "empty value at the combination point"}
-                continue
-            if mink_witness is None:
-                combo = (s * v1.points[:, None, :]
-                         + (1.0 - s) * v2.points[None, :, :]).reshape(-1, v1.dim)
-                margins, _ = ext_margins(vt.points, cone, combo)
-                worst = int(np.argmin(margins))
-                if margins[worst] < -tau:
-                    mink_witness = {"x1": x1.tolist(), "x2": x2.tolist(), "t": s,
-                                    "point": combo[worst].tolist(),
-                                    "margin": float(margins[worst])}
+    def tag(c: int) -> dict:
+        x1, x2 = pairs[c // S]
+        return {"x1": x1.tolist(), "x2": x2.tolist(), "t": t_samples[c % S]}
+
+    live = ~(empty[i1] | empty[i2])  # an empty end leaves nothing to contain
+    ends_whole = whole[i1] | whole[i2]
+    stack = stack_values(values)
+    phis = (scalarize_values(values, wstar.weights) if stack is None
+            else scalarize_stack(stack, wstar.weights))
+    # scalar cross-check where both ends are clouds
+    with np.errstate(invalid="ignore", over="ignore"):
+        gaps = phis[it] - (s[:, None] * phis[i1] + (1.0 - s)[:, None] * phis[i2])
+        over = live & ~ends_whole & (gaps > scalar_tau).any(axis=1)
+    scalar_witness = None
+    if over.any():
+        c = int(np.argmax(over))
+        j = int(np.argmax(gaps[c]))
+        scalar_witness = {**tag(c), "w": wstar.weights[j].tolist(), "gap": float(gaps[c, j])}
+
+    # containment: whole-space ends need a whole-space combination; cloud
+    # ends need a combination value that is not empty and, if it is a
+    # cloud, covers every combination point up to the band
+    reasons = live & np.where(ends_whole, ~whole[it], empty[it])
+    first_reason = int(np.argmax(reasons)) if reasons.any() else len(s)
+    candidates = np.flatnonzero(live & ~ends_whole & ~whole[it] & ~empty[it])
+    candidates = candidates[candidates < first_reason]
+    if stack is None:
+        parts = [slice(k, k + 1) for k in range(len(candidates))]
+    else:
+        # a combination's pairs hold their differences and facet distances
+        parts = blocks(len(candidates), stack.shape[1] ** 3 * sum(cone.normalized_normals.shape))
+    mink_witness = None
+    for part in parts:
+        c = candidates[part]
+        if stack is None:
+            P1, P2, Pt = (values[i[c[0]]].points[None] for i in (i1, i2, it))
+        else:
+            P1, P2, Pt = stack[i1[c]], stack[i2[c]], stack[it[c]]
+        t = s[c][:, None, None, None]
+        combo = (t * P1[:, :, None, :] + (1.0 - t) * P2[:, None, :, :]
+                 ).reshape(len(c), -1, P1.shape[2])
+        margins, _ = ext_margins(Pt, cone, combo)
+        worst = margins.argmin(axis=1)
+        low = margins[np.arange(len(c)), worst] < -tau
+        if low.any():
+            k = int(np.argmax(low))
+            mink_witness = {**tag(int(c[k])), "point": combo[k, worst[k]].tolist(),
+                            "margin": float(margins[k, worst[k]])}
+            break
+    if mink_witness is None and first_reason < len(s):
+        mink_witness = {**tag(first_reason), "reason": (
+            "whole-space combination not covered" if ends_whole[first_reason]
+            else "empty value at the combination point")}
+
     if scalar_witness is not None and mink_witness is None:
         raise InternalCheckError(
             "convexity tests disagree: a sampled scalarization is not convex "
             "although every combination passed the Minkowski containment, which "
             f"forces convex scalarizations. scalar={scalar_witness}"
         )
+    checked = int(np.count_nonzero(live))
     resolution = {"pairs": len(pairs), "t_samples": t_samples,
                   "combinations_checked": checked, "tau_strict": tau,
                   "wstar_size": len(wstar)}

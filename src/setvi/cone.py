@@ -121,36 +121,52 @@ def cone_margin(cone: Cone, y) -> float:
 
 
 def _facet_min(ys: np.ndarray, pts: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """(n_y, n_a) table of min_j ghat_j . (y - a) over every y - a pair.
+    """(..., n_y, n_a) table of min_j ghat_j . (y - a) over every y - a pair
+    of stacked (..., n_y, m) probes and (..., n_a, m) anchors.
 
-    The facet axis leads the einsum output, so the reduction over it runs
-    on contiguous (n_y, n_a) slabs instead of a short last axis.  Each
+    The einsum runs over the flattened pairs with the facet axis first, so
+    the reduction over it runs on one contiguous slab of pairs instead of a
+    short last axis, and a stack costs what its pairs cost (a stacked
+    einsum was slower than one call per cloud on 64-point clouds).  Each
     entry is the same length-m dot product as in the facet-last layout;
-    tests compare the two bit for bit.
+    tests compare them bit for bit.
     """
-    diff = ys[:, None, :] - pts[None, :, :]
-    return np.einsum("yak,jk->jya", diff, normals).min(axis=0)
+    diff = ys[..., :, None, :] - pts[..., None, :, :]
+    facets = np.einsum("pk,jk->jp", diff.reshape(-1, diff.shape[-1]), normals)
+    return facets.min(axis=0).reshape(diff.shape[:-1])
 
 
 def _kept_anchors(pts: np.ndarray, ys: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """Indices, in order, of the anchors no other anchor strictly dominates.
+    """Indices, in order, of the anchors no other anchor strictly dominates,
+    per stacked cloud: (..., n_kept), where a cloud that keeps fewer than
+    n_kept anchors repeats its last kept index.
 
     Anchor a is dropped when some a' has a computed
     min_j ghat_j . (a - a') > delta; see ext_margins for why such an
-    anchor never realizes a margin and how delta is chosen.
+    anchor never realizes a margin and how delta is chosen.  A repeated
+    anchor gives the same table column as its first copy, so the first
+    maximizing column is never a repeat.
     """
     m = normals.shape[1]
-    scale = np.abs(pts).sum(axis=1).max() + np.abs(ys).sum(axis=1).max()
+    scale = np.abs(pts).sum(axis=-1).max(axis=-1) + np.abs(ys).sum(axis=-1).max(axis=-1)
     delta = 8 * (m + 2) * (_EPS * scale + _ETA)
-    dominated = (_facet_min(pts, pts, normals) > delta).any(axis=1)
-    return np.flatnonzero(~dominated)
+    dominated = (_facet_min(pts, pts, normals) > delta[..., None, None]).any(axis=-1)
+    kept = np.argsort(dominated, axis=-1, kind="stable")
+    count = np.count_nonzero(~dominated, axis=-1)[..., None]
+    width = np.arange(int(count.max()))
+    return np.take_along_axis(kept, np.minimum(width, count - 1), axis=-1)
 
 
 def ext_margins(points: np.ndarray, cone: Cone, ys: np.ndarray):
-    """Margins of each row of ys against the extended set points + C.
+    """Margins of each probe of ys against the extended set points + C.
 
-    Returns (margins, witnesses) where margins[i] = max_a min_j
-    ghat_j . (ys[i] - a) and witnesses[i] is the first maximizing index.
+    ``points`` is an (n_a, m) anchor cloud and ``ys`` an (n_y, m) probe
+    cloud, or ``points`` is a (K, n_a, m) stack of anchor clouds and ``ys``
+    a (K, n_y, m) stack or one probe cloud for all of them: entry k of the
+    result belongs to anchors k.  Returns (margins, witnesses) where
+    margins[..., i] = max_a min_j ghat_j . (ys[..., i, :] - a) and
+    witnesses[..., i] is the first maximizing anchor index.  Every entry
+    has the bits of a call on its clouds alone.
 
     A + C equals Min(A) + C for a finite cloud, so the maximum never needs
     a dominated anchor: if s = min_j ghat_j . (a - a') > 0, then
@@ -172,25 +188,33 @@ def ext_margins(points: np.ndarray, cone: Cone, ys: np.ndarray):
     Pruning scans n_a^2 anchor pairs to shrink an (n_y, n_a) table, so it
     runs only when 1 < n_a and 4 n_a < n_y, where the scan is small next
     to what it saves; otherwise every anchor is kept.  Measured on a
-    2-vCPU VM: pruning whenever 1 < n_a slows the benchmark's ``suite``
-    workload, whose calls have at most 5 anchors and 32 probes, mostly
-    n_y = n_a^2 with n_a <= 4, from 56.4 to 54.8 chains/s (medians of
-    ten alternating runs, slower in all ten); factors 1 and 2 also cost
-    time on those calls, 4 and 8 cost none.
+    2-vCPU VM when every call held one cloud: pruning whenever 1 < n_a
+    slowed the benchmark's ``suite`` workload, whose clouds have at most 5
+    anchors and 32 probes, mostly n_y = n_a^2 with n_a <= 4, from 56.4 to
+    54.8 chains/s (medians of ten alternating runs, slower in all ten);
+    factors 1 and 2 also cost time on those clouds, 4 and 8 cost none.
+    The chain's checks stack those clouds, one call per bounded block of
+    clouds of one shape (about 7 calls per ``suite`` chain), and the rule
+    holds per stack, whose clouds share n_a and n_y.
     """
     pts = np.asarray(points, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    one = pts.ndim == 2
+    pts = pts[None] if one else pts
+    ys = ys[None] if ys.ndim == 2 else ys
     normals = cone.normalized_normals
+    (K, n_a), n_y = pts.shape[:2], ys.shape[1]
+    rows = np.arange(K)[:, None]
     kept = None
-    if 1 < pts.shape[0] and 4 * pts.shape[0] < ys.shape[0]:
+    if 1 < n_a and 4 * n_a < n_y:
         kept = _kept_anchors(pts, ys, normals)
-        pts = pts[kept]
-    per_anchor = _facet_min(ys, pts, normals)  # (n_y, n_kept)
-    witnesses = per_anchor.argmax(axis=1)
-    margins = per_anchor[np.arange(ys.shape[0]), witnesses]
+        pts = pts[rows, kept]
+    per_anchor = _facet_min(ys, pts, normals)  # (K, n_y, n_kept)
+    witnesses = per_anchor.argmax(axis=2)
+    margins = per_anchor[rows, np.arange(n_y), witnesses]
     if kept is not None:
-        witnesses = kept[witnesses]
-    return margins, witnesses
+        witnesses = kept[rows, witnesses]
+    return (margins[0], witnesses[0]) if one else (margins, witnesses)
 
 
 def _compositions(total: int, parts: int):

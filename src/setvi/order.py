@@ -26,8 +26,8 @@ import numpy as np
 
 from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, ext_margins
 from .errors import EmptySet, InternalCheckError, NonSingletonValue
-from .scalarize import scalarize_many
-from .setmap import SetMap, SetValue, base_value, evaluate
+from .scalarize import blocks, scalarize_many, scalarize_stack, scalarize_values
+from .setmap import SetMap, SetValue, base_value, evaluate, stack_values
 from .verdicts import CheckResult, Verdict
 
 
@@ -112,7 +112,12 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     """Classify x0 under all three weak-minimality notions by exhaustive scan.
 
     The scan covers every sample of the domain; a whole-space value at the
-    base point short-circuits all three notions to HOLDS.
+    base point short-circuits all three notions to HOLDS.  Values that
+    ``stack_values`` stacks take their margins and scalarizations in
+    stacked passes of at most ``_POINTS_BLOCK`` entries; any other domain
+    is read value by value.  Witnesses follow domain order: the
+    first sample of the largest dominating margin, the first border
+    margin and the first sample without a sampled weight.
     """
     x0, v0 = base_value(map, x0)
     resolution = {"domain_size": int(map.domain.shape[0]),
@@ -121,44 +126,47 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
         hold = CheckResult(Verdict.HOLDS, resolution=resolution)
         return MinimalityVerdict(hold, hold, hold, degenerate_whole_space=True)
 
-    phi0 = scalarize_many(v0, wstar.weights)
-    dom_witness = None       # clear domination: both order notions fail
-    dom_border = None
-    sc_witness = None        # some x admits no sampled weight
-    per_x_weights: list[int | None] = []
-    worst_margin = -np.inf
+    weights = wstar.weights
+    phi0 = scalarize_many(v0, weights)
+    stack = stack_values(map.values)
+    if stack is None:
+        # empty values never dominate and any weight works for them: NaN
+        # margins are skipped below, as a NaN margin would be
+        margins = np.array([np.nan if v.is_empty else dominance_margin(v, v0, cone)
+                            for v in map.values])
+        phix = scalarize_values(map.values, weights)
+    else:
+        margins = np.empty(len(stack))
+        # a sample's pairs hold their differences and facet distances at once
+        pairs = stack.shape[1] * v0.points.shape[0]
+        for rows in blocks(len(stack), pairs * sum(cone.normalized_normals.shape)):
+            margins[rows] = ext_margins(stack[rows], cone, v0.points)[0].min(axis=1)
+        phix = scalarize_stack(stack, weights)
+    nonempty = np.array([not v.is_empty for v in map.values])
 
-    for x, vx in zip(map.domain, map.values):
-        if vx.is_empty:
-            per_x_weights.append(None)  # empty values never dominate; any w works
-            continue
-        margin = dominance_margin(vx, v0, cone)
-        if margin > tau and margin > worst_margin:
-            # keep the largest-margin dominator as the witness
-            dom_witness = {"x": x.tolist(), "margin": float(margin)}
-        elif margin != 0.0 and abs(margin) <= tau and dom_border is None:
-            # an exact zero margin is a cleanly false relation (identical
-            # anchor points); only inexact values near zero are ambiguous
-            dom_border = {"x": x.tolist(), "margin": float(margin)}
-        worst_margin = max(worst_margin, margin)
-        phix = scalarize_many(vx, wstar.weights)
-        valid = phix > -np.inf
-        gaps = np.where(valid, phi0 - phix, np.inf)
-        j = int(np.argmin(gaps))
-        if gaps[j] <= tau:
-            per_x_weights.append(j)
-        else:
-            per_x_weights.append(None)
-            if sc_witness is None:
-                sc_witness = {"x": x.tolist(), "best_gap": float(gaps[j]),
-                              "w": wstar.weights[j].tolist() if valid[j] else None}
+    # the largest margin, NaN skipped, and the first of equal ones: the
+    # running maximum of a scan in domain order
+    top = int(np.argmax(np.where(np.isnan(margins), -np.inf, margins)))
+    worst_margin = max(-np.inf, margins[top])
+    # an exact zero margin is a cleanly false relation (identical anchor
+    # points); only inexact values near zero are ambiguous
+    border = np.flatnonzero((margins != 0.0) & (np.abs(margins) <= tau))
+    valid = phix > -np.inf
+    gaps = np.where(valid, phi0 - phix, np.inf)
+    best = gaps.argmin(axis=1)
+    best_gap = gaps[np.arange(len(gaps)), best]
+    weighted = nonempty & (best_gap <= tau)
+    per_x_weights = [j if ok else None for j, ok in zip(best.tolist(), weighted.tolist())]
+    unweighted = np.flatnonzero(nonempty & ~weighted)
 
-    if dom_witness is not None:
+    if worst_margin > tau:
+        # clear domination: both order notions fail at the largest margin
         order_verdict = Verdict.FAILS
-        order_witness = dom_witness
-    elif dom_border is not None:
+        order_witness = {"x": map.domain[top].tolist(), "margin": float(margins[top])}
+    elif border.size:
         order_verdict = Verdict.UNDETERMINED
-        order_witness = dom_border
+        i = int(border[0])
+        order_witness = {"x": map.domain[i].tolist(), "margin": float(margins[i])}
     else:
         order_verdict = Verdict.HOLDS
         order_witness = None
@@ -166,10 +174,14 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     # the lower and uniform notions coincide on finite clouds: one result serves both
     order_result = CheckResult(order_verdict, witness=order_witness, resolution=resolution,
                                details={"worst_margin": float(worst_margin)})
-    if sc_witness is None:
+    if unweighted.size == 0:
         w_sc = CheckResult(Verdict.HOLDS, resolution=resolution,
                            details={"per_x_weight_index": per_x_weights})
     else:
+        i = int(unweighted[0])
+        j = int(best[i])
+        sc_witness = {"x": map.domain[i].tolist(), "best_gap": float(best_gap[i]),
+                      "w": weights[j].tolist() if valid[i, j] else None}
         w_sc = CheckResult(Verdict.FAILS, witness=sc_witness, resolution=resolution,
                            details={"per_x_weight_index": per_x_weights})
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cone import TAU_STRICT
 from .setmap import (RayValues, SetMap, SetValue, evaluate, evaluate_batch, ray_restriction,
-                     segment_sample_ts)
+                     segment_sample_ts, stack_values)
 from .verdicts import CheckResult, Verdict
 
 
@@ -33,6 +33,42 @@ def scalarize_many(value: SetValue, weights: np.ndarray) -> np.ndarray:
     if value.is_empty:
         return np.full(n, np.inf)
     return np.min(value.points @ weights.T, axis=0)
+
+
+def scalarize_stack(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``scalarize_many`` of every cloud of a (K, p, m) stack -> (K, n), bit
+    for bit: ``np.matmul`` takes each cloud's product as the 2-D ``@`` does,
+    and the minimum runs over the same axis.  (``scalarize_batch``'s einsum
+    rounds differently.)  Blocks of clouds hold at most ``_POINTS_BLOCK``
+    products."""
+    out = np.empty((clouds.shape[0], weights.shape[0]))
+    for rows in blocks(clouds.shape[0], clouds.shape[1] * weights.shape[0]):
+        out[rows] = np.matmul(clouds[rows], weights.T).min(axis=1)
+    return out
+
+
+def scalarize_values(values, weights: np.ndarray) -> np.ndarray:
+    """``scalarize_many`` of every value -> (K, n): one ``scalarize_stack``
+    when ``stack_values`` stacks them, else value by value."""
+    weights = np.asarray(weights, dtype=float)
+    stack = stack_values(values)
+    if stack is not None:
+        return scalarize_stack(stack, weights)
+    return np.array([scalarize_many(v, weights) for v in values]).reshape(-1, len(weights))
+
+
+# entries (floats) one stacked array pass holds at most, per operand: 1 MB.
+# Twice that raised the peak memory of chains on 64-point 4-D clouds by 3 MB
+# over one ray per call, and 2^21-entry excess blocks across rays by 11 MB
+_POINTS_BLOCK = 1 << 17
+
+
+def blocks(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of range(count) for a pass whose items hold
+    ``entries`` floats each: at most ``_POINTS_BLOCK`` floats, and at least
+    one item, per slice."""
+    rows = max(1, _POINTS_BLOCK // max(1, entries))
+    return [slice(k, k + rows) for k in range(0, count, rows)]
 
 
 # clouds of fewer points skip the dominance scan of scalarize_batch.  A
@@ -121,12 +157,6 @@ def interp_extended(knots: np.ndarray, values: np.ndarray,
     out[seg] = np.where(both, safe0 + lam * (safe1 - safe0),
                         np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf))
     return out
-
-
-# cloud entries (points x cloud size x image dimension) one evaluate_batch call
-# of scalarize_points returns at most: 1 MB of floats.  Twice that raised the
-# peak memory of chains on 64-point 4-D clouds by 3 MB over one ray per call
-_POINTS_BLOCK = 1 << 17
 
 
 def block_points(map: SetMap) -> int:
@@ -317,31 +347,46 @@ def _excess(inner: SetValue, outer: SetValue) -> float:
     return float(np.sqrt(np.sum(d * d, axis=2)).min(axis=1).max())
 
 
+def radial_excesses(rays: list[RayValues]) -> list[np.ndarray]:
+    """``adjacent_excesses`` of every ray.
+
+    The rays are read in blocks whose clouds, if shaped like the first
+    ray's, fit ``_POINTS_BLOCK``.  A block of rays on one grid size whose
+    values ``stack_values`` stacks takes one array pass per direction: the
+    same differences as ``_excess``, reduced over the same axes, so the
+    same bits.  Any other block is read ray by ray, and a ray that does not
+    stack compares its pairs one at a time.
+    """
+    size = len(rays[0].values) * rays[0].values[0].points.size if rays else 0
+    return [table for part in blocks(len(rays), size) for table in _block_excesses(rays[part])]
+
+
+def _block_excesses(rays: list[RayValues]) -> list[np.ndarray]:
+    P = None
+    if len({len(ray.values) for ray in rays}) == 1:
+        P = stack_values([v for ray in rays for v in ray.values])
+    if P is None and len(rays) > 1:
+        return [table for ray in rays for table in _block_excesses([ray])]
+    if P is None:
+        v = rays[0].values
+        return [np.array([(_excess(v[k + 1], v[k]), _excess(v[k], v[k + 1]))
+                          for k in range(len(v) - 1)]).reshape(-1, 2)]
+    P = P.reshape((len(rays), -1) + P.shape[1:])
+    later, earlier = (Q.reshape((-1,) + P.shape[2:]) for Q in (P[:, 1:], P[:, :-1]))
+    return list(np.stack([_excess_rows(later, earlier), _excess_rows(earlier, later)],
+                         axis=1).reshape(len(rays), -1, 2))
+
+
 def adjacent_excesses(ray: RayValues) -> np.ndarray:
     """(T - 1, 2) excesses of neighbouring ray samples: row k holds the
-    excess of F(t_k+1) over F(t_k), then that of F(t_k) over F(t_k+1).
-
-    A ray of nonempty, bounded clouds of one shape is stacked to (T, p, m)
-    and takes one array pass: the same differences as ``_excess``,
-    reduced over the same axes, so the same bits.  Any other ray compares
-    its pairs one at a time.
-    """
-    v = ray.values
-    if (len(v) > 1 and not any(x.whole_space or x.is_empty for x in v)
-            and len({x.points.shape for x in v}) == 1):
-        P = np.stack([x.points for x in v])
-        return np.stack([_excess_rows(P[1:], P[:-1]), _excess_rows(P[:-1], P[1:])], axis=1)
-    return np.array([(_excess(v[k + 1], v[k]), _excess(v[k], v[k + 1]))
-                     for k in range(len(v) - 1)]).reshape(-1, 2)
-
-
-# difference entries one array pass of _excess_rows may hold (16 MB of floats)
-_EXCESS_BLOCK = 1 << 21
+    excess of F(t_k+1) over F(t_k), then that of F(t_k) over F(t_k+1)."""
+    return radial_excesses([ray])[0]
 
 
 def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     """``_excess`` of inner[k] over outer[k] for stacked (K, p, m) clouds,
-    in blocks of rows that keep the (rows, p, q, m) differences bounded.
+    in blocks of rows that keep the (rows, p, q, m) differences within
+    ``_POINTS_BLOCK``.
 
     The reductions run on squared distances and one square root follows:
     ``sqrt`` is monotone and correctly rounded, so the square root of a
@@ -352,10 +397,9 @@ def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
     4-D squares go through ``np.sum`` itself.
     """
     K, p, m = inner.shape
-    rows = max(1, _EXCESS_BLOCK // (p * outer.shape[1] * m))
     out = np.empty(K)
-    for k in range(0, K, rows):
-        a, b = inner[k:k + rows, :, None, :], outer[k:k + rows, None, :, :]
+    for rows in blocks(K, p * outer.shape[1] * m):
+        a, b = inner[rows, :, None, :], outer[rows, None, :, :]
         if m < 8:
             s = a[..., 0] - b[..., 0]
             s *= s
@@ -367,7 +411,7 @@ def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
             d = a - b
             d *= d
             s = np.sum(d, axis=3)
-        out[k:k + rows] = s.min(axis=2).max(axis=1)
+        out[rows] = s.min(axis=2).max(axis=1)
     return np.sqrt(out)
 
 

@@ -149,11 +149,21 @@ def _as_domain_point(map: SetMap, x) -> np.ndarray:
     return x
 
 
+def nearest_samples(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For every row of xs the index of the nearest stored sample in the max
+    norm, and whether it lies within the lookup tolerance: the one rule by
+    which a tabulated map answers at a point."""
+    diffs = np.abs(map.domain[None, :, :] - xs[:, None, :]).max(axis=2)
+    index = diffs.argmin(axis=1)
+    near = diffs[np.arange(len(xs)), index] <= _LOOKUP_TOL * (
+        1.0 + np.abs(xs).max(axis=1, initial=0.0))
+    return index, near
+
+
 def _lookup_index(map: SetMap, x: np.ndarray) -> int:
-    diffs = np.abs(map.domain - x).max(axis=1)
-    i = int(np.argmin(diffs))
-    if diffs[i] <= _LOOKUP_TOL * (1.0 + np.abs(x).max(initial=0.0)):
-        return i
+    (i,), (near,) = nearest_samples(map, x[None, :])
+    if near:
+        return int(i)
     raise OutsideSampleDomain(f"{x.tolist()} is not a stored sample of the tabulated map")
 
 
@@ -188,6 +198,19 @@ def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
     if map.kind == "generator" and map.generator.eval_batch is not None:
         return map.generator.eval_batch(np.asarray(xs, dtype=float))
     return None
+
+
+def stack_values(values) -> np.ndarray | None:
+    """The (K, p, m) stack of the clouds of values that are all nonempty,
+    bounded (not whole-space) and of one shape; None for any other list.
+    Stacked passes over values read this one rule; every other list takes
+    its per-value path."""
+    if not values:
+        return None
+    shape = values[0].points.shape
+    if shape[0] == 0 or any(v.whole_space or v.points.shape != shape for v in values):
+        return None
+    return np.stack([v.points for v in values])
 
 
 def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[SetValue, ...]:

@@ -33,8 +33,8 @@ from .analysis import (CONVEXITY_T_SAMPLES, DiniConfig, c_convexity_check,
                        convexity_pairs, dini_table, _pseudo_scan, _ssqc_scan)
 from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
-from .scalarize import (adjacent_excesses, block_points, hausdorff_check_radial,
-                        ray_scalarizations, scalarize_many)
+from .scalarize import (block_points, hausdorff_check_radial, radial_excesses,
+                        ray_scalarizations, scalarize_values)
 from .setmap import RayValues, SetMap, base_value, radial_rays
 from .verdicts import CheckResult, Verdict, worst
 
@@ -201,7 +201,7 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
         block = [rays[i] for i in ray_indices[b:b + size]]
         t_eff = block[0].t_grid
         T, R = t_eff.size, len(block)
-        phis = np.stack([scalarize_many(v, wstar.weights) for ray in block for v in ray.values])
+        phis = scalarize_values([v for ray in block for v in ray.values], wstar.weights)
         phis = phis.reshape(R, T, W).transpose(1, 0, 2).reshape(T, R * W)
         probe_ts = np.concatenate([(t_eff[:, None] + steps[None, :]).ravel(),
                                    (t_eff[:, None] - steps[None, :]).ravel()])
@@ -304,7 +304,7 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     cfg = cfg or DiniConfig()
     x0, v0 = base_value(map, x0)
     rays = radial_rays(map, x0, np.linspace(0.0, 1.0, ray_grid_size))
-    excesses = [adjacent_excesses(ray) for ray in rays]
+    excesses = radial_excesses(rays)
 
     survey = _radial_survey(map, rays, wstar, cfg, tau, max_rays)
     star, star_witness = survey["star"]

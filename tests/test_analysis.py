@@ -197,8 +197,9 @@ class TestConeConvexity:
     def test_containment_witness_survives_anchor_pruning(self, monkeypatch):
         # each F(x) is an 8-point chain under the orthant, shifted by a
         # concave first component: 64 combination points against 8 anchors
-        # of which 7 are dominated, so the FAILS witness comes from pruned
-        # margins and must equal the one computed over every anchor
+        # of which 7 are dominated, for each of the 6 combinations of one
+        # stacked call, so the FAILS witness comes from pruned margins and
+        # must equal the one computed over every anchor
         steps = np.tile([[0.3, 0.1], [0.1, 0.4]], (4, 1))[:7]
         chain = np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
         m = builtin_map("segment_shift", {"segment": chain.tolist(), "quadratic": [-1.0, 0.0]})
@@ -208,15 +209,15 @@ class TestConeConvexity:
 
         def spy(pts, ys, normals):
             idx = prune(pts, ys, normals)
-            kept.append((len(pts), len(idx)))
+            kept.append((pts.shape[:-1], idx.shape[-1]))
             return idx
 
         monkeypatch.setattr(cone_mod, "_kept_anchors", spy)
         pruned = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
-        monkeypatch.setattr(cone_mod, "_kept_anchors",
-                            lambda pts, ys, normals: np.arange(len(pts)))
+        monkeypatch.setattr(cone_mod, "_kept_anchors", lambda pts, ys, normals: np.broadcast_to(
+            np.arange(pts.shape[-2]), pts.shape[:-1]))
         full = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
-        assert kept == [(8, 1)]
+        assert kept == [((6, 8), 1)]
         assert pruned.verdict is Verdict.FAILS
         assert pruned.witness["margin"] < 0
         assert pruned.witness == full.witness
@@ -256,7 +257,7 @@ class TestConeConvexity:
         import setvi.analysis
 
         def inside(points, cone, ys):
-            return np.ones(len(ys)), np.zeros(len(ys), dtype=int)
+            return np.ones(ys.shape[:-1]), np.zeros(ys.shape[:-1], dtype=int)
 
         monkeypatch.setattr(setvi.analysis, "ext_margins", inside)
         m = builtin_map("segment_shift", {"segment": [[0, 0]], "quadratic": [-1.0, 0.0]})

@@ -208,6 +208,37 @@ def test_ext_margins_matches_the_unpruned_kernel():
     assert pruning_cases > 1000 and dropped > 500
 
 
+def test_stacked_ext_margins_match_separate_calls():
+    # K anchor clouds of one size against K probe clouds or one shared one:
+    # each entry of a stacked call has the bits of the 2-D call on its own
+    # clouds, in the pruned regime (4 n_a < n_y) and out of it
+    rng = np.random.default_rng(7)
+    regimes = {"pruned": 0, "unpruned": 0, "shared probes": 0}
+    for _ in range(1500):
+        m = int(rng.integers(1, 6))
+        cone = parity_cone(rng, m)
+        scale = 10.0 ** rng.uniform(-6, 6)
+        K, n_a = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        n_y = int(rng.integers(1, 8 * n_a + 8))
+        pts = np.stack([parity_cloud(rng, cone, n_a) for _ in range(K)]) * scale
+        ys = rng.normal(size=(K, n_y, m)) * scale
+        near = n_y // 2
+        ys[:, :near] = (pts[:, rng.integers(0, n_a, size=near)]
+                        + rng.normal(size=(K, near, m)) * scale * 1e-15)
+        shared = rng.random() < 0.3
+        if shared:
+            ys = ys[0]
+        margins, witnesses = ext_margins(pts, cone, ys)
+        assert margins.shape == witnesses.shape == (K, n_y)
+        for k in range(K):
+            one_margins, one_witnesses = ext_margins(pts[k], cone, ys if shared else ys[k])
+            assert margins[k].tobytes() == one_margins.tobytes()
+            assert witnesses[k].tolist() == one_witnesses.tolist()
+        regimes["pruned" if 1 < n_a and 4 * n_a < n_y else "unpruned"] += 1
+        regimes["shared probes"] += shared
+    assert min(regimes.values()) > 300, regimes
+
+
 def test_ordered_cloud_keeps_one_anchor():
     # a cloud totally ordered by the orthant has one C-minimal point; the
     # 4096 probes are the pairwise midpoints a convexity check forms

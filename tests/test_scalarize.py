@@ -17,6 +17,7 @@ from setvi.scalarize import (
     scalar_path,
     scalarize_batch,
     scalarize_many,
+    scalarize_stack,
 )
 from setvi.setmap import RayValues, SetValue, builtin_map, evaluate, load_problem, radial_rays
 from setvi.verdicts import Verdict
@@ -147,8 +148,13 @@ def excess_calls(monkeypatch):
 
 
 @pytest.fixture()
-def adjacent_calls(monkeypatch):
-    return _count_calls(monkeypatch, "adjacent_excesses")
+def radial_calls(monkeypatch):
+    return _count_calls(monkeypatch, "radial_excesses")
+
+
+@pytest.fixture()
+def excess_row_calls(monkeypatch):
+    return _count_calls(monkeypatch, "_excess_rows")
 
 
 def _reference_radial(rays, eps_list, tau):
@@ -274,13 +280,16 @@ class TestHausdorff:
         ex = adjacent_excesses(ray)
         assert len(excess_calls) == 2 * (T - 1) and ex.shape == (T - 1, 2)
 
-    def test_chain_computes_each_adjacent_excess_once(self, excess_calls, adjacent_calls):
-        # the default eps and the radial check share one table per ray, and
-        # uniform clouds fill it in one array pass
+    def test_chain_computes_each_adjacent_excess_once(self, excess_calls, radial_calls,
+                                                      excess_row_calls):
+        # the default eps and the radial check share one table per ray, all
+        # read by one call, and the uniform clouds of every ray fill them in
+        # one array pass per direction
         m = builtin_map("quadratic_vector", {"targets": [0, 1]},
                         domain=np.linspace(-1, 2, 7).reshape(-1, 1))
         theorem_chain(m, [0.5], ORTHANT, WS, ray_grid_size=9)
-        assert len(adjacent_calls) == len(radial_rays(m, [0.5], np.linspace(0, 1, 9)))
+        assert len(radial_calls) == 1
+        assert len(excess_row_calls) == 2
         assert len(excess_calls) == 0
 
     @pytest.mark.parametrize("block", [None, 1, 300])
@@ -289,7 +298,7 @@ class TestHausdorff:
         # in blocks of rows), ragged, empty and whole-space values and
         # one-sample rays (the pair loop)
         if block is not None:
-            monkeypatch.setattr(sys.modules["setvi.scalarize"], "_EXCESS_BLOCK", block)
+            monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
         rng = np.random.default_rng(41)
         kinds = {"uniform": 0, "other": 0}
         for _ in range(400):
@@ -448,6 +457,22 @@ def test_scalarize_batch_rows_keep_their_bits_in_any_stack():
         assert (got == want).all(), f"case {case} joined"
 
 
+@pytest.mark.parametrize("block", [None, 1, 3000])
+def test_scalarize_stack_matches_scalarize_many_bit_for_bit(monkeypatch, block):
+    # the stacked matmul reproduces the per-value matmul of every cloud, zero
+    # signs and overflows included, whole or in blocks of clouds
+    if block is not None:
+        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
+    rng = np.random.default_rng(11)
+    for case in range(2000 if block is None else 300):
+        clouds, weights = _stack(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = scalarize_stack(clouds, weights)
+            want = np.stack([scalarize_many(SetValue(np.ascontiguousarray(c)), weights)
+                             for c in clouds])
+        assert (got.view(np.int64) == want.view(np.int64)).all(), f"case {case}"
+
+
 def test_scalarize_batch_keeps_the_nan_of_a_dominated_point():
     # w . a overflows to -inf on the minimal point, but to inf - inf on the
     # points it dominates: the unpruned minimum is NaN, so nothing may be
@@ -464,7 +489,7 @@ def test_scalarize_batch_keeps_the_nan_of_a_dominated_point():
 @pytest.mark.parametrize("block", [None, 1, 500])
 def test_excess_rows_match_the_square_root_formula(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_EXCESS_BLOCK", block)
+        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
     rng = np.random.default_rng(5)
     for m in range(1, 11):
         for _ in range(40):
