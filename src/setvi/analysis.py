@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cone import Cone, TAU_STRICT, WStarSample, ext_margins
+from .cone import (_PRUNE_MIN_POINTS, Cone, TAU_STRICT, WStarSample, dominated_probes, ext_margins,
+                   kept_indices)
 from .errors import (
     GridTooCoarse,
     InternalCheckError,
@@ -435,7 +436,12 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     (pair, t) combinations are taken in stacked ``ext_margins`` calls of
     at most ``_POINTS_BLOCK`` entries, else one combination at a time;
     either way they stop at the first failing combination.  Both witnesses
-    are the first failing combination in (pair, t) order.
+    are the first failing combination in (pair, t) order.  A combination
+    reads only its smallest margin, so stacked values of at least
+    ``_PRUNE_MIN_POINTS`` points combine only the points of F(x1) and F(x2)
+    that ``dominated_probes`` keeps (``_kept_ends``): the smallest margin,
+    its first index and the point there keep their bits, and ordered
+    clouds never form their p^2-point combination clouds.
     """
     t_samples = [float(s) for s in t_samples]
     scalar_tau = tau * max(1.0, wstar.max_norm())
@@ -484,18 +490,26 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     first_reason = int(np.argmax(reasons)) if reasons.any() else len(s)
     candidates = np.flatnonzero(live & ~ends_whole & ~whole[it] & ~empty[it])
     candidates = candidates[candidates < first_reason]
+    kept = None
     if stack is None:
         parts = [slice(k, k + 1) for k in range(len(candidates))]
     else:
+        p = stack.shape[1]
+        kept = _kept_ends(stack, cone, np.concatenate([i1[candidates], i2[candidates]]),
+                          t_samples)
+        width = p if kept is None else kept.shape[1]
         # a combination's pairs hold their differences and facet distances
-        parts = blocks(len(candidates), stack.shape[1] ** 3 * sum(cone.normalized_normals.shape))
+        parts = blocks(len(candidates), width ** 2 * p * sum(cone.normalized_normals.shape))
     mink_witness = None
     for part in parts:
         c = candidates[part]
         if stack is None:
             P1, P2, Pt = (values[i[c[0]]].points[None] for i in (i1, i2, it))
-        else:
+        elif kept is None:
             P1, P2, Pt = stack[i1[c]], stack[i2[c]], stack[it[c]]
+        else:
+            P1, P2 = (stack[i[c][:, None], kept[i[c]]] for i in (i1, i2))
+            Pt = stack[it[c]]
         t = s[c][:, None, None, None]
         combo = (t * P1[:, :, None, :] + (1.0 - t) * P2[:, None, :, :]
                  ).reshape(len(c), -1, P1.shape[2])
@@ -529,6 +543,37 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
         return CheckResult(Verdict.UNDETERMINED, resolution=resolution,
                            details={"note": "no evaluable pair combinations"})
     return CheckResult(Verdict.HOLDS, resolution=resolution)
+
+
+def _kept_ends(stack: np.ndarray, cone: Cone, ends: np.ndarray,
+               t_samples) -> np.ndarray | None:
+    """(len(stack), n_kept) ``kept_indices`` of the points of the values
+    ``ends`` that the combinations t F(x1) + (1-t) F(x2) of
+    c_convexity_check need, read once per value, or None when no point
+    drops: clouds of fewer than ``_PRUNE_MIN_POINTS`` points keep the
+    unpruned pass, and so does a t outside (0, 1).  Rows of other values
+    are zero.
+
+    The factor of ``dominated_probes`` is the smallest of t and 1 - t; the
+    ends, their partners and the anchors are values of the stack, so twice
+    its largest 1-norm bounds its N.
+    """
+    ts = np.asarray(t_samples, dtype=float)
+    factor = np.min(np.minimum(ts, 1.0 - ts), initial=1.0)
+    if stack.shape[1] < _PRUNE_MIN_POINTS or not (ends.size and factor > 0.0):
+        return None
+    used = np.unique(ends)
+    scale = 2.0 * np.abs(stack).sum(axis=-1).max()
+    dominated = np.empty((len(used), stack.shape[1]), dtype=bool)
+    # a value's scan holds two (p, p) slabs of facet distances at once
+    for rows in blocks(len(used), 2 * stack.shape[1] ** 2):
+        dominated[rows] = dominated_probes(stack[used[rows]], cone, scale, factor)
+    if not dominated.any():
+        return None
+    kept = kept_indices(dominated)
+    out = np.zeros((len(stack), kept.shape[1]), dtype=kept.dtype)
+    out[used] = kept
+    return out
 
 
 def diewert_witness(path: ScalarPath, side: str = "forward",

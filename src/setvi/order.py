@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, ext_margins
+from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, dominated_probes, ext_margins
 from .errors import EmptySet, InternalCheckError, NonSingletonValue
 from .scalarize import blocks, scalarize_many, scalarize_stack, scalarize_values
 from .setmap import SetMap, SetValue, base_value, evaluate, stack_values
@@ -44,8 +44,37 @@ def dominance_margin(A: SetValue, B: SetValue, cone: Cone) -> float:
         return -np.inf
     if A.is_empty or B.is_empty:
         raise EmptySet("order relations need nonempty set values")
-    margins, _ = ext_margins(A.points, cone, B.points)
-    return float(margins.min())
+    return float(_least_margins(A.points[None], cone, B.points)[0])
+
+
+def _least_margins(anchors: np.ndarray, cone: Cone, probes: np.ndarray) -> np.ndarray:
+    """min over the probes of the ``ext_margins`` against each anchor cloud
+    of a (K, n_a, m) stack -> (K,).
+
+    The minimum skips the probes ``dominated_probes`` marks, whose margins
+    sit strictly above another probe's, so it keeps its value.  A zero
+    minimum is taken again over every probe: which of +0.0 and -0.0 the
+    reduction returns depends on where the zeros sit.
+    """
+    scale = np.abs(anchors).sum(axis=-1).max() + np.abs(probes).sum(axis=-1).max()
+    keep = ~dominated_probes(probes, cone, scale)
+    if keep.all():
+        return _min_margins(anchors, cone, probes)
+    out = _min_margins(anchors, cone, probes[keep])
+    zero = np.flatnonzero(out == 0.0)
+    out[zero] = _min_margins(anchors[zero], cone, probes)
+    return out
+
+
+def _min_margins(anchors: np.ndarray, cone: Cone, probes: np.ndarray) -> np.ndarray:
+    """min over the probes of the ``ext_margins`` against each anchor cloud,
+    in blocks of at most ``_POINTS_BLOCK`` entries."""
+    out = np.empty(len(anchors))
+    # a cloud's pairs hold their differences and facet distances at once
+    entries = anchors.shape[1] * len(probes) * sum(cone.normalized_normals.shape)
+    for rows in blocks(len(anchors), entries):
+        out[rows] = ext_margins(anchors[rows], cone, probes)[0].min(axis=1)
+    return out
 
 
 def relation_lt(A: SetValue, B: SetValue, cone: Cone, tau: float = TAU_STRICT) -> bool:
@@ -115,7 +144,9 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     base point short-circuits all three notions to HOLDS.  Values that
     ``stack_values`` stacks take their margins and scalarizations in
     stacked passes of at most ``_POINTS_BLOCK`` entries; any other domain
-    is read value by value.  Witnesses follow domain order: the
+    is read value by value.  A margin is the smallest over the points of
+    the base value, so only its C-minimal points are probed (see
+    ``dominated_probes``).  Witnesses follow domain order: the
     first sample of the largest dominating margin, the first border
     margin and the first sample without a sampled weight.
     """
@@ -136,11 +167,7 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
                             for v in map.values])
         phix = scalarize_values(map.values, weights)
     else:
-        margins = np.empty(len(stack))
-        # a sample's pairs hold their differences and facet distances at once
-        pairs = stack.shape[1] * v0.points.shape[0]
-        for rows in blocks(len(stack), pairs * sum(cone.normalized_normals.shape)):
-            margins[rows] = ext_margins(stack[rows], cone, v0.points)[0].min(axis=1)
+        margins = _least_margins(stack, cone, v0.points)
         phix = scalarize_stack(stack, weights)
     nonempty = np.array([not v.is_empty for v in map.values])
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import TAU_STRICT
+from .cone import _PRUNE_MIN_POINTS, TAU_STRICT
 from .setmap import (RayValues, SetMap, SetValue, evaluate, evaluate_batch, ray_restriction,
                      segment_sample_ts, stack_values)
 from .verdicts import CheckResult, Verdict
@@ -69,14 +69,6 @@ def blocks(count: int, entries: int) -> list[slice]:
     one item, per slice."""
     rows = max(1, _POINTS_BLOCK // max(1, entries))
     return [slice(k, k + rows) for k in range(0, count, rows)]
-
-
-# clouds of fewer points skip the dominance scan of scalarize_batch.  A
-# measured cost rule (2-vCPU host, 21- and 360-row stacks, 33 and 84
-# weights): from 8 points on, pruning a chain takes 0.16-1.25x the unpruned
-# time and a scan that drops nothing (an antichain) costs at most 1.2x;
-# below 8 points the fixed cost of the scan wins on short stacks.
-_PRUNE_MIN_POINTS = 8
 
 
 def _products_min(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:

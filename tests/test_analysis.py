@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from setvi import analysis as analysis_mod
+from setvi import order as order_mod
 from setvi.analysis import (
+    CONVEXITY_T_SAMPLES,
     DiniConfig,
     c_convexity_check,
     classify_path,
@@ -12,6 +15,7 @@ from setvi.analysis import (
 from setvi import cone as cone_mod
 from setvi.cone import dual_base, make_cone
 from setvi.errors import InternalCheckError, NoWitnessFound, StepOutsideDomain
+from setvi.order import classify_weak_min
 from setvi.scalarize import PiecewiseLinear, ScalarPath
 from setvi.setmap import builtin_map, load_problem
 from setvi.verdicts import Verdict
@@ -195,15 +199,18 @@ class TestConeConvexity:
         assert res.details["scalar_witness"] is None
 
     def test_containment_witness_survives_anchor_pruning(self, monkeypatch):
-        # each F(x) is an 8-point chain under the orthant, shifted by a
-        # concave first component: 64 combination points against 8 anchors
+        # F(0) and F(4) are 8-point staircases (antichains under the
+        # orthant, so no combined point drops) and F(1), F(2), F(3) 8-point
+        # chains from (1.5, 1.5): 64 combination points against 8 anchors
         # of which 7 are dominated, for each of the 6 combinations of one
         # stacked call, so the FAILS witness comes from pruned margins and
         # must equal the one computed over every anchor
+        s = np.linspace(0.0, 2.0, 8)
+        stair = np.column_stack([s, 2.0 - s])
         steps = np.tile([[0.3, 0.1], [0.1, 0.4]], (4, 1))[:7]
-        chain = np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
-        m = builtin_map("segment_shift", {"segment": chain.tolist(), "quadratic": [-1.0, 0.0]})
-        pairs = [(np.array([-1.0]), np.array([1.0])), (np.array([-0.5]), np.array([1.0]))]
+        chain = 1.5 + np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
+        m = self.tabulated([stair.tolist()] + [chain.tolist()] * 3 + [stair.tolist()])
+        pairs = [(np.array([0.0]), np.array([4.0])), (np.array([4.0]), np.array([0.0]))]
         kept = []
         prune = cone_mod._kept_anchors
 
@@ -222,6 +229,77 @@ class TestConeConvexity:
         assert pruned.witness["margin"] < 0
         assert pruned.witness == full.witness
         assert pruned.details == full.details
+
+    def test_containment_witness_survives_probe_pruning(self, monkeypatch):
+        # each F(x) is an 8-point chain under the orthant, shifted by a
+        # concave first component: each of the 3 end values keeps its one
+        # C-minimal point, so each of the 6 combinations reads one
+        # combination point instead of 64, and the FAILS witness must equal
+        # the one read over all of them
+        steps = np.tile([[0.3, 0.1], [0.1, 0.4]], (4, 1))[:7]
+        chain = np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
+        m = builtin_map("segment_shift", {"segment": chain.tolist(), "quadratic": [-1.0, 0.0]})
+        pairs = [(np.array([-1.0]), np.array([1.0])), (np.array([-0.5]), np.array([1.0]))]
+        kept, probes = [], []
+        mark, margins = analysis_mod.dominated_probes, analysis_mod.ext_margins
+
+        def spy_mark(ys, cone, scale, factor=1.0):
+            out = mark(ys, cone, scale, factor)
+            kept.append(np.count_nonzero(~out, axis=-1).tolist())
+            return out
+
+        def spy_margins(points, cone, ys):
+            probes.append(ys.shape[:-1])
+            return margins(points, cone, ys)
+
+        monkeypatch.setattr(analysis_mod, "dominated_probes", spy_mark)
+        monkeypatch.setattr(analysis_mod, "ext_margins", spy_margins)
+        pruned = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
+        monkeypatch.setattr(analysis_mod, "dominated_probes",
+                            lambda ys, cone, scale, factor=1.0: np.zeros(ys.shape[:-1], bool))
+        full = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
+        assert kept == [[1, 1, 1]]
+        assert probes == [(6, 1), (6, 64)]
+        assert pruned.verdict is Verdict.FAILS
+        assert pruned.witness["margin"] < 0
+        assert pruned.witness == full.witness
+        assert pruned.details == full.details
+
+    def test_ordered_clouds_read_one_point_per_margin(self, monkeypatch):
+        # 64-point clouds totally ordered by a rescaled orthant of R^4, shifted
+        # by a convex quadratic: every (pair, t) combination hands ext_margins
+        # one combination point, and the minimality scan probes one point of
+        # F(x0) against every sample, then all 64 for the samples whose
+        # smallest margin is zero: x0 and, for the corner, F(-2) = F(2)
+        rng = np.random.default_rng(101)
+        start = rng.uniform(-1.0, 1.0, size=4)
+        chain = np.vstack([start, start + np.cumsum(rng.uniform(0.1, 1.0, size=(63, 4)), axis=0)])
+        cone = make_cone(np.diag(rng.uniform(0.5, 2.0, size=4)), np.ones(4))
+        m = builtin_map("segment_shift", {
+            "segment": chain.tolist(), "offset": rng.uniform(-1.0, 1.0, size=4).tolist(),
+            "quadratic": rng.uniform(0.5, 1.5, size=4).tolist(), "center": [0.0],
+            "domain_dim": 1}, domain=np.linspace(-2.0, 2.0, 33).reshape(-1, 1))
+        wstar = dual_base(cone, 7)
+        calls = []
+
+        def spy(module):
+            margins = module.ext_margins
+
+            def counted(points, cone, ys):
+                calls.append((points.shape[:-1], ys.shape[-2]))
+                return margins(points, cone, ys)
+            monkeypatch.setattr(module, "ext_margins", counted)
+
+        spy(analysis_mod)
+        spy(order_mod)
+        pairs = convexity_pairs(m, CONVEXITY_T_SAMPLES, 15)
+        res = c_convexity_check(m, cone, wstar, pairs, CONVEXITY_T_SAMPLES, 1e-5)
+        assert res.verdict is Verdict.HOLDS
+        assert calls == [((45, 64), 1)]
+        for x0, verdict, zeros in ((0.0, Verdict.HOLDS, 1), (2.0, Verdict.FAILS, 2)):
+            calls.clear()
+            assert classify_weak_min(m, [x0], cone, wstar, 1e-5).w_min.verdict is verdict
+            assert calls == [((33, 64), 1), ((zeros, 64), 64)]
 
     def tabulated(self, values):
         """A tabulated map on x = 0, 1, 2; None marks an empty value, "whole"

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+from setvi.analysis import CONVEXITY_T_SAMPLES, _kept_ends
 from setvi.cone import (
+    _PRUNE_MIN_POINTS,
     _kept_anchors,
     cone_margin,
+    dominated_probes,
     dual_base,
     ext_margins,
     make_cone,
 )
 from setvi.errors import DimensionMismatch, InteriorWitnessInvalid, ZeroGenerator
+from setvi.order import _least_margins
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
 
@@ -241,7 +245,8 @@ def test_stacked_ext_margins_match_separate_calls():
 
 def test_ordered_cloud_keeps_one_anchor():
     # a cloud totally ordered by the orthant has one C-minimal point; the
-    # 4096 probes are the pairwise midpoints a convexity check forms
+    # 4096 probes are its pairwise midpoints, a probe cloud 64 times the
+    # anchor cloud (a convexity check now combines only C-minimal points)
     rng = np.random.default_rng(3)
     cone = make_cone(np.eye(4), np.ones(4))
     cloud = rng.uniform(-1, 1, size=4) + np.cumsum(
@@ -252,3 +257,84 @@ def test_ordered_cloud_keeps_one_anchor():
     ref_margins, ref_witnesses = reference_ext_margins(cloud, cone, probes)
     assert margins.tobytes() == ref_margins.tobytes()
     assert witnesses.tolist() == ref_witnesses.tolist()
+
+
+def probe_cloud(rng, cone, n, pts):
+    """parity_cloud probes at the anchors' scale, half of the time with
+    some near-copies of the anchors (1e-15 relative: zero and near-zero
+    facet differences) and some repeats of earlier probes."""
+    scale = float(np.abs(pts).max()) or 1.0
+    ys = parity_cloud(rng, cone, n) * scale
+    if rng.random() < 0.5:
+        return ys
+    near = rng.random(n) < 0.3
+    ys[near] = (pts[rng.integers(0, len(pts), size=near.sum())]
+                + rng.normal(size=(near.sum(), cone.dim)) * scale * 1e-15 * rng.integers(0, 2))
+    again = rng.random(n) < 0.2
+    ys[again] = ys[rng.integers(0, n, size=again.sum())]
+    return ys
+
+
+def test_probe_pruning_keeps_the_least_margin():
+    # min over the probes of the unpruned kernel, its first index and the
+    # margins at the kept probes against the pruned rule of _least_margins
+    rng = np.random.default_rng(1407)
+    gated = dropped = 0
+    for _ in range(2000):
+        m = int(rng.integers(1, 6))
+        cone = parity_cone(rng, m)
+        n_a = int(rng.integers(1, 10))
+        n_y = int(rng.integers(1, 3 * _PRUNE_MIN_POINTS))  # both sides of the gate
+        pts = parity_cloud(rng, cone, n_a) * 10.0 ** rng.uniform(-6, 6)
+        ys = probe_cloud(rng, cone, n_y, pts)
+        ref_margins, _ = reference_ext_margins(pts, cone, ys)
+        least = _least_margins(pts[None], cone, ys)
+        assert least.shape == (1,)
+        assert least[0:1].tobytes() == ref_margins.min(keepdims=True).tobytes()
+        scale = np.abs(pts).sum(axis=1).max() + np.abs(ys).sum(axis=1).max()
+        kept = np.flatnonzero(~dominated_probes(ys, cone, scale))
+        margins, _ = ext_margins(pts, cone, ys[kept])
+        assert margins.tobytes() == ref_margins[kept].tobytes()
+        assert kept[np.argmin(margins)] == np.argmin(ref_margins)
+        if n_y >= _PRUNE_MIN_POINTS:
+            gated += 1
+            dropped += len(kept) < n_y
+        else:
+            assert len(kept) == n_y
+    assert gated > 1000 and dropped > gated / 2, (gated, dropped)
+
+
+def test_combination_pruning_keeps_the_least_margin():
+    # the combinations t P1 + (1-t) P2 of a convexity check, formed in full
+    # as the unpruned check formed them, against those of the points of P1
+    # and P2 that _kept_ends keeps: the first worst combination, its point
+    # and its margin keep their bits
+    rng = np.random.default_rng(4292)
+    gated = dropped = 0
+    for _ in range(2000):
+        m = int(rng.integers(1, 6))
+        cone = parity_cone(rng, m)
+        p = int(rng.integers(1, 2 * _PRUNE_MIN_POINTS))  # both sides of the gate
+        scale = 10.0 ** rng.uniform(-6, 6)
+        P1, Pt = parity_cloud(rng, cone, p) * scale, parity_cloud(rng, cone, p) * scale
+        P2 = probe_cloud(rng, cone, p, P1) if rng.random() < 0.5 else \
+            parity_cloud(rng, cone, p) * scale
+        stack = np.stack([P1, P2, Pt])
+        kept = _kept_ends(stack, cone, np.array([0, 1]), CONVEXITY_T_SAMPLES)
+        for t in CONVEXITY_T_SAMPLES:
+            combo = (t * P1[:, None, :] + (1.0 - t) * P2[None, :, :]).reshape(-1, m)
+            ref_margins, _ = reference_ext_margins(Pt, cone, combo)
+            worst = int(np.argmin(ref_margins))
+            K1, K2 = (np.arange(p), np.arange(p)) if kept is None else (kept[0], kept[1])
+            pruned = (t * P1[K1][:, None, :] + (1.0 - t) * P2[K2][None, :, :]).reshape(-1, m)
+            margins, _ = ext_margins(Pt, cone, pruned)
+            k = int(np.argmin(margins))
+            assert (K1[k // len(K2)], K2[k % len(K2)]) == divmod(worst, p)
+            assert pruned[k].tobytes() == combo[worst].tobytes()
+            assert margins[k:k + 1].tobytes() == ref_margins[worst:worst + 1].tobytes()
+        if p >= _PRUNE_MIN_POINTS:
+            gated += 1
+            dropped += kept is not None
+        else:
+            assert kept is None
+    assert gated > 1000 and dropped > gated / 2, (gated, dropped)

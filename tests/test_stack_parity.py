@@ -8,7 +8,9 @@ and ``ref_convexity_pairs`` below are the earlier ``analysis.c_convexity_check``
 the margin kernel they called (``ref_ext_margins``) and ``ref_dominance_margin``:
 one ``scalarize_many`` per value read and one ``ext_margins`` call per
 combination or sample.  On every seeded case the new passes must render the
-same bytes, witnesses and exceptions included.
+same bytes, witnesses and exceptions included, among them cases where the
+passes combine only the C-minimal points of the end values or probe only
+those of the base value.
 """
 
 import sys
@@ -24,6 +26,9 @@ from setvi.scalarize import _excess, _excess_rows, radial_excesses, scalarize_ma
 from setvi.setmap import (SetMap, SetValue, base_value, builtin_map, evaluate, evaluate_rows,
                           radial_rays)
 from setvi.verdicts import CheckResult, Verdict
+
+analysis_mod = sys.modules["setvi.analysis"]
+order_mod = sys.modules["setvi.order"]
 
 
 def ref_facet_min(ys, pts, normals):
@@ -282,17 +287,27 @@ def _domain(rng, n):
 
 def _cloud(rng, p, m):
     """Random, coarsely rounded (exact ties and zeros), staircase (an
-    antichain whose midpoints leave F(x) + C) or chain clouds."""
-    style = rng.integers(0, 4)
+    antichain whose midpoints leave F(x) + C), chain, or staircase clouds
+    with copies shifted up the orthant (dominated points that the pruned
+    passes drop while the midpoints still fail)."""
+    style = rng.integers(0, 5)
+    if style == 4 and p > 1:
+        stair = _cloud_staircase(max(1, p // 2), m)
+        copies = stair[rng.integers(0, len(stair), size=p - len(stair))]
+        return np.vstack([stair, copies + rng.uniform(0.05, 1.0, size=(len(copies), 1))])
     if style == 0:
         return rng.normal(size=(p, m))
     if style == 1:
         return np.round(rng.normal(size=(p, m)), 1)
     if style == 2:
-        s = np.linspace(0.0, 2.0, p)
-        return np.column_stack([s, s[::-1]] + [np.zeros(p)] * (m - 2))[:, :m]
+        return _cloud_staircase(p, m)
     steps = rng.uniform(0, 1, size=(p - 1, m)) * (rng.random((p - 1, 1)) < 0.8)
     return np.cumsum(np.vstack([rng.normal(size=m), steps]), axis=0)
+
+
+def _cloud_staircase(p, m):
+    s = np.linspace(0.0, 2.0, p)
+    return np.column_stack([s, s[::-1]] + [np.zeros(p)] * (m - 2))[:, :m]
 
 
 def _generator_map(rng):
@@ -327,7 +342,8 @@ def _tabulated_map(rng, tau):
     n, m = int(rng.integers(1, 3)), int(rng.integers(1, 4))
     domain = _domain(rng, n)
     uniform = rng.random() < 0.5
-    p = int(rng.integers(1, 5))
+    # clouds from 8 points on take the pruned passes
+    p = int(rng.integers(1, 5)) if rng.random() < 0.7 else int(rng.integers(8, 13))
     base = _cloud(rng, p, m)
     odd = rng.random() < 0.5
     values = []
@@ -364,9 +380,27 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
     rng = np.random.default_rng(20240811)
     seen = {"1-D": 0, "2-D": 0, "tabulated": 0, "stacked": 0, "per value": 0, "64 points": 0,
             "containment FAILS": 0, "scalar witness": 0, "border": 0, "dominated": 0,
-            "no weight": 0, "whole-space or empty": 0, "small blocks": 0}
+            "no weight": 0, "whole-space or empty": 0, "small blocks": 0,
+            "pruned combinations": 0, "pruned containment FAILS": 0, "pruned base value": 0}
+    # whether the case's checks dropped points of the end values or of the base value
+    pruned = {}
+    kept_ends, marked = analysis_mod._kept_ends, order_mod.dominated_probes
+
+    def spy_ends(*args):
+        kept = kept_ends(*args)
+        pruned["combinations"] |= kept is not None
+        return kept
+
+    def spy_marked(ys, cone, scale, factor=1.0):
+        out = marked(ys, cone, scale, factor)
+        pruned["base value"] |= bool(out.any())
+        return out
+
+    monkeypatch.setattr(analysis_mod, "_kept_ends", spy_ends)
+    monkeypatch.setattr(order_mod, "dominated_probes", spy_marked)
     for case in range(1200):
         map_, cone, wstar, x0, t_samples, tau = _case(rng)
+        pruned.update({"combinations": False, "base value": False})
         small = rng.random() < 0.3
         monkeypatch.setattr(module, "_POINTS_BLOCK",
                             int(rng.choice([1, 40, 700])) if small else 1 << 17)
@@ -400,6 +434,9 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
         seen["scalar witness"] += '"scalar_witness": {' in got or "disagree" in got
         seen["whole-space or empty"] += any(v.is_empty or v.whole_space for v in map_.values)
         seen["small blocks"] += small and stacked
+        seen["pruned combinations"] += pruned["combinations"]
+        seen["pruned containment FAILS"] += pruned["combinations"] and '"point"' in got
+        seen["pruned base value"] += pruned["base value"]
         if x0 is not None and not got_min.startswith("Internal"):
             seen["border"] += '"UNDETERMINED"' in got_min
             seen["dominated"] += '"w_l_min": {\n    "verdict": "FAILS"' in got_min
