@@ -12,10 +12,14 @@ is printed per run:
     <command line> <exit code> <bytes> <sha256>
 
 A run that raises instead of exiting prints ``crash:<exception type>`` as
-its exit code.  Two checkouts that print the same lines wrote byte-identical
-reports with the same exit codes, so a change meant to keep behaviour is
-checked by saving the parent's lines and diffing against them; ``diff``
-exits 1 and prints the lines that differ:
+its exit code.  The command line carries each problem path exactly as it
+was typed, so both sides of a comparison must be given the same relative
+paths, run from a checkout root: with absolute paths on one side every
+problem line differs although no report byte moved.  Two checkouts that
+print the same lines wrote byte-identical reports with the same exit
+codes, so a change meant to keep behaviour is checked by saving the
+parent's lines and diffing against them; ``diff`` exits 1 and prints
+the lines that differ:
 
     PYTHONPATH=<parent>/src python3 scripts/report_digests.py P... --suite 5:30 >parent.txt
     PYTHONPATH=src python3 scripts/report_digests.py P... --suite 5:30 | diff parent.txt -

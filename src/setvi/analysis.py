@@ -40,7 +40,7 @@ from .errors import (
     NoWitnessFound,
     StepOutsideDomain,
 )
-from .scalarize import PiecewiseLinear, ScalarPath, blocks, scalarize_stack, scalarize_values
+from .scalarize import PiecewiseLinear, ScalarPath, blocks, scalarize_values
 from .setmap import SetMap, evaluate_rows, nearest_samples, stack_values
 from .verdicts import CheckResult, Verdict
 
@@ -431,17 +431,17 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     diagnostics.  A containment witness alone is a genuine FAILS: it occurs
     whenever some F(x) + C is not convex, which no weight can see.
 
-    Each distinct point is evaluated and scalarized once.  When
-    ``stack_values`` stacks the values, the containment margins of the
+    Each distinct point is evaluated and scalarized once, and the values
+    are read as one ``stack_values`` stack.  The containment margins of the
     (pair, t) combinations are taken in stacked ``ext_margins`` calls of
-    at most ``_POINTS_BLOCK`` entries, else one combination at a time;
-    either way they stop at the first failing combination.  Both witnesses
-    are the first failing combination in (pair, t) order.  A combination
-    reads only its smallest margin, so stacked values of at least
-    ``_PRUNE_MIN_POINTS`` points combine only the points of F(x1) and F(x2)
-    that ``dominated_probes`` keeps (``_kept_ends``): the smallest margin,
-    its first index and the point there keep their bits, and ordered
-    clouds never form their p^2-point combination clouds.
+    at most ``_POINTS_BLOCK`` entries that stop at the first failing
+    combination.  Both witnesses are the first failing combination in
+    (pair, t) order.  A combination reads only its smallest margin, so
+    stacks at least ``_PRUNE_MIN_POINTS`` points wide combine only the
+    points of F(x1) and F(x2) that ``dominated_probes`` keeps
+    (``_kept_ends``): the smallest margin, its first index and the point
+    there keep their bits, and ordered clouds never form their p^2-point
+    combination clouds.
     """
     t_samples = [float(s) for s in t_samples]
     scalar_tau = tau * max(1.0, wstar.max_norm())
@@ -461,8 +461,8 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     # the (pair, t) combinations in scan order, as indices of x1, x2 and xt
     i1, i2, it = np.repeat(ids[:, 0], S), np.repeat(ids[:, 1], S), ids[:, 2:].ravel()
     s = np.tile(t_samples, len(pairs))
-    empty = np.array([v.is_empty for v in values], dtype=bool)
-    whole = np.array([v.whole_space for v in values], dtype=bool)
+    stack, counts, whole = stacked = stack_values(values)
+    empty = (counts == 0) & ~whole
 
     def tag(c: int) -> dict:
         x1, x2 = pairs[c // S]
@@ -470,9 +470,7 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
 
     live = ~(empty[i1] | empty[i2])  # an empty end leaves nothing to contain
     ends_whole = whole[i1] | whole[i2]
-    stack = stack_values(values)
-    phis = (scalarize_values(values, wstar.weights) if stack is None
-            else scalarize_stack(stack, wstar.weights))
+    phis = scalarize_values(stacked, wstar.weights)
     # scalar cross-check where both ends are clouds
     with np.errstate(invalid="ignore", over="ignore"):
         gaps = phis[it] - (s[:, None] * phis[i1] + (1.0 - s)[:, None] * phis[i2])
@@ -490,26 +488,18 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     first_reason = int(np.argmax(reasons)) if reasons.any() else len(s)
     candidates = np.flatnonzero(live & ~ends_whole & ~whole[it] & ~empty[it])
     candidates = candidates[candidates < first_reason]
-    kept = None
-    if stack is None:
-        parts = [slice(k, k + 1) for k in range(len(candidates))]
-    else:
-        p = stack.shape[1]
-        kept = _kept_ends(stack, cone, np.concatenate([i1[candidates], i2[candidates]]),
-                          t_samples)
-        width = p if kept is None else kept.shape[1]
-        # a combination's pairs hold their differences and facet distances
-        parts = blocks(len(candidates), width ** 2 * p * sum(cone.normalized_normals.shape))
+    p = stack.shape[1]
+    kept = _kept_ends(stack, cone, np.concatenate([i1[candidates], i2[candidates]]), t_samples)
+    width = p if kept is None else kept.shape[1]
     mink_witness = None
-    for part in parts:
+    # a combination's pairs hold their differences and facet distances
+    for part in blocks(len(candidates), width ** 2 * p * sum(cone.normalized_normals.shape)):
         c = candidates[part]
-        if stack is None:
-            P1, P2, Pt = (values[i[c[0]]].points[None] for i in (i1, i2, it))
-        elif kept is None:
-            P1, P2, Pt = stack[i1[c]], stack[i2[c]], stack[it[c]]
+        if kept is None:
+            P1, P2 = stack[i1[c]], stack[i2[c]]
         else:
             P1, P2 = (stack[i[c][:, None], kept[i[c]]] for i in (i1, i2))
-            Pt = stack[it[c]]
+        Pt = stack[it[c]]
         t = s[c][:, None, None, None]
         combo = (t * P1[:, :, None, :] + (1.0 - t) * P2[:, None, :, :]
                  ).reshape(len(c), -1, P1.shape[2])
@@ -550,7 +540,7 @@ def _kept_ends(stack: np.ndarray, cone: Cone, ends: np.ndarray,
     """(len(stack), n_kept) ``kept_indices`` of the points of the values
     ``ends`` that the combinations t F(x1) + (1-t) F(x2) of
     c_convexity_check need, read once per value, or None when no point
-    drops: clouds of fewer than ``_PRUNE_MIN_POINTS`` points keep the
+    drops: stacks narrower than ``_PRUNE_MIN_POINTS`` points keep the
     unpruned pass, and so does a t outside (0, 1).  Rows of other values
     are zero.
 

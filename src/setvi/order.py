@@ -26,7 +26,7 @@ import numpy as np
 
 from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, dominated_probes, ext_margins
 from .errors import EmptySet, InternalCheckError, NonSingletonValue
-from .scalarize import blocks, scalarize_many, scalarize_stack, scalarize_values
+from .scalarize import blocks, scalarize_many, scalarize_values
 from .setmap import SetMap, SetValue, base_value, evaluate, stack_values
 from .verdicts import CheckResult, Verdict
 
@@ -141,10 +141,11 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     """Classify x0 under all three weak-minimality notions by exhaustive scan.
 
     The scan covers every sample of the domain; a whole-space value at the
-    base point short-circuits all three notions to HOLDS.  Values that
-    ``stack_values`` stacks take their margins and scalarizations in
-    stacked passes of at most ``_POINTS_BLOCK`` entries; any other domain
-    is read value by value.  A margin is the smallest over the points of
+    base point short-circuits all three notions to HOLDS.  The values are
+    read as one ``stack_values`` stack and take their margins and
+    scalarizations in stacked passes of at most ``_POINTS_BLOCK`` entries,
+    with ``dominance_margin``'s conventions for whole-space values and NaN
+    for empty ones.  A margin is the smallest over the points of
     the base value, so only its C-minimal points are probed (see
     ``dominated_probes``).  Witnesses follow domain order: the
     first sample of the largest dominating margin, the first border
@@ -159,17 +160,13 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
 
     weights = wstar.weights
     phi0 = scalarize_many(v0, weights)
-    stack = stack_values(map.values)
-    if stack is None:
-        # empty values never dominate and any weight works for them: NaN
-        # margins are skipped below, as a NaN margin would be
-        margins = np.array([np.nan if v.is_empty else dominance_margin(v, v0, cone)
-                            for v in map.values])
-        phix = scalarize_values(map.values, weights)
-    else:
-        margins = _least_margins(stack, cone, v0.points)
-        phix = scalarize_stack(stack, weights)
-    nonempty = np.array([not v.is_empty for v in map.values])
+    stack, counts, whole = stacked = stack_values(map.values)
+    nonempty = (counts > 0) | whole
+    # a whole-space value dominates every cloud; empty values never dominate
+    # and any weight works for them: NaN margins are skipped below
+    margins = np.where(whole, np.inf,
+                       np.where(nonempty, _least_margins(stack, cone, v0.points), np.nan))
+    phix = scalarize_values(stacked, weights)
 
     # the largest margin, NaN skipped, and the first of equal ones: the
     # running maximum of a scan in domain order

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .cone import _PRUNE_MIN_POINTS, TAU_STRICT
-from .setmap import (RayValues, SetMap, SetValue, evaluate, evaluate_batch, ray_restriction,
-                     segment_sample_ts, stack_values)
+from .setmap import (RayValues, SetMap, SetValue, evaluate_batch, evaluate_rows,
+                     ray_restriction, segment_sample_ts, stack_values)
 from .verdicts import CheckResult, Verdict
 
 
@@ -47,14 +47,20 @@ def scalarize_stack(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def scalarize_values(values, weights: np.ndarray) -> np.ndarray:
-    """``scalarize_many`` of every value -> (K, n): one ``scalarize_stack``
-    when ``stack_values`` stacks them, else value by value."""
+def scalarize_values(stacked, weights: np.ndarray) -> np.ndarray:
+    """``scalarize_many`` of every value of a ``stack_values`` triple -> (K, n).
+    Matmul's bits depend on the shape it is handed, so the clouds of each
+    point count go to ``scalarize_stack`` at their own width, never padded."""
+    stack, counts, whole = stacked
     weights = np.asarray(weights, dtype=float)
-    stack = stack_values(values)
-    if stack is not None:
+    if counts.size and counts.min() == stack.shape[1]:
         return scalarize_stack(stack, weights)
-    return np.array([scalarize_many(v, weights) for v in values]).reshape(-1, len(weights))
+    out = np.full((len(counts), len(weights)), np.inf)
+    out[whole] = -np.inf
+    for p in np.unique(counts[counts > 0]).tolist():
+        rows = np.flatnonzero(counts == p)
+        out[rows] = scalarize_stack(stack[rows, :p], weights)
+    return out
 
 
 # entries (floats) one stacked array pass holds at most, per operand: 1 MB.
@@ -157,18 +163,18 @@ def block_points(map: SetMap) -> int:
     return max(1, _POINTS_BLOCK // max(1, map.values[0].points.size))
 
 
-def scalarize_points(map: SetMap, points: np.ndarray, weights: np.ndarray) -> np.ndarray | None:
-    """``scalarize_batch`` of the values at the rows of points, (P, n_w), read
-    ``block_points`` at a time; None when the map has no batch kernel.  The
-    kernels and ``scalarize_batch`` treat each row on its own, so a row has
-    the same bits in any block."""
+def scalarize_points(map: SetMap, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Scalarizations (P, n_w) of a generator map's values at the rows of
+    points, read ``block_points`` at a time: ``scalarize_batch`` of the
+    clouds of a batch kernel, else ``scalarize_values`` of ``evaluate_rows``.
+    Both treat each row on its own, so a row has the same bits in any block."""
     rows = block_points(map)
     out = []
     for k in range(0, len(points), rows):
-        clouds = evaluate_batch(map, points[k:k + rows])
-        if clouds is None:
-            return None
-        out.append(scalarize_batch(clouds, weights))
+        block = points[k:k + rows]
+        clouds = evaluate_batch(map, block)
+        out.append(scalarize_batch(clouds, weights) if clouds is not None
+                   else scalarize_values(stack_values(evaluate_rows(map, block)), weights))
     return np.concatenate(out)
 
 
@@ -186,17 +192,13 @@ def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
     bases, targets = np.atleast_2d(bases), np.atleast_2d(targets)
     points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
     flat = points.reshape(-1, points.shape[2])
-    phis = scalarize_points(map, flat, weights)
-    if phis is None and map.kind == "generator":
-        phis = np.stack([scalarize_many(evaluate(map, p), weights) for p in flat])
-    if phis is not None:
-        return phis.reshape(points.shape[:2] + (-1,))
+    if map.kind == "generator":
+        return scalarize_points(map, flat, weights).reshape(points.shape[:2] + (-1,))
     out = []
     for base, target in zip(*np.broadcast_arrays(bases, targets)):
         knots = segment_sample_ts(map, base, target)
-        phis = np.stack([scalarize_many(evaluate(map, base + t * (target - base)), weights)
-                         for t in knots])
-        out.append(interp_extended(knots, phis, svals))
+        values = evaluate_rows(map, base + knots[:, None] * (target - base))
+        out.append(interp_extended(knots, scalarize_values(stack_values(values), weights), svals))
     return np.stack(out)
 
 
@@ -310,7 +312,7 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     """
     w = np.asarray(w, dtype=float)
     ray = ray_restriction(map, x0, x, t_grid)
-    values = np.array([scalarize_many(v, w[None, :])[0] for v in ray.values])
+    values = scalarize_values(stack_values(ray.values), w[None, :])[:, 0]
     evaluator = None
     if map.kind == "generator":
         def evaluator(ts: np.ndarray) -> np.ndarray:
@@ -339,34 +341,37 @@ def _excess(inner: SetValue, outer: SetValue) -> float:
     return float(np.sqrt(np.sum(d * d, axis=2)).min(axis=1).max())
 
 
+# ``_excess`` by the kinds of the inner (row) and outer (column) value: a
+# cloud, empty or whole-space; NaN where two clouds give the excess
+_EXCESS_RULES = np.array([[np.nan, np.inf, 0.0],
+                          [0.0, 0.0, 0.0],
+                          [np.inf, np.inf, 0.0]])
+
+
 def radial_excesses(rays: list[RayValues]) -> list[np.ndarray]:
-    """``adjacent_excesses`` of every ray.
-
-    The rays are read in blocks whose clouds, if shaped like the first
-    ray's, fit ``_POINTS_BLOCK``.  A block of rays on one grid size whose
-    values ``stack_values`` stacks takes one array pass per direction: the
-    same differences as ``_excess``, reduced over the same axes, so the
-    same bits.  Any other block is read ray by ray, and a ray that does not
-    stack compares its pairs one at a time.
-    """
-    size = len(rays[0].values) * rays[0].values[0].points.size if rays else 0
-    return [table for part in blocks(len(rays), size) for table in _block_excesses(rays[part])]
-
-
-def _block_excesses(rays: list[RayValues]) -> list[np.ndarray]:
-    P = None
-    if len({len(ray.values) for ray in rays}) == 1:
-        P = stack_values([v for ray in rays for v in ray.values])
-    if P is None and len(rays) > 1:
-        return [table for ray in rays for table in _block_excesses([ray])]
-    if P is None:
-        v = rays[0].values
-        return [np.array([(_excess(v[k + 1], v[k]), _excess(v[k], v[k + 1]))
-                          for k in range(len(v) - 1)]).reshape(-1, 2)]
-    P = P.reshape((len(rays), -1) + P.shape[1:])
-    later, earlier = (Q.reshape((-1,) + P.shape[2:]) for Q in (P[:, 1:], P[:, :-1]))
-    return list(np.stack([_excess_rows(later, earlier), _excess_rows(earlier, later)],
-                         axis=1).reshape(len(rays), -1, 2))
+    """``adjacent_excesses`` of every ray, in blocks of rays whose
+    ``stack_values`` stack fits ``_POINTS_BLOCK``.  A block's adjacent pairs
+    index its stack, and one ``_excess_rows`` pass per direction gives the
+    bits of ``_excess``; ``_EXCESS_RULES`` holds its conventions for values
+    without points."""
+    widest = max((v.points.size for ray in rays for v in ray.values), default=0)
+    size = max((len(ray.values) for ray in rays), default=0) * widest
+    tables = []
+    for part in blocks(len(rays), size):
+        lengths = [len(ray.values) for ray in rays[part]]
+        stack, counts, whole = stack_values([v for ray in rays[part] for v in ray.values])
+        kinds = np.where(whole, 2, counts == 0)
+        ray_of = np.repeat(np.arange(len(lengths)), lengths)
+        earlier = np.flatnonzero(ray_of[1:] == ray_of[:-1])
+        # row k: the excess of value k + 1 over value k, then the reverse
+        inner = np.stack([earlier + 1, earlier], axis=1)
+        rule = _EXCESS_RULES[kinds[inner], kinds[inner[:, ::-1]]]
+        E, L = stack[earlier], stack[earlier + 1]
+        excess = np.stack([_excess_rows(L, E), _excess_rows(E, L)], axis=1)
+        pairs = np.where(np.isnan(rule), excess, rule)
+        bounds = np.cumsum([0] + [n - 1 for n in lengths]).tolist()
+        tables += [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
+    return tables
 
 
 def adjacent_excesses(ray: RayValues) -> np.ndarray:

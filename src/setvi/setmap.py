@@ -200,17 +200,23 @@ def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def stack_values(values) -> np.ndarray | None:
-    """The (K, p, m) stack of the clouds of values that are all nonempty,
-    bounded (not whole-space) and of one shape; None for any other list.
-    Stacked passes over values read this one rule; every other list takes
-    its per-value path."""
-    if not values:
-        return None
-    shape = values[0].points.shape
-    if shape[0] == 0 or any(v.whole_space or v.points.shape != shape for v in values):
-        return None
-    return np.stack([v.points for v in values])
+def stack_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(stack, counts, whole)``, the one rule by which passes read a list
+    of values: the (K, p, m) clouds, each padded to the widest (p >= 1)
+    with repeats of its own last point, which move no minimum, maximum or
+    first argmin over points; each value's point count (0 for empty and
+    whole-space values, whose rows hold zeros that callers mask); and the
+    whole-space flags.  Clouds of one shape come back unpadded."""
+    whole = np.array([v.whole_space for v in values], dtype=bool)
+    counts = np.array([0 if v.whole_space else len(v.points) for v in values], dtype=np.intp)
+    p = int(counts.max(initial=1))
+    if counts.size and counts.min() == p:
+        return np.array([v.points for v in values]), counts, whole
+    stack = np.zeros((len(values), p, values[0].dim if values else 0))
+    for row, v, c in zip(stack, values, counts.tolist()):
+        if c:
+            row[:c], row[c:] = v.points, v.points[-1]
+    return stack, counts, whole
 
 
 def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[SetValue, ...]:

@@ -35,7 +35,7 @@ from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
 from .scalarize import (block_points, hausdorff_check_radial, radial_excesses,
                         ray_scalarizations, scalarize_values)
-from .setmap import RayValues, SetMap, base_value, radial_rays
+from .setmap import RayValues, SetMap, base_value, radial_rays, stack_values
 from .verdicts import CheckResult, Verdict, worst
 
 VI_KINDS = ("mvi", "svi", "mvi2", "svi2")
@@ -201,7 +201,8 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
         block = [rays[i] for i in ray_indices[b:b + size]]
         t_eff = block[0].t_grid
         T, R = t_eff.size, len(block)
-        phis = scalarize_values([v for ray in block for v in ray.values], wstar.weights)
+        phis = scalarize_values(stack_values([v for ray in block for v in ray.values]),
+                                wstar.weights)
         phis = phis.reshape(R, T, W).transpose(1, 0, 2).reshape(T, R * W)
         probe_ts = np.concatenate([(t_eff[:, None] + steps[None, :]).ravel(),
                                    (t_eff[:, None] - steps[None, :]).ravel()])

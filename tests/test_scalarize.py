@@ -18,8 +18,10 @@ from setvi.scalarize import (
     scalarize_batch,
     scalarize_many,
     scalarize_stack,
+    scalarize_values,
 )
-from setvi.setmap import RayValues, SetValue, builtin_map, evaluate, load_problem, radial_rays
+from setvi.setmap import (RayValues, SetValue, builtin_map, evaluate, load_problem, radial_rays,
+                          stack_values)
 from setvi.verdicts import Verdict
 from setvi.vi import theorem_chain
 
@@ -261,9 +263,10 @@ class TestHausdorff:
         hausdorff_check_radial(rays, excesses, eps_list=[0.5])
         assert len(excess_calls) == 0
 
-    def test_ragged_ray_compares_each_adjacent_pair_once(self, excess_calls):
-        # clouds of several sizes fall back to one excess per adjacent pair
-        # and direction: 2 (T - 1) on the ray
+    def test_ragged_ray_compares_each_adjacent_pair_once(self, excess_calls,
+                                                         excess_row_calls):
+        # clouds of several sizes are padded into one stack: one array pass
+        # per direction fills the (T - 1, 2) table, with no pair loop
         problem = load_problem({
             "cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
             "map": {"tabulated": [
@@ -278,7 +281,8 @@ class TestHausdorff:
         T = ray.t_grid.size
         assert T == 5
         ex = adjacent_excesses(ray)
-        assert len(excess_calls) == 2 * (T - 1) and ex.shape == (T - 1, 2)
+        assert len(excess_calls) == 0 and len(excess_row_calls) == 2
+        assert ex.shape == (T - 1, 2)
 
     def test_chain_computes_each_adjacent_excess_once(self, excess_calls, radial_calls,
                                                       excess_row_calls):
@@ -294,9 +298,9 @@ class TestHausdorff:
 
     @pytest.mark.parametrize("block", [None, 1, 300])
     def test_array_pass_matches_the_pair_loop_bit_for_bit(self, monkeypatch, block):
-        # seeded rays of every kind: uniform clouds (the array pass, whole or
-        # in blocks of rows), ragged, empty and whole-space values and
-        # one-sample rays (the pair loop)
+        # seeded rays of every kind against the pair loop of _excess:
+        # uniform clouds, ragged, empty and whole-space values (padded into
+        # one stack) and one-sample rays, whole or in blocks of rows
         if block is not None:
             monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
         rng = np.random.default_rng(41)
@@ -457,20 +461,47 @@ def test_scalarize_batch_rows_keep_their_bits_in_any_stack():
         assert (got == want).all(), f"case {case} joined"
 
 
+def _ragged(rng, clouds):
+    """The clouds cut to random point counts, with now and then an empty or
+    a whole-space value in place of one."""
+    values = []
+    for c in clouds:
+        u = rng.random()
+        if u < 0.1:
+            values.append(SetValue.make([], whole_space=u < 0.05, dim=c.shape[1]))
+        else:
+            values.append(SetValue(np.ascontiguousarray(c[:int(rng.integers(1, len(c) + 1))])))
+    return values
+
+
 @pytest.mark.parametrize("block", [None, 1, 3000])
 def test_scalarize_stack_matches_scalarize_many_bit_for_bit(monkeypatch, block):
     # the stacked matmul reproduces the per-value matmul of every cloud, zero
-    # signs and overflows included, whole or in blocks of clouds
+    # signs and overflows included, whole or in blocks of clouds; so does
+    # scalarize_values on ragged lists with empty and whole-space values,
+    # which the padded stack of stack_values holds
     if block is not None:
         monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
     rng = np.random.default_rng(11)
+    kinds = {"ragged": 0, "one weight": 0, "empty or whole-space": 0}
     for case in range(2000 if block is None else 300):
         clouds, weights = _stack(rng)
+        values = _ragged(rng, clouds)
+        if rng.random() < 0.2:
+            weights = weights[:1]
         with np.errstate(over="ignore", invalid="ignore"):
             got = scalarize_stack(clouds, weights)
             want = np.stack([scalarize_many(SetValue(np.ascontiguousarray(c)), weights)
                              for c in clouds])
+            got_values = scalarize_values(stack_values(values), weights)
+            want_values = np.stack([scalarize_many(v, weights) for v in values])
         assert (got.view(np.int64) == want.view(np.int64)).all(), f"case {case}"
+        assert got_values.shape == want_values.shape
+        assert (got_values.view(np.int64) == want_values.view(np.int64)).all(), f"case {case}"
+        kinds["ragged"] += len({len(v.points) for v in values}) > 1
+        kinds["one weight"] += len(weights) == 1
+        kinds["empty or whole-space"] += any(len(v.points) == 0 for v in values)
+    assert min(kinds.values()) >= 30, kinds
 
 
 def test_scalarize_batch_keeps_the_nan_of_a_dominated_point():

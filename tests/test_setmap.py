@@ -21,6 +21,7 @@ from setvi.setmap import (
     load_problem,
     radial_rays,
     ray_restriction,
+    stack_values,
 )
 
 MINIMAL_DOC = {
@@ -258,6 +259,34 @@ class TestBuiltinCatalog:
         m = builtin_map("quadratic_vector", {"targets": [[0, 0], [1, 1]]})
         val = evaluate(m, [1.0, 0.0]).points
         assert val.tolist() == [[1.0, 1.0]]
+
+
+def test_stack_values_pads_each_cloud_with_its_last_point():
+    values = [SetValue.make([[1, 2], [3, 4], [5, 6]]),
+              SetValue.make([[7, 8]]),
+              SetValue.make([], dim=2),
+              SetValue.make([[9, 9], [9, 9]], whole_space=True),
+              SetValue.make([[0, -1], [-2, 0]])]
+    stack, counts, whole = stack_values(values)
+    assert stack.shape == (5, 3, 2)
+    assert counts.tolist() == [3, 1, 0, 0, 2]
+    assert whole.tolist() == [False, False, False, True, False]
+    assert stack[0].tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert stack[1].tolist() == [[7, 8]] * 3
+    assert stack[4].tolist() == [[0, -1], [-2, 0], [-2, 0]]
+    # the rows of values without points hold zeros, not a whole-space value's points
+    assert stack[2].tolist() == stack[3].tolist() == [[0, 0]] * 3
+
+
+def test_stack_values_of_one_shape_and_of_no_values():
+    clouds = np.arange(12.0).reshape(3, 2, 2)
+    stack, counts, whole = stack_values(SetValue.rows(clouds))
+    assert stack.tobytes() == clouds.tobytes() and stack.shape == clouds.shape
+    assert counts.tolist() == [2, 2, 2] and whole.tolist() == [False] * 3
+    stack, counts, whole = stack_values([SetValue.make([], dim=2)] * 2)
+    assert stack.shape == (2, 1, 2) and not stack.any() and counts.tolist() == [0, 0]
+    stack, counts, whole = stack_values([])
+    assert stack.shape == (0, 1, 0) and counts.shape == whole.shape == (0,)
 
 
 def test_set_value_rejects_ragged_dim():

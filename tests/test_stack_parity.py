@@ -7,10 +7,11 @@ and ``ref_convexity_pairs`` below are the earlier ``analysis.c_convexity_check``
 ``analysis.convexity_pairs``, kept verbatim apart from their names, and so are
 the margin kernel they called (``ref_ext_margins``) and ``ref_dominance_margin``:
 one ``scalarize_many`` per value read and one ``ext_margins`` call per
-combination or sample.  On every seeded case the new passes must render the
-same bytes, witnesses and exceptions included, among them cases where the
-passes combine only the C-minimal points of the end values or probe only
-those of the base value.
+combination or sample.  On every seeded case the new passes, which read
+every value list as one padded ``stack_values`` stack, must render the same
+bytes, witnesses and exceptions included, among them cases where the passes
+combine only the C-minimal points of the end values or probe only those of
+the base value.
 """
 
 import sys
@@ -343,7 +344,7 @@ def _tabulated_map(rng, tau):
     domain = _domain(rng, n)
     uniform = rng.random() < 0.5
     # clouds from 8 points on take the pruned passes
-    p = int(rng.integers(1, 5)) if rng.random() < 0.7 else int(rng.integers(8, 13))
+    p = int(rng.integers(1, 5)) if rng.random() < 0.5 else int(rng.integers(8, 13))
     base = _cloud(rng, p, m)
     odd = rng.random() < 0.5
     values = []
@@ -378,13 +379,22 @@ def _case(rng):
 def test_stacked_passes_match_the_per_value_loops(monkeypatch):
     module = sys.modules["setvi.scalarize"]
     rng = np.random.default_rng(20240811)
-    seen = {"1-D": 0, "2-D": 0, "tabulated": 0, "stacked": 0, "per value": 0, "64 points": 0,
+    seen = {"1-D": 0, "2-D": 0, "tabulated": 0, "uniform": 0, "padded": 0, "64 points": 0,
             "containment FAILS": 0, "scalar witness": 0, "border": 0, "dominated": 0,
             "no weight": 0, "whole-space or empty": 0, "small blocks": 0,
-            "pruned combinations": 0, "pruned containment FAILS": 0, "pruned base value": 0}
-    # whether the case's checks dropped points of the end values or of the base value
+            "pruned combinations": 0, "pruned containment FAILS": 0, "pruned base value": 0,
+            "pruned padded stack": 0, "rays of several lengths": 0,
+            "excess block with empty or whole-space rows": 0, "no pairs": 0}
+    # whether the case's checks dropped points of the end values or of the
+    # base value, and whether the convexity check padded narrower clouds
     pruned = {}
-    kept_ends, marked = analysis_mod._kept_ends, order_mod.dominated_probes
+    kept_ends, marked, stack_values = (analysis_mod._kept_ends, order_mod.dominated_probes,
+                                       analysis_mod.stack_values)
+
+    def spy_stack(values):
+        stack, counts, whole = stacked = stack_values(values)
+        pruned["padded"] = bool(counts[counts > 0].min(initial=stack.shape[1]) < stack.shape[1])
+        return stacked
 
     def spy_ends(*args):
         kept = kept_ends(*args)
@@ -397,10 +407,11 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
         return out
 
     monkeypatch.setattr(analysis_mod, "_kept_ends", spy_ends)
+    monkeypatch.setattr(analysis_mod, "stack_values", spy_stack)
     monkeypatch.setattr(order_mod, "dominated_probes", spy_marked)
     for case in range(1200):
         map_, cone, wstar, x0, t_samples, tau = _case(rng)
-        pruned.update({"combinations": False, "base value": False})
+        pruned.update({"combinations": False, "base value": False, "padded": False})
         small = rng.random() < 0.3
         monkeypatch.setattr(module, "_POINTS_BLOCK",
                             int(rng.choice([1, 40, 700])) if small else 1 << 17)
@@ -419,21 +430,30 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
                 assert got_min == want_min, f"case {case} minimality"
                 rays = radial_rays(map_, x0, np.linspace(0.0, 1.0, int(rng.integers(1, 8))))
                 tables = radial_excesses(rays)
+                one_block = not small
+                seen["rays of several lengths"] += one_block and len(
+                    {len(ray.values) for ray in rays}) > 1
+                seen["excess block with empty or whole-space rows"] += one_block and any(
+                    v.is_empty or v.whole_space for ray in rays for v in ray.values)
                 assert len(tables) == len(rays)
                 for ray, table in zip(rays, tables):
                     want_table = ref_adjacent_excesses(ray)
                     assert table.shape == want_table.shape, f"case {case} excess shape"
                     assert table.tobytes() == want_table.tobytes(), f"case {case} excesses"
-        stacked = all(not v.is_empty and not v.whole_space for v in map_.values) and len(
+        uniform = all(not v.is_empty and not v.whole_space for v in map_.values) and len(
             {v.points.shape for v in map_.values}) == 1
         seen["2-D" if map_.domain_dim == 2 else "1-D"] += 1
         seen["tabulated"] += map_.kind == "tabulated"
-        seen["stacked" if stacked else "per value"] += 1
+        seen["uniform" if uniform else "padded"] += 1
+        # pruning reads a stack at least _PRUNE_MIN_POINTS wide: here one
+        # that holds narrower clouds
+        seen["pruned padded stack"] += pruned["combinations"] and pruned["padded"]
+        seen["no pairs"] += not pairs
         seen["64 points"] += map_.values[0].points.shape[0] > 32
         seen["containment FAILS"] += '"point"' in got
         seen["scalar witness"] += '"scalar_witness": {' in got or "disagree" in got
         seen["whole-space or empty"] += any(v.is_empty or v.whole_space for v in map_.values)
-        seen["small blocks"] += small and stacked
+        seen["small blocks"] += small and uniform
         seen["pruned combinations"] += pruned["combinations"]
         seen["pruned containment FAILS"] += pruned["combinations"] and '"point"' in got
         seen["pruned base value"] += pruned["base value"]
