@@ -29,8 +29,8 @@ from .report import render_json
 from .scalarize import (
     PiecewiseLinear,
     ScalarPath,
-    adjacent_excesses,
     hausdorff_check_radial,
+    radial_excesses,
     scalar_path,
 )
 from .setmap import (

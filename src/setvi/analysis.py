@@ -41,7 +41,7 @@ from .errors import (
     StepOutsideDomain,
 )
 from .scalarize import PiecewiseLinear, ScalarPath, blocks, scalarize_values
-from .setmap import SetMap, evaluate_rows, nearest_samples, stack_values
+from .setmap import SetMap, evaluate_rows, nearest_samples
 from .verdicts import CheckResult, Verdict
 
 
@@ -408,10 +408,7 @@ def convexity_pairs(map: SetMap, t_samples, max_pairs: int) -> list:
         s = np.asarray([float(t) for t in t_samples])[None, :, None]
         x1, x2 = map.domain[first][:, None, :], map.domain[second][:, None, :]
         points = (s * x1 + (1.0 - s) * x2).reshape(-1, map.domain_dim)
-        stored = np.empty(len(points), dtype=bool)
-        for rows in blocks(len(points), map.domain.size):
-            stored[rows] = nearest_samples(map, points[rows])[1]
-        keep = stored.reshape(len(first), -1).all(axis=1)
+        keep = nearest_samples(map, points)[1].reshape(len(first), -1).all(axis=1)
         first, second = first[keep], second[keep]
     pairs = [(map.domain[i], map.domain[j]) for i, j in zip(first.tolist(), second.tolist())]
     if len(pairs) > max_pairs:
@@ -432,7 +429,7 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     whenever some F(x) + C is not convex, which no weight can see.
 
     Each distinct point is evaluated and scalarized once, and the values
-    are read as one ``stack_values`` stack.  The containment margins of the
+    are read as the one stack ``evaluate_rows`` gives.  The containment margins of the
     (pair, t) combinations are taken in stacked ``ext_margins`` calls of
     at most ``_POINTS_BLOCK`` entries that stop at the first failing
     combination.  Both witnesses are the first failing combination in
@@ -457,11 +454,10 @@ def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,
     index = {}
     ids = np.array([index.setdefault(x.tobytes(), len(index)) for x in rows],
                    dtype=np.intp).reshape(len(pairs), 2 + S)
-    values = evaluate_rows(map, rows[np.unique(ids, return_index=True)[1]])
+    stack, counts, whole = stacked = evaluate_rows(map, rows[np.unique(ids, return_index=True)[1]])
     # the (pair, t) combinations in scan order, as indices of x1, x2 and xt
     i1, i2, it = np.repeat(ids[:, 0], S), np.repeat(ids[:, 1], S), ids[:, 2:].ravel()
     s = np.tile(t_samples, len(pairs))
-    stack, counts, whole = stacked = stack_values(values)
     empty = (counts == 0) & ~whole
 
     def tag(c: int) -> dict:

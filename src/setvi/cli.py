@@ -49,8 +49,11 @@ def _overrides(args) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-def _settings(problem, args) -> RunSettings:
-    return RunSettings.from_dict(problem.settings, **_overrides(args))
+def _load(args):
+    """The problem, its settings with the command-line overrides, and their weights."""
+    problem = load_problem(args.file)
+    settings = RunSettings.from_dict(problem.settings, **_overrides(args))
+    return problem, settings, dual_base(problem.cone, settings.wstar_density)
 
 
 def _emit(report: dict, lines: list[str], settings: RunSettings) -> None:
@@ -68,14 +71,12 @@ def _base_points(problem) -> np.ndarray:
 
 
 def _cmd_relations(args) -> int:
-    problem = load_problem(args.file)
-    settings = _settings(problem, args)
+    problem, settings, wstar = _load(args)
     tau = settings.tau_strict
     n = problem.map.domain.shape[0]
     if not (0 <= args.a < n and 0 <= args.b < n):
         raise SetVIError(f"indices must lie in [0, {n})")
     A, B = problem.map.values[args.a], problem.map.values[args.b]
-    wstar = dual_base(problem.cone, settings.wstar_density)
     ll_ab, margin_ab = relation_ll(A, B, problem.cone, tau)
     ll_ba, margin_ba = relation_ll(B, A, problem.cone, tau)
     sep = scalar_strict_separation(A, B, wstar, tau)
@@ -100,9 +101,7 @@ def _cmd_relations(args) -> int:
 
 
 def _cmd_minimality(args) -> int:
-    problem = load_problem(args.file)
-    settings = _settings(problem, args)
-    wstar = dual_base(problem.cone, settings.wstar_density)
+    problem, settings, wstar = _load(args)
     statuses, entries, lines = [], [], []
     for x0 in _base_points(problem):
         verdict = classify_weak_min(problem.map, x0, problem.cone, wstar,
@@ -123,9 +122,7 @@ def _cmd_minimality(args) -> int:
 
 
 def _cmd_vi(args) -> int:
-    problem = load_problem(args.file)
-    settings = _settings(problem, args)
-    wstar = dual_base(problem.cone, settings.wstar_density)
+    problem, settings, wstar = _load(args)
     statuses, entries, lines = [], [], []
     for x0 in _base_points(problem):
         verdict = vi_check(problem.map, x0, problem.cone, wstar, settings.dini,
@@ -140,9 +137,7 @@ def _cmd_vi(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    problem = load_problem(args.file)
-    settings = _settings(problem, args)
-    wstar = dual_base(problem.cone, settings.wstar_density)
+    problem, settings, wstar = _load(args)
     statuses, entries, lines = [], [], []
     for x0 in _base_points(problem):
         rep = theorem_chain(problem.map, x0, problem.cone, wstar,
@@ -175,9 +170,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_convexity(args) -> int:
-    problem = load_problem(args.file)
-    settings = _settings(problem, args)
-    wstar = dual_base(problem.cone, settings.wstar_density)
+    problem, settings, wstar = _load(args)
     n = problem.map.domain.shape[0]
     pairs = convexity_pairs(problem.map, CONVEXITY_T_SAMPLES, max_pairs=36)
     cvx = c_convexity_check(problem.map, problem.cone, wstar, pairs,
@@ -232,9 +225,7 @@ def _parse_ray(spec: str, dim: int):
 
 
 def _cmd_mvt(args) -> int:
-    problem = load_problem(args.file)
-    settings = _settings(problem, args)
-    wstar = dual_base(problem.cone, settings.wstar_density)
+    problem, settings, wstar = _load(args)
     x0, x = _parse_ray(args.ray, problem.map.domain_dim)
     t_grid = ray_grid(problem.map, x0, x,
                       np.linspace(0.0, 1.0, settings.ray_steps))

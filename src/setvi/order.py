@@ -27,7 +27,7 @@ import numpy as np
 from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, dominated_probes, ext_margins
 from .errors import EmptySet, InternalCheckError, NonSingletonValue
 from .scalarize import blocks, scalarize_many, scalarize_values
-from .setmap import SetMap, SetValue, base_value, evaluate, stack_values
+from .setmap import SetMap, SetValue, base_value, evaluate
 from .verdicts import CheckResult, Verdict
 
 
@@ -142,7 +142,7 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
 
     The scan covers every sample of the domain; a whole-space value at the
     base point short-circuits all three notions to HOLDS.  The values are
-    read as one ``stack_values`` stack and take their margins and
+    read as the map's one stack (``SetMap.stacked``) and take their margins and
     scalarizations in stacked passes of at most ``_POINTS_BLOCK`` entries,
     with ``dominance_margin``'s conventions for whole-space values and NaN
     for empty ones.  A margin is the smallest over the points of
@@ -160,7 +160,7 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
 
     weights = wstar.weights
     phi0 = scalarize_many(v0, weights)
-    stack, counts, whole = stacked = stack_values(map.values)
+    stack, counts, whole = stacked = map.stacked
     nonempty = (counts > 0) | whole
     # a whole-space value dominates every cloud; empty values never dominate
     # and any weight works for them: NaN margins are skipped below
@@ -252,11 +252,7 @@ def vector_weak_efficient(map: SetMap, x0, cone: Cone,
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     f0 = _singleton(evaluate(map, x0))
-    for value in map.values:
-        fx = _singleton(value)
-        if cone_margin(cone, f0 - fx) > tau:
-            return False
-    return True
+    return all(not cone_margin(cone, f0 - _singleton(value)) > tau for value in map.values)
 
 
 def _singleton(value: SetValue) -> np.ndarray:

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .cone import _PRUNE_MIN_POINTS, TAU_STRICT
-from .setmap import (RayValues, SetMap, SetValue, evaluate_batch, evaluate_rows,
-                     ray_restriction, segment_sample_ts, stack_values)
+from .setmap import (RayValues, SetMap, SetValue, concat_values, evaluate_batch, evaluate_rows,
+                     ray_restriction, segment_sample_ts)
 from .verdicts import CheckResult, Verdict
 
 
@@ -174,7 +174,7 @@ def scalarize_points(map: SetMap, points: np.ndarray, weights: np.ndarray) -> np
         block = points[k:k + rows]
         clouds = evaluate_batch(map, block)
         out.append(scalarize_batch(clouds, weights) if clouds is not None
-                   else scalarize_values(stack_values(evaluate_rows(map, block)), weights))
+                   else scalarize_values(evaluate_rows(map, block), weights))
     return np.concatenate(out)
 
 
@@ -198,7 +198,7 @@ def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
     for base, target in zip(*np.broadcast_arrays(bases, targets)):
         knots = segment_sample_ts(map, base, target)
         values = evaluate_rows(map, base + knots[:, None] * (target - base))
-        out.append(interp_extended(knots, scalarize_values(stack_values(values), weights), svals))
+        out.append(interp_extended(knots, scalarize_values(values, weights), svals))
     return np.stack(out)
 
 
@@ -312,7 +312,7 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     """
     w = np.asarray(w, dtype=float)
     ray = ray_restriction(map, x0, x, t_grid)
-    values = scalarize_values(stack_values(ray.values), w[None, :])[:, 0]
+    values = scalarize_values(ray.values, w[None, :])[:, 0]
     evaluator = None
     if map.kind == "generator":
         def evaluator(ts: np.ndarray) -> np.ndarray:
@@ -349,17 +349,17 @@ _EXCESS_RULES = np.array([[np.nan, np.inf, 0.0],
 
 
 def radial_excesses(rays: list[RayValues]) -> list[np.ndarray]:
-    """``adjacent_excesses`` of every ray, in blocks of rays whose
-    ``stack_values`` stack fits ``_POINTS_BLOCK``.  A block's adjacent pairs
-    index its stack, and one ``_excess_rows`` pass per direction gives the
-    bits of ``_excess``; ``_EXCESS_RULES`` holds its conventions for values
-    without points."""
-    widest = max((v.points.size for ray in rays for v in ray.values), default=0)
-    size = max((len(ray.values) for ray in rays), default=0) * widest
+    """(T - 1, 2) excesses of neighbouring samples of every ray: row k holds
+    the excess of F(t_k+1) over F(t_k), then the reverse.  Rays are read in
+    blocks whose joined triples fit ``_POINTS_BLOCK``; one ``_excess_rows``
+    pass per direction over a block's adjacent pairs gives the bits of
+    ``_excess``, and ``_EXCESS_RULES`` its conventions for empty values."""
+    widest = max((ray.values[0][0].size for ray in rays), default=0)
+    size = max((ray.t_grid.size for ray in rays), default=0) * widest
     tables = []
     for part in blocks(len(rays), size):
-        lengths = [len(ray.values) for ray in rays[part]]
-        stack, counts, whole = stack_values([v for ray in rays[part] for v in ray.values])
+        lengths = [ray.t_grid.size for ray in rays[part]]
+        stack, counts, whole = concat_values([ray.values for ray in rays[part]])
         kinds = np.where(whole, 2, counts == 0)
         ray_of = np.repeat(np.arange(len(lengths)), lengths)
         earlier = np.flatnonzero(ray_of[1:] == ray_of[:-1])
@@ -372,12 +372,6 @@ def radial_excesses(rays: list[RayValues]) -> list[np.ndarray]:
         bounds = np.cumsum([0] + [n - 1 for n in lengths]).tolist()
         tables += [pairs[a:b] for a, b in zip(bounds, bounds[1:])]
     return tables
-
-
-def adjacent_excesses(ray: RayValues) -> np.ndarray:
-    """(T - 1, 2) excesses of neighbouring ray samples: row k holds the
-    excess of F(t_k+1) over F(t_k), then that of F(t_k) over F(t_k+1)."""
-    return radial_excesses([ray])[0]
 
 
 def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -417,40 +411,45 @@ def hausdorff_check_radial(rays: list[RayValues], excesses: list[np.ndarray], ep
     """Upper Hausdorff continuity of every segment restriction t -> F_(x0,x)(t).
 
     ``rays`` are the rays from one base point as ``radial_rays`` reads them
-    and ``excesses`` their ``adjacent_excesses``.  Each nonempty anchor F(t0)
-    meets the samples within 1.5 smallest grid steps: on a sorted grid only
-    neighbours lie that close.  An anchor FAILS an eps when its worst
-    excess exceeds eps + tau and is UNDETERMINED when that excess lies
-    within tau of eps, or when no eps is given.  The first anchor of the
-    worst verdict is reported.
+    and ``excesses`` their ``radial_excesses``.  Each nonempty anchor F(t0)
+    meets the samples within 1.5 smallest grid steps of its ray: on a
+    sorted grid only neighbours lie that close.  An anchor FAILS an eps
+    when its worst excess exceeds eps + tau and is UNDETERMINED when that
+    excess lies within tau of eps, or when no eps is given.  The samples of
+    all rays of two or more are read in one flat pass, and the first anchor
+    of the worst verdict in (ray, anchor) order is reported.
     """
     eps_list = [float(e) for e in eps_list]
     eps = np.asarray(eps_list)
-    bad, bad_rank = None, -1
-    for ray, ex in zip(rays, excesses):
-        t = ray.t_grid
-        if t.size < 2:
-            continue
-        gap = np.diff(t)
-        step = float(np.min(gap))
-        near = (gap > 0.0) & (gap <= 1.5 * step)
+    long = [(ray, ex) for ray, ex in zip(rays, excesses) if ray.t_grid.size >= 2]
+    anchors = np.zeros(0, dtype=np.intp)
+    if long:
+        lengths = [ray.t_grid.size for ray, _ in long]
+        starts = np.cumsum([0] + lengths[:-1])
+        t = np.concatenate([ray.t_grid for ray, _ in long])
+        ray_of = np.repeat(np.arange(len(long)), lengths)
+        earlier = np.flatnonzero(ray_of[1:] == ray_of[:-1])
+        gap = t[earlier + 1] - t[earlier]
+        step = np.minimum.reduceat(gap, starts - np.arange(len(long)))  # each ray's first pair
+        near = (gap > 0.0) & (gap <= 1.5 * step[ray_of[earlier]])
+        ex = np.where(near[:, None], np.concatenate([ex for _, ex in long]), -np.inf)
         # excess over the anchor of its left and of its right neighbour
-        left = np.concatenate([[-np.inf], np.where(near, ex[:, 1], -np.inf)])
-        right = np.concatenate([np.where(near, ex[:, 0], -np.inf), [-np.inf]])
-        anchors = np.flatnonzero([not v.is_empty for v in ray.values])
-        worst_ex = np.maximum(np.maximum(left, right), 0.0)[anchors, None]
-        fails = ~np.all(worst_ex <= eps + tau, axis=1)
-        borderline = np.any(worst_ex > eps - tau, axis=1) | (eps.size == 0)
-        rank = np.where(fails, 2, borderline)
-        if rank.size and rank.max() > bad_rank:
-            k = int(np.argmax(rank))
-            bad_rank, a = int(rank[k]), int(anchors[k])
-            bad = (ray, a, step, left[a], right[a])
-            if bad_rank == 2:
-                break
-    if bad is None:
+        left, right = np.full(t.size, -np.inf), np.full(t.size, -np.inf)
+        left[earlier + 1], right[earlier] = ex[:, 1], ex[:, 0]
+        anchors = np.flatnonzero(np.concatenate([(ray.values[1] > 0) | ray.values[2]
+                                                 for ray, _ in long]))
+    if anchors.size == 0:
         return CheckResult(Verdict.HOLDS, resolution={"eps_list": eps_list, "rays": 0})
-    ray, a, step, left, right = bad
+    worst_ex = np.maximum(np.maximum(left, right), 0.0)[anchors, None]
+    fails = ~np.all(worst_ex <= eps + tau, axis=1)
+    borderline = np.any(worst_ex > eps - tau, axis=1) | (eps.size == 0)
+    rank = np.where(fails, 2, borderline)
+    # the first anchor of the highest rank, rays in order
+    k = int(np.argmax(rank))
+    bad_rank, flat = int(rank[k]), int(anchors[k])
+    r = int(ray_of[flat])
+    ray, a, step = long[r][0], flat - int(starts[r]), float(step[r])
+    left, right = left[flat], right[flat]
     x, t = ray.x.tolist(), ray.t_grid
     witness = None
     if bad_rank == 2 and max(left, right) > -np.inf:

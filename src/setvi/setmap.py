@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -34,6 +34,8 @@ from .errors import (
 )
 
 _LOOKUP_TOL = 1e-9
+_LOOKUP_BLOCK = 1 << 17
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _finite(points) -> np.ndarray:
@@ -64,11 +66,6 @@ class SetValue:
             raise DimensionMismatch("a set value must be a (p, m) cloud")
         return SetValue(points=_finite(pts), whole_space=bool(whole_space))
 
-    @staticmethod
-    def rows(clouds: np.ndarray) -> tuple["SetValue", ...]:
-        """The values of a (T, p, m) batch, as read-only row views."""
-        return tuple(SetValue(c) for c in _finite(clouds))
-
     @property
     def dim(self) -> int:
         return self.points.shape[1]
@@ -98,18 +95,21 @@ class SetMap:
     """A set-valued map with an ordered finite sample domain.
 
     ``values[i]`` is the value at ``domain[i]``; generator maps evaluate
-    their domain once, on construction, and every domain scan reads these.
+    their domain once, on construction.  ``stacked`` is ``stack_values`` of
+    them, built once, and every domain scan reads it.
     """
 
     domain: np.ndarray                # (N, n)
     kind: str                         # "tabulated" | "generator"
     values: list[SetValue] | None = None
     generator: _Generator | None = None
+    stacked: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.domain = _readonly(np.atleast_2d(np.asarray(self.domain, dtype=float)))
         if self.values is None:
             self.values = [self.generator.eval_one(x) for x in self.domain]
+        self.stacked = stack_values(self.values)
 
     @property
     def domain_dim(self) -> int:
@@ -119,9 +119,7 @@ class SetMap:
     def image_dim(self) -> int:
         if self.kind == "generator":
             return self.generator.image_dim
-        for v in self.values:
-            return v.dim
-        raise EmptyDomain("map has no values")
+        return self.stacked[0].shape[2]
 
     @property
     def source(self) -> dict:
@@ -132,12 +130,12 @@ class SetMap:
 
 @dataclass(frozen=True, eq=False)
 class RayValues:
-    """Values of a map along the segment x0 + t (x - x0), t in the grid."""
+    """Values of a map on the segment x0 + t (x - x0), t in the grid: a ``stack_values`` triple."""
 
     x0: np.ndarray
     x: np.ndarray
     t_grid: np.ndarray
-    values: tuple[SetValue, ...]
+    values: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _as_domain_point(map: SetMap, x) -> np.ndarray:
@@ -152,19 +150,25 @@ def _as_domain_point(map: SetMap, x) -> np.ndarray:
 def nearest_samples(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For every row of xs the index of the nearest stored sample in the max
     norm, and whether it lies within the lookup tolerance: the one rule by
-    which a tabulated map answers at a point."""
-    diffs = np.abs(map.domain[None, :, :] - xs[:, None, :]).max(axis=2)
-    index = diffs.argmin(axis=1)
-    near = diffs[np.arange(len(xs)), index] <= _LOOKUP_TOL * (
-        1.0 + np.abs(xs).max(axis=1, initial=0.0))
+    which a tabulated map answers at a point.  Rows are read in blocks whose
+    (rows, N, n) differences hold at most ``_LOOKUP_BLOCK`` floats."""
+    index, near = np.empty(len(xs), dtype=np.intp), np.empty(len(xs), dtype=bool)
+    rows = max(1, _LOOKUP_BLOCK // map.domain.size)
+    for k in range(0, len(xs), rows):
+        diffs = np.abs(map.domain[None, :, :] - xs[k:k + rows, None, :]).max(axis=2)
+        index[k:k + rows] = i = diffs.argmin(axis=1)
+        near[k:k + rows] = diffs[np.arange(len(i)), i] <= _LOOKUP_TOL * (
+            1.0 + np.abs(xs[k:k + rows]).max(axis=1, initial=0.0))
     return index, near
 
 
-def _lookup_index(map: SetMap, x: np.ndarray) -> int:
-    (i,), (near,) = nearest_samples(map, x[None, :])
-    if near:
-        return int(i)
-    raise OutsideSampleDomain(f"{x.tolist()} is not a stored sample of the tabulated map")
+def _lookup(map: SetMap, xs: np.ndarray) -> np.ndarray:
+    """The stored samples at the rows of xs; a row that is none is an error."""
+    index, near = nearest_samples(map, xs)
+    if not near.all():
+        raise OutsideSampleDomain(f"{xs[np.argmin(near)].tolist()} is not a stored "
+                                  "sample of the tabulated map")
+    return index
 
 
 def evaluate(map: SetMap, x) -> SetValue:
@@ -175,7 +179,7 @@ def evaluate(map: SetMap, x) -> SetValue:
     """
     x = _as_domain_point(map, x)
     if map.kind == "tabulated":
-        return map.values[_lookup_index(map, x)]
+        return map.values[int(_lookup(map, x[None, :])[0])]
     return map.generator.eval_one(x)
 
 
@@ -192,8 +196,8 @@ def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
     """Fast path: values at all rows of xs as a (T, p, m) array.
 
     Returns None when the map cannot promise a uniform finite cloud per
-    point (tabulated maps, ragged generators); callers then fall back to
-    per-point evaluation.
+    point (tabulated maps, ragged generators); ``evaluate_rows`` reads
+    those maps another way.
     """
     if map.kind == "generator" and map.generator.eval_batch is not None:
         return map.generator.eval_batch(np.asarray(xs, dtype=float))
@@ -201,12 +205,12 @@ def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
 
 
 def stack_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(stack, counts, whole)``, the one rule by which passes read a list
-    of values: the (K, p, m) clouds, each padded to the widest (p >= 1)
-    with repeats of its own last point, which move no minimum, maximum or
-    first argmin over points; each value's point count (0 for empty and
-    whole-space values, whose rows hold zeros that callers mask); and the
-    whole-space flags.  Clouds of one shape come back unpadded."""
+    """``(stack, counts, whole)``, the one form in which lists of values
+    travel between passes: the (K, p, m) clouds, each padded to the widest
+    (p >= 1) with repeats of its own last point, which move no minimum,
+    maximum or first argmin over points; each value's point count (0 for
+    empty and whole-space values, whose rows hold zeros that callers mask);
+    and the whole-space flags.  Clouds of one shape come back unpadded."""
     whole = np.array([v.whole_space for v in values], dtype=bool)
     counts = np.array([0 if v.whole_space else len(v.points) for v in values], dtype=np.intp)
     p = int(counts.max(initial=1))
@@ -219,12 +223,29 @@ def stack_values(values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return stack, counts, whole
 
 
-def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[SetValue, ...]:
-    """The values at the rows of xs: one ``evaluate_batch`` call, or
-    ``evaluate`` per row where that gives None.  A kernel computes each row
-    on its own, so every value has the bits ``evaluate`` gives it."""
+def concat_values(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``stack_values`` triples joined in order, each stack padded to the
+    widest by repeating its last point column, as ``stack_values`` pads."""
+    stacks, counts, whole = zip(*triples)
+    p = max(s.shape[1] for s in stacks)
+    return (np.concatenate([s if s.shape[1] == p else np.concatenate(
+                [s, np.repeat(s[:, -1:], p - s.shape[1], axis=1)], axis=1) for s in stacks]),
+            np.concatenate(counts), np.concatenate(whole))
+
+
+def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values at the rows of xs as a ``stack_values`` triple: a batch
+    kernel's clouds as they are, rows of a tabulated map's stack, or
+    ``evaluate`` per row.  A kernel computes each row on its own, so every
+    value has the bits ``evaluate`` gives it."""
     clouds = evaluate_batch(map, xs)
-    return tuple(evaluate(map, x) for x in xs) if clouds is None else SetValue.rows(clouds)
+    if clouds is not None:
+        return _finite(clouds), np.full(len(clouds), clouds.shape[1]), np.zeros(len(clouds), bool)
+    if map.kind == "tabulated":  # the rows, as narrow as ``stack_values`` makes them
+        index = _lookup(map, np.asarray(xs, dtype=float))
+        stack, counts, whole = map.stacked
+        return stack[index, :max(1, counts[index].max(initial=0))], counts[index], whole[index]
+    return stack_values([evaluate(map, x) for x in xs])
 
 
 def segment_sample_ts(map: SetMap, x0, x) -> np.ndarray:
@@ -257,21 +278,21 @@ def ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:
     return segment_sample_ts(map, x0, x)
 
 
-def _rays(map: SetMap, x0, xs: np.ndarray, t_grid) -> list[RayValues]:
-    """The rays from x0 to every row of xs, sampled on one grid; every
-    point of every ray is read by one ``evaluate_rows`` call."""
+def _rays(map: SetMap, x0, xs: np.ndarray, grids) -> list[RayValues]:
+    """The rays from x0 to every row of xs, ray i sampled on grids[i]; each
+    ray's values are a slice of one ``evaluate_rows`` call's triple."""
     x0 = _readonly(_as_domain_point(map, x0))
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
+    grids = [np.asarray(t, dtype=float) for t in grids]
+    if any(t.ndim != 1 or t.size == 0 for t in grids):
         raise ValueError("t_grid must be a nonempty 1-D array")
+    t = _readonly(np.concatenate(grids))
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("ray grid points must lie within [0, 1]")
-    t = _readonly(t)
-    points = (x0[None, None, :] + t[None, :, None] * (xs - x0)[:, None, :]
-              ).reshape(-1, map.domain_dim)
-    values = evaluate_rows(map, points)
-    return [RayValues(x0=x0, x=x, t_grid=t, values=values[i * t.size:(i + 1) * t.size])
-            for i, x in enumerate(xs)]
+    lengths = [g.size for g in grids]
+    values = evaluate_rows(map, x0 + t[:, None] * (np.repeat(xs, lengths, axis=0) - x0))
+    bounds = np.cumsum([0] + lengths).tolist()
+    return [RayValues(x0=x0, x=x, t_grid=t[i:j], values=tuple(a[i:j] for a in values))
+            for x, i, j in zip(xs, bounds, bounds[1:])]
 
 
 def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
@@ -280,18 +301,14 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     Outside [0, 1] the restriction is empty by definition, so grid points
     are required to lie within [0, 1].
     """
-    return _rays(map, x0, _readonly(_as_domain_point(map, x))[None, :], t_grid)[0]
+    return _rays(map, x0, _readonly(_as_domain_point(map, x))[None, :], [t_grid])[0]
 
 
 def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
     """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
     domain order: the one reading of the rays that radial checks share.
-
-    Generator maps read every ray on the requested grid, so all of them
-    are read together."""
-    if map.kind == "generator":
-        return _rays(map, x0, map.domain, t_grid)
-    return [ray_restriction(map, x0, x, ray_grid(map, x0, x, t_grid)) for x in map.domain]
+    All rays are read by one ``_rays`` call, so their triples share a width."""
+    return _rays(map, x0, map.domain, [ray_grid(map, x0, x, t_grid) for x in map.domain])
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +321,22 @@ def _is_count(v) -> bool:
     return isinstance(v, Integral) and not isinstance(v, bool)
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
+def _is_number(v) -> bool:
+    """A real that is not a bool and a finite float: the rule for every scalar."""
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
+def _scalar_param(params: dict, key: str, default, test=_is_count, what="an integer"):
     value = params.get(key, default)
-    if not _is_count(value):
-        raise BadParameters(f"parameter {key!r} must be an integer, not {value!r}")
+    if not test(value):
+        raise BadParameters(f"parameter {key!r} must be {what}, not {value!r}")
     return value
 
 
 def _param_array(params: dict, key: str, default=None) -> np.ndarray | None:
     if key not in params:
         return None if default is None else np.asarray(default, dtype=float)
-    try:
-        return np.asarray(params[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise BadParameters(f"parameter {key!r} is not numeric") from exc
+    return _as_numbers(params[key], f"parameter {key!r}", BadParameters)
 
 
 def _make_quadratic_vector(params: dict) -> _Generator:
@@ -344,7 +363,7 @@ def _make_segment_shift(params: dict) -> _Generator:
         raise BadParameters("segment_shift needs a nonempty 'segment' cloud")
     segment = np.atleast_2d(segment)
     m = segment.shape[1]
-    n = _int_param(params, "domain_dim", 1)
+    n = _scalar_param(params, "domain_dim", 1)
     offset = _param_array(params, "offset", default=np.zeros(m))
     linear = _param_array(params, "linear", default=np.zeros((m, n)))
     linear = np.atleast_2d(linear)
@@ -373,7 +392,7 @@ def _make_constant_cloud(params: dict) -> _Generator:
     if points is None or points.size == 0:
         raise BadParameters("constant_cloud needs a nonempty 'points' cloud")
     points = np.atleast_2d(points)
-    n = _int_param(params, "domain_dim", 1)
+    n = _scalar_param(params, "domain_dim", 1)
     m = points.shape[1]
 
     def batch(xs: np.ndarray) -> np.ndarray:
@@ -383,15 +402,15 @@ def _make_constant_cloud(params: dict) -> _Generator:
 
 
 def _make_hyperbola_truncation(params: dict) -> _Generator:
-    T = float(params.get("T", 0.0))
+    T = float(_scalar_param(params, "T", 0.0, _is_number, "a finite number"))
     if T <= 1.0:
         raise BadParameters("hyperbola_truncation needs a truncation scale T > 1")
-    samples = _int_param(params, "samples", 33)
+    samples = _scalar_param(params, "samples", 33)
     if samples < 2:
         raise BadParameters("hyperbola_truncation needs at least 2 samples")
     s = np.logspace(-np.log10(T), np.log10(T), samples)
     cloud = np.column_stack([s, 1.0 / s])
-    n = _int_param(params, "domain_dim", 1)
+    n = _scalar_param(params, "domain_dim", 1)
 
     def batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(cloud[None, :, :], (xs.shape[0],) + cloud.shape).copy()
@@ -410,7 +429,7 @@ def _make_jump_map(params: dict) -> _Generator:
         raise BadParameters("jump_map sides must share the image dimension")
     if "jump_at" not in params:
         raise BadParameters("jump_map needs a 'jump_at' location")
-    jump_at = float(params["jump_at"])
+    jump_at = float(_scalar_param(params, "jump_at", None, _is_number, "a finite number"))
 
     def one(x: np.ndarray) -> SetValue:
         return SetValue.make(left if x[0] < jump_at else right)
@@ -473,22 +492,15 @@ class Problem:
     settings: dict = field(default_factory=dict)
 
 
-def _dedup_rows(rows: np.ndarray) -> np.ndarray:
-    seen = set()
-    keep = []
-    for i, row in enumerate(rows):
-        key = tuple(row.tolist())
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return rows[keep]
+def _as_numbers(raw, what: str, error=SchemaError) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{what} must be numeric") from exc
 
 
 def _as_point_list(raw, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{what} must be numeric") from exc
+    arr = _as_numbers(raw, what)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
@@ -508,9 +520,9 @@ def load_problem(document) -> Problem:
     Schema: top-level "cone" {dual_generators, interior_point}, "map"
     (either {"tabulated": [{x, points, whole_space}]} or {"generator":
     {name, params, domain_grid {from, to, steps} | domain_points}}),
-    optional "base_points" and "settings".  A key outside this schema is a
-    SchemaError, as are a map with both kinds, a non-boolean whole_space
-    and non-integer steps: a typo fails instead of running with defaults.
+    optional "base_points" and "settings".  An unknown key, a value of the
+    wrong type, an x that is not a nonempty list of finite numbers and a map
+    with both kinds are a SchemaError: a typo fails instead of running.
     """
     if isinstance(document, (str, bytes)):
         text = document
@@ -532,7 +544,8 @@ def load_problem(document) -> Problem:
             or "interior_point" not in cone_doc:
         raise SchemaError("'cone' needs 'dual_generators' and 'interior_point'")
     _known_keys("cone", cone_doc, {"dual_generators", "interior_point"})
-    cone = make_cone(cone_doc["dual_generators"], cone_doc["interior_point"])
+    cone = make_cone(*(_as_numbers(cone_doc[k], f"cone {k!r}")
+                       for k in ("dual_generators", "interior_point")))
 
     if "map" not in document or not isinstance(document["map"], dict):
         raise SchemaError("missing 'map' object")
@@ -550,8 +563,11 @@ def load_problem(document) -> Problem:
             if not isinstance(entry, dict) or "x" not in entry:
                 raise SchemaError("tabulated entries need an 'x' field")
             _known_keys("tabulated entry", entry, {"x", "points", "whole_space"})
-            x = np.atleast_1d(np.asarray(entry["x"], dtype=float))
-            key = tuple(x.tolist())
+            x = entry["x"]
+            if not (isinstance(x, list) and x and all(map(_is_number, x))):
+                raise SchemaError(f"tabulated 'x' must be a nonempty list of finite numbers, "
+                                  f"not {x!r}")
+            key = tuple(map(float, x))
             if key in seen:
                 raise SchemaError(f"tabulated x {list(key)} appears more than once")
             seen.add(key)
@@ -559,11 +575,10 @@ def load_problem(document) -> Problem:
             if not isinstance(whole, bool):
                 raise SchemaError(f"tabulated 'whole_space' must be true or false, "
                                   f"not {whole!r}")
-            pts = entry.get("points", [])
-            value = SetValue.make(pts, whole_space=whole, dim=cone.dim)
-            xs.append(x)
-            values.append(value)
-        dims = {x.shape[0] for x in xs}
+            xs.append(key)
+            values.append(SetValue.make(_as_numbers(entry.get("points", []), "tabulated 'points'"),
+                                        whole_space=whole, dim=cone.dim))
+        dims = {len(x) for x in xs}
         if len(dims) != 1:
             raise SchemaError("tabulated sample points have mixed dimensions")
         vdims = {v.dim for v in values}
@@ -571,11 +586,11 @@ def load_problem(document) -> Problem:
             raise SchemaError("tabulated values have mixed image dimensions")
         if next(iter(vdims)) != cone.dim:
             raise DimensionMismatch("value dimension differs from the cone dimension")
-        map_ = SetMap(domain=np.stack(xs), kind="tabulated", values=values)
+        map_ = SetMap(domain=np.array(xs), kind="tabulated", values=values)
     elif "generator" in map_doc:
         gdoc = map_doc["generator"]
-        if not isinstance(gdoc, dict) or "name" not in gdoc:
-            raise SchemaError("'generator' needs a 'name'")
+        if not isinstance(gdoc, dict) or not isinstance(gdoc.get("name"), str):
+            raise SchemaError("'generator' needs a 'name' string")
         _known_keys("generator", gdoc, {"name", "params", "domain_grid", "domain_points"})
         params = gdoc.get("params", {})
         if not isinstance(params, dict):
@@ -589,8 +604,8 @@ def load_problem(document) -> Problem:
             for key in ("from", "to", "steps"):
                 if key not in grid:
                     raise SchemaError(f"domain_grid needs '{key}'")
-            lo = np.atleast_1d(np.asarray(grid["from"], dtype=float))
-            hi = np.atleast_1d(np.asarray(grid["to"], dtype=float))
+            lo, hi = (np.atleast_1d(_as_numbers(grid[k], f"domain_grid {k!r}"))
+                      for k in ("from", "to"))
             if lo.shape != hi.shape:
                 raise SchemaError("domain_grid 'from' and 'to' differ in shape")
             steps = grid["steps"]
@@ -605,7 +620,7 @@ def load_problem(document) -> Problem:
             domain = pts if domain is None else np.vstack([domain, pts])
         if domain is None:
             raise SchemaError("generator maps need 'domain_grid' or 'domain_points'")
-        domain = _dedup_rows(domain)
+        domain = domain[np.sort(np.unique(domain, axis=0, return_index=True)[1])]
         map_ = builtin_map(gdoc["name"], params, domain=domain)
         if map_.image_dim != cone.dim:
             raise DimensionMismatch("generator image dimension differs from the cone")

@@ -19,7 +19,7 @@ from .analysis import DiniConfig
 from .cone import dual_base, ext_margins, make_cone
 from .config import RunSettings
 from .order import relation_ll
-from .setmap import SetValue, builtin_map
+from .setmap import SetValue, _grid_points, builtin_map
 from .vi import ChainStatus, replay_derivative, theorem_chain
 
 SUITE_DEFAULTS = RunSettings(
@@ -38,9 +38,7 @@ def _grid_1d():
 
 
 def _grid_2d():
-    axis = np.linspace(-2.0, 2.0, 5)
-    mesh = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _grid_points([np.linspace(-2.0, 2.0, 5)] * 2)
 
 
 def _chain_cloud(rng: np.random.Generator, m: int) -> np.ndarray:

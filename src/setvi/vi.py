@@ -35,7 +35,7 @@ from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
 from .scalarize import (block_points, hausdorff_check_radial, radial_excesses,
                         ray_scalarizations, scalarize_values)
-from .setmap import RayValues, SetMap, base_value, radial_rays, stack_values
+from .setmap import RayValues, SetMap, base_value, concat_values, radial_rays
 from .verdicts import CheckResult, Verdict, worst
 
 VI_KINDS = ("mvi", "svi", "mvi2", "svi2")
@@ -85,8 +85,8 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
 
     quantify_dom_only = (kind == "svi" and vi_domain == "formula") or vi_domain == "dom"
     minty = kind in ("mvi", "mvi2")
-    rows = [i for i in range(map.domain.shape[0])
-            if not (quantify_dom_only and map.values[i].is_empty)]
+    _, counts, whole = map.stacked
+    rows = np.flatnonzero((counts > 0) | whole | (not quantify_dom_only)).tolist()
     # one (S+1, W) scalarization table per x, all read together: s = 0, then
     # the Dini steps, from x toward x0 (Minty) or from x0 toward x
     # (Stampacchia); every (x, weight) derivative comes from one dini_table call
@@ -194,6 +194,7 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
     class_verdicts = {"ssqc": Verdict.HOLDS, "pconvex": Verdict.HOLDS,
                       "pconcave": Verdict.HOLDS}
     class_witness = {}
+    sample_empty = (map.stacked[1] == 0) & ~map.stacked[2]
 
     size = (max(1, block_points(map) // (2 * rays[0].t_grid.size * S))
             if map.kind == "generator" else 1)
@@ -201,8 +202,8 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
         block = [rays[i] for i in ray_indices[b:b + size]]
         t_eff = block[0].t_grid
         T, R = t_eff.size, len(block)
-        phis = scalarize_values(stack_values([v for ray in block for v in ray.values]),
-                                wstar.weights)
+        _, counts, whole = stacked = concat_values([ray.values for ray in block])
+        phis = scalarize_values(stacked, wstar.weights)
         phis = phis.reshape(R, T, W).transpose(1, 0, 2).reshape(T, R * W)
         probe_ts = np.concatenate([(t_eff[:, None] + steps[None, :]).ravel(),
                                    (t_eff[:, None] - steps[None, :]).ravel()])
@@ -219,11 +220,14 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
                            for probes in (fw, bw))
         cvx, ccv, _ = _pseudo_scan(t_eff, phis, d_plus, d_minus, tau)
         scans = {"ssqc": _ssqc_scan(t_eff, phis, tau), "pconvex": cvx, "pconcave": ccv}
-        for r, (i, ray) in enumerate(zip(ray_indices[b:b + size], block)):
-            empties = [k for k, v in enumerate(ray.values) if v.is_empty]
-            if empties and star is Verdict.HOLDS and not map.values[i].is_empty:
-                star = Verdict.FAILS
-                star_witness = {"x": ray.x.tolist(), "t": float(ray.t_grid[empties[0]])}
+        # star shape fails at the first empty value on a ray to a nonempty sample
+        empty = ((counts == 0) & ~whole).reshape(R, T)
+        starless = np.flatnonzero(empty.any(axis=1) & ~sample_empty[ray_indices[b:b + size]])
+        if starless.size and star is Verdict.HOLDS:
+            r = int(starless[0])
+            star, star_witness = Verdict.FAILS, {"x": block[r].x.tolist(),
+                                                 "t": float(t_eff[np.argmax(empty[r])])}
+        for r, ray in enumerate(block):
             for name, results in scans.items():
                 for widx, (verdict, witness) in enumerate(results[r * W:(r + 1) * W]):
                     # only a strictly worse verdict replaces the recorded witness
@@ -312,10 +316,10 @@ def theorem_chain(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     class_verdicts, class_witness = survey["classes"]
 
     # properness: a whole-space value anywhere makes some scalarization -inf
-    whole = [i for i, v in enumerate(map.values) if v.whole_space]
+    whole = np.flatnonzero(map.stacked[2])
     properness = CheckResult(
-        Verdict.FAILS if whole else Verdict.HOLDS,
-        witness={"x": map.domain[whole[0]].tolist()} if whole else None,
+        Verdict.FAILS if whole.size else Verdict.HOLDS,
+        witness={"x": map.domain[whole[0]].tolist()} if whole.size else None,
         resolution={"domain_size": int(map.domain.shape[0])})
 
     compactness = CheckResult(Verdict.HOLDS,

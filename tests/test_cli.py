@@ -1,8 +1,13 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import setvi.vi
 from setvi.cli import main
@@ -266,6 +271,74 @@ TYPO_DOCS = {
 def test_problem_typo_exits_two(tmp_path, capsys, doc, key):
     assert main(["minimality", _write(tmp_path, "typo", doc)]) == 2
     assert key in capsys.readouterr().err
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with the node at path (a tuple of keys) set to value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# documents whose wrong types used to escape as a TypeError, or whose bad
+# sample point was accepted, and the key the error message must name
+_TABLE = HYPER_DOC["map"]["tabulated"]
+MALFORMED_DOCS = {
+    "nested-x": (_replaced(HYPER_DOC, ("map", "tabulated", 0, "x"), [[0]]), "'x'"),
+    "null-x": (_replaced(HYPER_DOC, ("map", "tabulated", 0, "x"), None), "'x'"),
+    "empty-x": (_replaced(HYPER_DOC, ("map", "tabulated", 0, "x"), []), "'x'"),
+    "points-object": (_replaced(HYPER_DOC, ("map", "tabulated", 0, "points"), {"a": 1}),
+                      "'points'"),
+    "dual_generators-object": (_replaced(HYPER_DOC, ("cone", "dual_generators"), {"a": 1}),
+                               "'dual_generators'"),
+    "name-list": (_replaced(QUAD_DOC, ("map", "generator", "name"), ["x"]), "'name'"),
+    "from-object": (_replaced(QUAD_DOC, ("map", "generator", "domain_grid", "from"),
+                              {"a": 1}), "'from'"),
+    "jump_at-list": (_replaced(QUAD_DOC, ("map", "generator"), {
+        **_GENERATOR, "name": "jump_map",
+        "params": {"left_points": [[0, 0]], "right_points": [[1, 1]], "jump_at": [0.5]}}),
+        "'jump_at'"),
+}
+
+
+@pytest.mark.parametrize("doc, key", MALFORMED_DOCS.values(), ids=MALFORMED_DOCS.keys())
+def test_malformed_problem_exits_two(tmp_path, capsys, doc, key):
+    assert main(["minimality", _write(tmp_path, "malformed", doc)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def _node_paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+# small JSON: short lists and small integers, so that no grid blows up
+_SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-50, 50) | st.floats(-50, 50) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+@pytest.mark.parametrize("doc", [NONUNIFORM_DOC, QUAD_DOC], ids=["tabulated", "generator"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_node_replaced_exits_with_a_cli_code(doc, data):
+    # the document goes in as JSON text, which load_problem reads like a file
+    paths = list(_node_paths(doc))
+    path = paths[data.draw(st.integers(0, len(paths) - 1), label="node")]
+    text = json.dumps(_replaced(doc, path, data.draw(_SMALL_JSON, label="value")))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["minimality", text])
+    assert code in (0, 1, 2, 3)
 
 
 def test_seed_is_a_suite_flag(quad_file, tmp_path, capsys):

@@ -12,8 +12,8 @@ from setvi.scalarize import (
     _PRUNE_MIN_POINTS,
     _excess,
     _excess_rows,
-    adjacent_excesses,
     hausdorff_check_radial,
+    radial_excesses,
     scalar_path,
     scalarize_batch,
     scalarize_many,
@@ -123,8 +123,7 @@ def _jump_problem():
 
 
 def _radial(rays, eps_list, tau=TAU_STRICT):
-    return hausdorff_check_radial(rays, [adjacent_excesses(r) for r in rays], eps_list,
-                                  tau=tau)
+    return hausdorff_check_radial(rays, radial_excesses(rays), eps_list, tau=tau)
 
 
 def _count_calls(monkeypatch, name):
@@ -229,26 +228,40 @@ class TestHausdorff:
 
     def test_radial_check_matches_brute_force_reference(self):
         # only neighbours whose gap fits within 1.5 steps can lie that close,
-        # so reading the adjacent excesses loses no sample the scan would see
+        # so reading the adjacent excesses loses no sample the scan would see;
+        # the reference reads each ray's values one by one, the check reads
+        # their stacks, each ray stacked at its own width
         rng = np.random.default_rng(11)
         pool = [SetValue.make([], dim=2), SetValue.make([], whole_space=True, dim=2),
                 *(SetValue.make(rng.normal(size=(int(rng.integers(1, 4)), 2)))
                   for _ in range(4))]
+        rank = {Verdict.HOLDS: 0, Verdict.UNDETERMINED: 1, Verdict.FAILS: 2}
+        seen = {"widths differ": 0, "worst after an undetermined ray": 0, "no eps": 0}
         for _ in range(1500):
-            rays = []
+            rays, stacked = [], []
             for _ in range(int(rng.integers(1, 4))):
                 T = int(rng.integers(1, 7))
                 t = (np.linspace(0, 1, T) if rng.random() < 0.3 else
                      np.unique(np.round(rng.uniform(0, 1, size=T), int(rng.integers(1, 4)))))
-                values = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=t.size))
+                # a constant ray has zero excesses: UNDETERMINED at eps 0
+                picks = rng.integers(0, len(pool), size=1 if rng.random() < 0.5 else t.size)
+                values = tuple(pool[int(i)] for i in np.resize(picks, t.size))
                 x = rng.normal(size=2)
                 rays.append(RayValues(x0=np.zeros(2), x=x, t_grid=t, values=values))
+                stacked.append(RayValues(x0=np.zeros(2), x=x, t_grid=t,
+                                         values=stack_values(values)))
             eps = rng.choice([-1.0, 0.0, 1e-9, 0.2, 1e6, np.inf],
                              size=int(rng.integers(0, 4))).tolist()
             tau = float(rng.choice([1e-9, 1e-3]))
-            res = _radial(rays, eps, tau=tau)
-            assert (res.verdict, res.witness, res.resolution, res.details) == \
-                _reference_radial(rays, eps, tau)
+            res = _radial(stacked, eps, tau=tau)
+            want = _reference_radial(rays, eps, tau)
+            assert (res.verdict, res.witness, res.resolution, res.details) == want
+            per_ray = [rank[_reference_radial([ray], eps, tau)[0]] for ray in rays]
+            first_worst = per_ray.index(rank[want[0]])
+            seen["widths differ"] += len({ray.values[0].shape[1] for ray in stacked}) > 1
+            seen["worst after an undetermined ray"] += 1 in per_ray[:first_worst]
+            seen["no eps"] += not eps
+        assert min(seen.values()) >= 50, seen
 
     def test_radial_scan_compares_only_neighbours(self, excess_calls):
         # uniform clouds take one array pass per ray, and the check itself
@@ -257,7 +270,7 @@ class TestHausdorff:
         m = builtin_map("quadratic_vector", {"targets": [0, 1]},
                         domain=np.linspace(-1, 2, 7).reshape(-1, 1))
         rays = radial_rays(m, [0.5], np.linspace(0, 1, T))
-        excesses = [adjacent_excesses(r) for r in rays]
+        excesses = radial_excesses(rays)
         assert [e.shape for e in excesses] == [(T - 1, 2)] * len(rays)
         assert len(excess_calls) == 0
         hausdorff_check_radial(rays, excesses, eps_list=[0.5])
@@ -280,7 +293,7 @@ class TestHausdorff:
         ray = radial_rays(problem.map, [0.0], np.linspace(0, 1, 9))[-1]
         T = ray.t_grid.size
         assert T == 5
-        ex = adjacent_excesses(ray)
+        ex = radial_excesses([ray])[0]
         assert len(excess_calls) == 0 and len(excess_row_calls) == 2
         assert ex.shape == (T - 1, 2)
 
@@ -319,11 +332,11 @@ class TestHausdorff:
                 k = int(rng.integers(0, T))
                 values[k] = SetValue.make([], whole_space=style == "whole", dim=m)
             ray = RayValues(x0=np.zeros(1), x=np.ones(1), t_grid=np.linspace(0, 1, T),
-                            values=tuple(values))
+                            values=stack_values(values))
             want = np.array([(_excess(values[k + 1], values[k]),
                               _excess(values[k], values[k + 1]))
                              for k in range(T - 1)]).reshape(-1, 2)
-            got = adjacent_excesses(ray)
+            got = radial_excesses([ray])[0]
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             uniform = T > 1 and len({v.points.shape for v in values}) == 1 and not any(
                 v.whole_space or v.is_empty for v in values)
@@ -339,8 +352,8 @@ def test_continuity_bridge_scales_with_weight_norms():
                     domain=np.linspace(0, 1, 21).reshape(-1, 1))
     norms = np.linalg.norm(WS.weights, axis=1)
     for ray in radial_rays(m, [0.5], np.linspace(0, 1, 9)):
-        phis = np.stack([scalarize_many(v, WS.weights) for v in ray.values])
-        ex = adjacent_excesses(ray)
+        phis = scalarize_values(ray.values, WS.weights)
+        ex = radial_excesses([ray])[0]
         assert ex.shape == (ray.t_grid.size - 1, 2) and np.all(ex >= 0.0)
         assert np.all(phis[1:] >= phis[:-1] - ex[:, :1] * norms - 1e-12)
         assert np.all(phis[:-1] >= phis[1:] - ex[:, 1:] * norms - 1e-12)

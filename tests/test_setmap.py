@@ -18,6 +18,7 @@ from setvi.setmap import (
     _Generator,
     builtin_map,
     evaluate,
+    evaluate_rows,
     load_problem,
     radial_rays,
     ray_restriction,
@@ -114,25 +115,25 @@ class TestRayRestriction:
     def test_constant_map_constant_along_rays(self):
         m = builtin_map("constant_cloud", {"points": [[0, 0]]})
         ray = ray_restriction(m, [0], [1], np.linspace(0, 1, 5))
-        assert all(v.points.tolist() == [[0.0, 0.0]] for v in ray.values)
+        assert ray.values[0].tolist() == [[[0.0, 0.0]]] * 5
 
     def test_quadratic_hand_values(self):
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})
         ray = ray_restriction(m, [0], [1], np.array([0.0, 0.5, 1.0]))
-        assert ray.values[0].points.tolist() == [[0.0, 1.0]]
-        assert ray.values[1].points.tolist() == [[0.25, 0.25]]
-        assert ray.values[2].points.tolist() == [[1.0, 0.0]]
+        stack, counts, whole = ray.values
+        assert stack.tolist() == [[[0.0, 1.0]], [[0.25, 0.25]], [[1.0, 0.0]]]
+        assert counts.tolist() == [1, 1, 1] and not whole.any()
 
     def test_degenerate_ray_is_constant(self):
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})
         ray = ray_restriction(m, [0.3], [0.3], np.linspace(0, 1, 4))
-        first = ray.values[0].points
-        assert all((v.points == first).all() for v in ray.values)
+        stack = ray.values[0]
+        assert (stack == stack[0]).all()
 
     def test_single_point_grid(self):
         m = builtin_map("quadratic_vector", {"targets": [0, 1]})
         ray = ray_restriction(m, [0.0], [1.0], np.array([0.0, 1.0]))
-        assert len(ray.values) == 2
+        assert [len(a) for a in ray.values] == [2, 2, 2]
 
 
 def _catalog_maps(rng):
@@ -198,9 +199,11 @@ def test_rays_batch_match_the_per_point_values(monkeypatch):
                 assert ray.x.tobytes() == x.tobytes()
                 assert ray.t_grid.tobytes() == t_grid.tobytes()
                 points = x0[None, :] + t_grid[:, None] * (x - x0)[None, :]
-                assert [v.points.tobytes() for v in ray.values] == [
+                stack, counts, whole = ray.values
+                assert [c.tobytes() for c in stack] == [
                     evaluate(m, p).points.tobytes() for p in points]
-                assert all(not v.points.flags.writeable for v in ray.values)
+                assert (counts == stack.shape[1]).all() and not whole.any()
+                assert not stack.flags.writeable
 
 
 def test_rays_reject_a_nonfinite_batch():
@@ -280,7 +283,7 @@ def test_stack_values_pads_each_cloud_with_its_last_point():
 
 def test_stack_values_of_one_shape_and_of_no_values():
     clouds = np.arange(12.0).reshape(3, 2, 2)
-    stack, counts, whole = stack_values(SetValue.rows(clouds))
+    stack, counts, whole = stack_values([SetValue.make(c) for c in clouds])
     assert stack.tobytes() == clouds.tobytes() and stack.shape == clouds.shape
     assert counts.tolist() == [2, 2, 2] and whole.tolist() == [False] * 3
     stack, counts, whole = stack_values([SetValue.make([], dim=2)] * 2)
@@ -302,3 +305,20 @@ DIGEST_PROBLEMS = sorted((Path(__file__).parent.parent / "scripts" / "digest_pro
 def test_digest_problems_load(path):
     # the problem set scripts/report_digests.py compares checkouts on
     assert load_problem(str(path)).map.domain.shape[0] > 0
+
+
+def test_tabulated_rows_match_the_stacked_values_one_by_one():
+    # a tabulated map's rows come from its one stack, as narrow as
+    # stack_values makes them, and a point that is not a sample is an error
+    m = load_problem(str(DIGEST_PROBLEMS[0].with_name("tabulated_ragged_whole.json"))).map
+    want = stack_values(m.values)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(m.stacked, want))
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        xs = m.domain[rng.integers(0, len(m.domain), size=int(rng.integers(1, 6)))]
+        got = evaluate_rows(m, xs)
+        want = stack_values([evaluate(m, x) for x in xs])
+        assert [(a.shape, a.dtype, a.tobytes()) for a in got] == \
+            [(b.shape, b.dtype, b.tobytes()) for b in want]
+    with pytest.raises(OutsideSampleDomain, match=r"\[0\.05\]"):
+        evaluate_rows(m, np.array([[0.0], [0.05]]))

@@ -5,11 +5,12 @@ loops they replaced.
 and ``ref_convexity_pairs`` below are the earlier ``analysis.c_convexity_check``,
 ``order.classify_weak_min``, ``scalarize.adjacent_excesses`` and
 ``analysis.convexity_pairs``, kept verbatim apart from their names, and so are
-the margin kernel they called (``ref_ext_margins``) and ``ref_dominance_margin``:
-one ``scalarize_many`` per value read and one ``ext_margins`` call per
-combination or sample.  On every seeded case the new passes, which read
-every value list as one padded ``stack_values`` stack, must render the same
-bytes, witnesses and exceptions included, among them cases where the passes
+the margin kernel they called (``ref_ext_margins``), ``ref_dominance_margin``
+and ``ref_evaluate_rows``: one ``SetValue`` per point, one ``scalarize_many``
+per value read and one ``ext_margins`` call per combination or sample.  On
+every seeded case the new passes, which read every value list as one padded
+``stack_values`` triple, must render the same bytes, witnesses and
+exceptions included, among them cases where the passes
 combine only the C-minimal points of the end values or probe only those of
 the base value.
 """
@@ -24,7 +25,7 @@ from setvi.report import render_json
 from setvi.analysis import CONVEXITY_T_SAMPLES, c_convexity_check, convexity_pairs
 from setvi.order import MinimalityVerdict, _enforce_consistency, classify_weak_min
 from setvi.scalarize import _excess, _excess_rows, radial_excesses, scalarize_many
-from setvi.setmap import (SetMap, SetValue, base_value, builtin_map, evaluate, evaluate_rows,
+from setvi.setmap import (RayValues, SetMap, SetValue, base_value, builtin_map, evaluate,
                           radial_rays)
 from setvi.verdicts import CheckResult, Verdict
 
@@ -159,6 +160,10 @@ def ref_combos_stored(map, pair, t_samples):
     return True
 
 
+def ref_evaluate_rows(map, xs):
+    return tuple(evaluate(map, x) for x in xs)
+
+
 def ref_c_convexity_check(map, cone, wstar, pair_samples, t_samples, tau):
     t_samples = [float(s) for s in t_samples]
     mink_witness = None
@@ -174,7 +179,7 @@ def ref_c_convexity_check(map, cone, wstar, pair_samples, t_samples, tau):
         for x in (x1, x2, *(s * x1 + (1.0 - s) * x2 for s in t_samples)):
             points.setdefault(x.tobytes(), x)
     xs = np.reshape(list(points.values()), (len(points), map.domain_dim))
-    values = dict(zip(points, evaluate_rows(map, xs)))
+    values = dict(zip(points, ref_evaluate_rows(map, xs)))
 
     for (x1, x2) in pairs:
         v1 = values[x1.tobytes()]
@@ -235,6 +240,12 @@ def ref_c_convexity_check(map, cone, wstar, pair_samples, t_samples, tau):
         return CheckResult(Verdict.UNDETERMINED, resolution=resolution,
                            details={"note": "no evaluable pair combinations"})
     return CheckResult(Verdict.HOLDS, resolution=resolution)
+
+
+def per_value_ray(map, ray):
+    """The ray with its values read one ``evaluate`` call per grid point."""
+    values = tuple(evaluate(map, ray.x0 + t * (ray.x - ray.x0)) for t in ray.t_grid)
+    return RayValues(x0=ray.x0, x=ray.x, t_grid=ray.t_grid, values=values)
 
 
 def ref_adjacent_excesses(ray):
@@ -388,11 +399,11 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
     # whether the case's checks dropped points of the end values or of the
     # base value, and whether the convexity check padded narrower clouds
     pruned = {}
-    kept_ends, marked, stack_values = (analysis_mod._kept_ends, order_mod.dominated_probes,
-                                       analysis_mod.stack_values)
+    kept_ends, marked, evaluate_rows = (analysis_mod._kept_ends, order_mod.dominated_probes,
+                                        analysis_mod.evaluate_rows)
 
-    def spy_stack(values):
-        stack, counts, whole = stacked = stack_values(values)
+    def spy_stack(map, xs):
+        stack, counts, whole = stacked = evaluate_rows(map, xs)
         pruned["padded"] = bool(counts[counts > 0].min(initial=stack.shape[1]) < stack.shape[1])
         return stacked
 
@@ -407,7 +418,7 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
         return out
 
     monkeypatch.setattr(analysis_mod, "_kept_ends", spy_ends)
-    monkeypatch.setattr(analysis_mod, "stack_values", spy_stack)
+    monkeypatch.setattr(analysis_mod, "evaluate_rows", spy_stack)
     monkeypatch.setattr(order_mod, "dominated_probes", spy_marked)
     for case in range(1200):
         map_, cone, wstar, x0, t_samples, tau = _case(rng)
@@ -432,12 +443,12 @@ def test_stacked_passes_match_the_per_value_loops(monkeypatch):
                 tables = radial_excesses(rays)
                 one_block = not small
                 seen["rays of several lengths"] += one_block and len(
-                    {len(ray.values) for ray in rays}) > 1
+                    {ray.t_grid.size for ray in rays}) > 1
                 seen["excess block with empty or whole-space rows"] += one_block and any(
-                    v.is_empty or v.whole_space for ray in rays for v in ray.values)
+                    (ray.values[1] == 0).any() for ray in rays)
                 assert len(tables) == len(rays)
                 for ray, table in zip(rays, tables):
-                    want_table = ref_adjacent_excesses(ray)
+                    want_table = ref_adjacent_excesses(per_value_ray(map_, ray))
                     assert table.shape == want_table.shape, f"case {case} excess shape"
                     assert table.tobytes() == want_table.tobytes(), f"case {case} excesses"
         uniform = all(not v.is_empty and not v.whole_space for v in map_.values) and len(

@@ -3,8 +3,9 @@
 ``ref_radial_survey`` and ``ref_ray_scalarizations`` below are the earlier
 ``vi._radial_survey`` and ``scalarize.ray_scalarizations``, kept verbatim
 apart from their names: one evaluation, two ``dini_table`` calls and two
-scans per surveyed ray.  ``vi._radial_survey`` reads the rays in blocks;
-on every seeded case both must render the same bytes.
+scans per surveyed ray, each ray's values read as one ``SetValue`` per grid
+point (``per_value_ray``).  ``vi._radial_survey`` reads the rays' value
+stacks in blocks; on every seeded case both must render the same bytes.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from setvi.analysis import DiniConfig, _pseudo_scan, _ssqc_scan, dini_table
 from setvi.cone import dual_base, make_cone
 from setvi.report import render_json
 from setvi.scalarize import block_points, interp_extended, scalarize_batch, scalarize_many
-from setvi.setmap import (SetMap, SetValue, builtin_map, evaluate, evaluate_batch,
+from setvi.setmap import (RayValues, SetMap, SetValue, builtin_map, evaluate, evaluate_batch,
                           radial_rays, segment_sample_ts)
 from setvi.verdicts import Verdict, worst
 from setvi.vi import _radial_survey
@@ -39,6 +40,12 @@ def ref_ray_scalarizations(map, base, target, svals, weights):
         for t in knots
     ])
     return interp_extended(knots, phis, svals)
+
+
+def per_value_ray(map, ray):
+    """The ray with its values read one ``evaluate`` call per grid point."""
+    values = tuple(evaluate(map, ray.x0 + t * (ray.x - ray.x0)) for t in ray.t_grid)
+    return RayValues(x0=ray.x0, x=ray.x, t_grid=ray.t_grid, values=values)
 
 
 def ref_radial_survey(map, rays, wstar, cfg, tau, max_rays):
@@ -206,7 +213,8 @@ def test_block_survey_matches_the_per_ray_survey():
         map_, x0, grid, wstar, cfg, tau, max_rays = _case(rng)
         rays = radial_rays(map_, x0, grid)
         with np.errstate(invalid="ignore", over="ignore"):
-            want = _rendered(ref_radial_survey(map_, rays, wstar, cfg, tau, max_rays))
+            want = _rendered(ref_radial_survey(map_, [per_value_ray(map_, ray) for ray in rays],
+                                               wstar, cfg, tau, max_rays))
             got = _rendered(_radial_survey(map_, rays, wstar, cfg, tau, max_rays))
         assert got == want, f"case {case}"
         name = map_.source.get("generator", "tabulated")
