@@ -55,6 +55,11 @@ def problem_commands(path: str) -> list[list[str]]:
     ]
 
 
+def suite_command(spec: str) -> list[str]:
+    seed, instances = spec.split(":")
+    return ["suite", "--seed", str(int(seed)), "--instances", str(int(instances))]
+
+
 def digest_line(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -73,9 +78,7 @@ def main() -> int:
                         help="also digest the suite report of N instances at SEED")
     args = parser.parse_args()
     runs = [argv for path in args.problems for argv in problem_commands(path)]
-    for spec in args.suite:
-        seed, instances = spec.split(":")
-        runs.append(["suite", "--seed", str(int(seed)), "--instances", str(int(instances))])
+    runs += [suite_command(spec) for spec in args.suite]
     for argv in runs:
         print(digest_line(argv), flush=True)
     return 0

@@ -19,47 +19,27 @@ from typing import Callable
 import numpy as np
 
 from .cone import _PRUNE_MIN_POINTS, TAU_STRICT
-from .setmap import (RayValues, SetMap, SetValue, concat_values, evaluate_batch, evaluate_rows,
-                     ray_restriction, segment_sample_ts)
+from .setmap import (RayValues, SetMap, SetValue, concat_values, evaluate_rows, ray_restriction,
+                     segment_sample_ts, stack_values)
 from .verdicts import CheckResult, Verdict
 
 
 def scalarize_many(value: SetValue, weights: np.ndarray) -> np.ndarray:
     """Scalarize one value under every weight row; returns floats with +-inf."""
-    weights = np.asarray(weights, dtype=float)
-    n = weights.shape[0]
-    if value.whole_space:
-        return np.full(n, -np.inf)
-    if value.is_empty:
-        return np.full(n, np.inf)
-    return np.min(value.points @ weights.T, axis=0)
-
-
-def scalarize_stack(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``scalarize_many`` of every cloud of a (K, p, m) stack -> (K, n), bit
-    for bit: ``np.matmul`` takes each cloud's product as the 2-D ``@`` does,
-    and the minimum runs over the same axis.  (``scalarize_batch``'s einsum
-    rounds differently.)  Blocks of clouds hold at most ``_POINTS_BLOCK``
-    products."""
-    out = np.empty((clouds.shape[0], weights.shape[0]))
-    for rows in blocks(clouds.shape[0], clouds.shape[1] * weights.shape[0]):
-        out[rows] = np.matmul(clouds[rows], weights.T).min(axis=1)
-    return out
+    return scalarize_values(stack_values([value]), weights)[0]
 
 
 def scalarize_values(stacked, weights: np.ndarray) -> np.ndarray:
-    """``scalarize_many`` of every value of a ``stack_values`` triple -> (K, n).
-    Matmul's bits depend on the shape it is handed, so the clouds of each
-    point count go to ``scalarize_stack`` at their own width, never padded."""
+    """Scalarizations (K, n) of a ``stack_values`` triple: -inf on whole-space
+    rows, +inf on empty ones, ``scalarize_batch`` of the rest.  A padded row
+    repeats a point and its products, so it has its cloud's own bits."""
     stack, counts, whole = stacked
     weights = np.asarray(weights, dtype=float)
     if counts.size and counts.min() == stack.shape[1]:
-        return scalarize_stack(stack, weights)
+        return scalarize_batch(stack, weights)
     out = np.full((len(counts), len(weights)), np.inf)
     out[whole] = -np.inf
-    for p in np.unique(counts[counts > 0]).tolist():
-        rows = np.flatnonzero(counts == p)
-        out[rows] = scalarize_stack(stack[rows, :p], weights)
+    out[counts > 0] = scalarize_batch(stack[counts > 0], weights)
     return out
 
 
@@ -78,7 +58,11 @@ def blocks(count: int, entries: int) -> list[slice]:
 
 
 def _products_min(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.einsum("tpm,nm->tpn", clouds, weights).min(axis=1)
+    """The einsum's minimum over points, in blocks of ``_POINTS_BLOCK`` products."""
+    out = np.empty((clouds.shape[0], weights.shape[0]))
+    for rows in blocks(clouds.shape[0], clouds.shape[1] * weights.shape[0]):
+        out[rows] = np.einsum("tpm,nm->tpn", clouds[rows], weights).min(axis=1)
+    return out
 
 
 def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -99,6 +83,8 @@ def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     first: a row whose minimum is a zero is taken again over every point.
     The einsum computes each (t, p, n) entry the same way in any stack, so
     the result has the bits of the unpruned reduction.
+    This is the one kernel that scalarizes: every caller reaches it through
+    ``scalarize_values``, so a value has the same bits wherever it is taken.
     """
     T, p, m = clouds.shape
     if p < _PRUNE_MIN_POINTS or T == 0 or not (weights >= 0).all():
@@ -158,24 +144,9 @@ def interp_extended(knots: np.ndarray, values: np.ndarray,
 
 
 def block_points(map: SetMap) -> int:
-    """The points one evaluate_batch call of ``scalarize_points`` reads: a
-    batch kernel gives every point a cloud shaped like the first sample's."""
+    """The points one ``evaluate_rows`` call of ``ray_scalarizations`` reads:
+    a batch kernel gives every point a cloud shaped like the first sample's."""
     return max(1, _POINTS_BLOCK // max(1, map.values[0].points.size))
-
-
-def scalarize_points(map: SetMap, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Scalarizations (P, n_w) of a generator map's values at the rows of
-    points, read ``block_points`` at a time: ``scalarize_batch`` of the
-    clouds of a batch kernel, else ``scalarize_values`` of ``evaluate_rows``.
-    Both treat each row on its own, so a row has the same bits in any block."""
-    rows = block_points(map)
-    out = []
-    for k in range(0, len(points), rows):
-        block = points[k:k + rows]
-        clouds = evaluate_batch(map, block)
-        out.append(scalarize_batch(clouds, weights) if clouds is not None
-                   else scalarize_values(evaluate_rows(map, block), weights))
-    return np.concatenate(out)
 
 
 def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
@@ -183,17 +154,22 @@ def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
     """Scalarizations (R, n_s, n_w) along bases[r] + s (targets[r] - bases[r]).
 
     ``bases`` and ``targets`` broadcast to (R, n) rows: one ray, rays from
-    one point, or one pair per ray.  Generator maps evaluate anywhere,
-    every ray's points together when they have a batch kernel; tabulated
-    maps only carry values at stored samples, so their scalarizations are
-    interpolated between the samples that lie on each segment (with +inf
-    dominating a mixed span, matching the path-evaluation conventions).
+    one point, or one pair per ray.  Generator maps evaluate anywhere, every
+    ray's points together, ``block_points`` at a time: ``evaluate_rows`` and
+    ``scalarize_values`` treat each row on its own, so a row has the same
+    bits in any block.  Tabulated maps only carry values at stored samples,
+    so their scalarizations are interpolated between the samples that lie
+    on each segment (with +inf dominating a mixed span, matching the
+    path-evaluation conventions).
     """
     bases, targets = np.atleast_2d(bases), np.atleast_2d(targets)
     points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
     flat = points.reshape(-1, points.shape[2])
     if map.kind == "generator":
-        return scalarize_points(map, flat, weights).reshape(points.shape[:2] + (-1,))
+        rows = block_points(map)
+        phis = [scalarize_values(evaluate_rows(map, flat[k:k + rows]), weights)
+                for k in range(0, len(flat), rows)]
+        return np.concatenate(phis).reshape(points.shape[:2] + (-1,))
     out = []
     for base, target in zip(*np.broadcast_arrays(bases, targets)):
         knots = segment_sample_ts(map, base, target)
@@ -308,7 +284,8 @@ def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     """Scalarization of the segment restriction of the map, as a path.
 
     Generator-backed maps yield an evaluator so probes off the grid are
-    exact; tabulated maps fall back to grid interpolation.
+    exact; tabulated maps fall back to grid interpolation.  Both scalarize
+    through ``scalarize_values``, so the evaluator gives the grid values' bits.
     """
     w = np.asarray(w, dtype=float)
     ray = ray_restriction(map, x0, x, t_grid)

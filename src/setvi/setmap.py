@@ -147,18 +147,22 @@ def _as_domain_point(map: SetMap, x) -> np.ndarray:
     return x
 
 
+def _lookup_tol(xs: np.ndarray) -> np.ndarray:
+    """The max-norm distance within which a stored sample answers at each row."""
+    return _LOOKUP_TOL * (1.0 + np.abs(xs).max(axis=-1, initial=0.0))
+
+
 def nearest_samples(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For every row of xs the index of the nearest stored sample in the max
-    norm, and whether it lies within the lookup tolerance: the one rule by
-    which a tabulated map answers at a point.  Rows are read in blocks whose
+    norm, and whether it lies within ``_lookup_tol``: the one rule by which a
+    tabulated map answers at a point.  Rows are read in blocks whose
     (rows, N, n) differences hold at most ``_LOOKUP_BLOCK`` floats."""
     index, near = np.empty(len(xs), dtype=np.intp), np.empty(len(xs), dtype=bool)
     rows = max(1, _LOOKUP_BLOCK // map.domain.size)
     for k in range(0, len(xs), rows):
         diffs = np.abs(map.domain[None, :, :] - xs[k:k + rows, None, :]).max(axis=2)
         index[k:k + rows] = i = diffs.argmin(axis=1)
-        near[k:k + rows] = diffs[np.arange(len(i)), i] <= _LOOKUP_TOL * (
-            1.0 + np.abs(xs[k:k + rows]).max(axis=1, initial=0.0))
+        near[k:k + rows] = diffs[np.arange(len(i)), i] <= _lookup_tol(xs[k:k + rows])
     return index, near
 
 
@@ -253,7 +257,8 @@ def segment_sample_ts(map: SetMap, x0, x) -> np.ndarray:
 
     Always contains 0 and 1; for generator maps every point is evaluable
     anyway, but tabulated maps can only be read along a segment at these
-    parameters.
+    parameters.  A sample counts when it lies within ``_lookup_tol`` of the
+    point x0 + t (x - x0) that a ray reads, so ``nearest_samples`` answers there.
     """
     x0 = _as_domain_point(map, x0)
     x = _as_domain_point(map, x)
@@ -261,13 +266,10 @@ def segment_sample_ts(map: SetMap, x0, x) -> np.ndarray:
     length2 = float(d @ d)
     if length2 == 0.0:
         return np.array([0.0, 1.0])
-    ts = [0.0, 1.0]
-    scale = 1.0 + np.abs(map.domain).max(initial=0.0)
-    for row in map.domain:
-        t = float((row - x0) @ d / length2)
-        if 0.0 < t < 1.0 and np.linalg.norm(row - (x0 + t * d)) <= _LOOKUP_TOL * scale:
-            ts.append(t)
-    return np.unique(np.asarray(ts))
+    t = (map.domain - x0) @ d / length2
+    at = x0 + t[:, None] * d
+    on = np.abs(map.domain - at).max(axis=1) <= _lookup_tol(at)
+    return np.unique(np.concatenate([[0.0, 1.0], t[on & (0.0 < t) & (t < 1.0)]]))
 
 
 def ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:

@@ -178,7 +178,7 @@ def _radial_survey(map: SetMap, rays: list[RayValues], wstar: WStarSample,
     path classes of every sampled scalarization.
 
     Rays on one grid (every generator map's) are read in blocks whose probes
-    fit one evaluate_batch call of ``scalarize_points``; a tabulated ray is a
+    fit one ``evaluate_rows`` call of ``ray_scalarizations``; a tabulated ray is a
     block of one.  A block's (ray, weight) paths are the ray-major columns of
     one (T, rays * W) matrix for one dini_table call per side and one call of
     each scan; witnesses are read first in ray order, then in weight order.

@@ -226,6 +226,18 @@ def test_convexity_on_tabulated_problem(tmp_path, capsys):
     assert classified == [[0.0], [1.0]]
 
 
+def test_sample_off_a_segment_is_not_read_as_on_it(tmp_path, capsys):
+    # [1, 1e-4] lies within 1e-9 (1 + 1e6) of the segment from [0, 0] to
+    # [2, 0] but is no stored sample at [1, 0]: the segment's samples and the
+    # lookup must apply one tolerance, or the chain reads [1, 0] and exits 2
+    doc = {"cone": QUAD_DOC["cone"],
+           "map": {"tabulated": [{"x": x, "points": [[float(i), 0.0]]} for i, x in
+                                 enumerate([[0.0, 0.0], [1.0, 1e-4], [2.0, 0.0], [1e6, 0.0]])]},
+           "base_points": [[0.0, 0.0]]}
+    assert main(["chain", _write(tmp_path, "far", doc)]) != 2
+    assert "not a stored sample" not in capsys.readouterr().err
+
+
 def test_unknown_settings_key_exits_two(tmp_path, capsys):
     doc = dict(QUAD_DOC, settings={"wstar_densty": 9})
     path = tmp_path / "typo.json"

@@ -1,4 +1,5 @@
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from setvi.cone import TAU_STRICT, dual_base, make_cone
+from setvi.config import RunSettings
 from setvi.scalarize import (
     PiecewiseLinear,
     ScalarPath,
@@ -17,7 +19,6 @@ from setvi.scalarize import (
     scalar_path,
     scalarize_batch,
     scalarize_many,
-    scalarize_stack,
     scalarize_values,
 )
 from setvi.setmap import (RayValues, SetValue, builtin_map, evaluate, load_problem, radial_rays,
@@ -27,6 +28,7 @@ from setvi.vi import theorem_chain
 
 ORTHANT = make_cone([[1, 0], [0, 1]], [1, 1])
 WS = dual_base(ORTHANT, 5)
+DIGEST_PROBLEMS = Path(__file__).resolve().parent.parent / "scripts" / "digest_problems"
 
 
 class TestScalarize:
@@ -91,6 +93,25 @@ class TestScalarPath:
         problem = load_problem(doc)
         path = scalar_path(problem.map, [0], [1], [1, 0], np.array([0, 0.5, 1.0]))
         assert path.values.tolist() == [0.0, 1.0, np.inf]
+
+    def test_grid_values_have_the_evaluator_bits(self):
+        # one kernel per path: on every generator digest problem the grid
+        # values and the off-grid evaluator scalarize alike, so a Dini
+        # quotient never subtracts values of two roundings
+        paths = 0
+        for file in sorted(DIGEST_PROBLEMS.glob("*.json")):
+            problem = load_problem(str(file))
+            if problem.map.kind != "generator":
+                continue
+            t = np.linspace(0.0, 1.0, RunSettings.from_dict(problem.settings).ray_steps)
+            for x0 in problem.base_points:
+                for x in problem.map.domain:
+                    for w in dual_base(problem.cone, 9).weights:
+                        path = scalar_path(problem.map, x0, x, w, t)
+                        got = path.evaluator(path.t_grid)
+                        assert got.tobytes() == path.values.tobytes(), (file.name, x0, x, w)
+                        paths += 1
+        assert paths > 10000
 
     def test_grid_must_span_unit_interval(self):
         with pytest.raises(ValueError):
@@ -383,14 +404,17 @@ class TestSupportProfile:
 
 
 def test_scalarize_many_matches_scalar():
-    # one weight row at a time reproduces the matrix-vector minimum bit for
-    # bit on random clouds, where most products round; scalar_path relies on it
+    # one weight row at a time gives the bits of its column in a call with
+    # many weights, on random clouds where most products round; scalar_path
+    # relies on it
     rng = np.random.default_rng(20240811)
-    for _ in range(500):
+    for case in range(500):
         m = int(rng.integers(1, 6))
         value = SetValue.make(rng.normal(size=(int(rng.integers(1, 65)), m)))
-        w = rng.uniform(0.0, 1.0, size=m)
-        assert scalarize_many(value, w[None, :])[0] == np.min(value.points @ w)
+        weights = rng.uniform(0.0, 1.0, size=(int(rng.integers(2, 20)), m))
+        many = scalarize_many(value, weights).view(np.int64)
+        one = [scalarize_many(value, w[None, :]).view(np.int64)[0] for w in weights]
+        assert one == many.tolist(), f"case {case}"
 
 
 def _ref_scalarize_batch(clouds, weights):
@@ -455,7 +479,7 @@ def test_scalarize_batch_matches_the_unpruned_kernel_bit_for_bit(monkeypatch):
 
 
 def test_scalarize_batch_rows_keep_their_bits_in_any_stack():
-    # scalarize_points reads its points in blocks, so a row must have the
+    # ray_scalarizations reads its points in blocks, so a row must have the
     # same bits in a cut of its stack and joined with another stack
     rng = np.random.default_rng(20240812)
     for case in range(1500):
@@ -487,12 +511,19 @@ def _ragged(rng, clouds):
     return values
 
 
+def _ref_scalarize(value, weights):
+    # the unpruned kernel on the cloud at its own width, with the sentinels
+    if value.whole_space or value.is_empty:
+        return np.full(len(weights), -np.inf if value.whole_space else np.inf)
+    return _ref_scalarize_batch(value.points[None], weights)[0]
+
+
 @pytest.mark.parametrize("block", [None, 1, 3000])
-def test_scalarize_stack_matches_scalarize_many_bit_for_bit(monkeypatch, block):
-    # the stacked matmul reproduces the per-value matmul of every cloud, zero
-    # signs and overflows included, whole or in blocks of clouds; so does
-    # scalarize_values on ragged lists with empty and whole-space values,
-    # which the padded stack of stack_values holds
+def test_scalarize_values_matches_the_unpruned_kernel_at_each_width(monkeypatch, block):
+    # scalarize_values gives every cloud of a stack the bits of the unpruned
+    # einsum at its own width, zero signs and overflows included, whole or
+    # in blocks of clouds; so it does on ragged lists with empty and
+    # whole-space values, which the padded stack of stack_values holds
     if block is not None:
         monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
     rng = np.random.default_rng(11)
@@ -503,11 +534,10 @@ def test_scalarize_stack_matches_scalarize_many_bit_for_bit(monkeypatch, block):
         if rng.random() < 0.2:
             weights = weights[:1]
         with np.errstate(over="ignore", invalid="ignore"):
-            got = scalarize_stack(clouds, weights)
-            want = np.stack([scalarize_many(SetValue(np.ascontiguousarray(c)), weights)
-                             for c in clouds])
+            got = scalarize_values(stack_values([SetValue(c) for c in clouds]), weights)
+            want = np.stack([_ref_scalarize(SetValue(c), weights) for c in clouds])
             got_values = scalarize_values(stack_values(values), weights)
-            want_values = np.stack([scalarize_many(v, weights) for v in values])
+            want_values = np.stack([_ref_scalarize(v, weights) for v in values])
         assert (got.view(np.int64) == want.view(np.int64)).all(), f"case {case}"
         assert got_values.shape == want_values.shape
         assert (got_values.view(np.int64) == want_values.view(np.int64)).all(), f"case {case}"

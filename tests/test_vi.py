@@ -32,7 +32,7 @@ def quad_map():
 
 def cloud_map():
     # 64 points per value on 33 samples: the probes of one ray or of a few
-    # fill a block of scalarize_points
+    # fill a block of ray_scalarizations
     s = np.linspace(0.0, 1.0, 64)
     return builtin_map("segment_shift", {"segment": np.column_stack([s, 1.0 - s]).tolist(),
                                          "quadratic": [1.0, 1.0], "center": [0.5]},
