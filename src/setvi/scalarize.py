@@ -59,10 +59,10 @@ def blocks(count: int, entries: int) -> list[slice]:
 
 def _products_min(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The einsum's minimum over points, in blocks of ``_POINTS_BLOCK`` products."""
-    out = np.empty((clouds.shape[0], weights.shape[0]))
-    for rows in blocks(clouds.shape[0], clouds.shape[1] * weights.shape[0]):
-        out[rows] = np.einsum("tpm,nm->tpn", clouds[rows], weights).min(axis=1)
-    return out
+    parts = blocks(len(clouds), clouds.shape[1] * len(weights))
+    if len(parts) < 2:
+        return np.einsum("tpm,nm->tpn", clouds, weights).min(axis=1)
+    return np.concatenate([_products_min(clouds[rows], weights) for rows in parts])
 
 
 def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:

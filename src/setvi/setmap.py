@@ -39,7 +39,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _finite(points) -> np.ndarray:
-    if not np.all(np.isfinite(points)):
+    if not np.isfinite(points).all():
         raise ValueError("set value points must be finite")
     return _readonly(points)
 
