@@ -76,7 +76,8 @@ _SETTING_RULES = {
     "chain_ray_grid": (lambda v: _number(v, Integral) and v >= 2, "an integer >= 2"),
     "chain_max_rays": (lambda v: _number(v, Integral) and v >= 1, "an integer >= 1"),
     "vi_domain": (lambda v: v in ("formula", "dom"), "formula or dom"),
-    "eps_list": (lambda v: v is None or _numbers(v), "a nonempty list of numbers"),
+    "eps_list": (lambda v: v is None or (_numbers(v) and all(0 <= e < math.inf for e in v)),
+                 "a nonempty list of finite numbers >= 0"),
     "probe_radii": (lambda v: v is None or (_numbers(v) and all(r > 0 for r in v)),
                     "a nonempty list of positive numbers"),
 }

@@ -3,13 +3,16 @@
 Finite floats are written as decimal literals with 17 significant digits,
 infinities as the strings "+inf" and "-inf", and dictionaries keep their
 insertion order; identical report trees therefore serialize to identical
-bytes regardless of platform dictionary hashing.
+bytes regardless of platform dictionary hashing.  JSON has no NaN token,
+so a NaN raises.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import InternalCheckError
 
 
 def format_float(x: float) -> str:
@@ -67,6 +70,9 @@ def _render(obj, out: list, indent: int, level: int) -> None:
 
 
 def _render_float(x: float, out: list) -> None:
+    # validated input never yields a NaN, so one here is a fault of the checks
+    if math.isnan(x):
+        raise InternalCheckError("cannot serialize NaN into a report")
     if math.isinf(x):
         out.append(json.dumps(format_float(x)))
     else:

@@ -75,30 +75,54 @@ def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     counterpart in fl(w . b), in any fixed evaluation order, because
     rounding is monotone.  This needs no rounding bound, only that nothing
     overflows (inf - inf is NaN).  So for weights >= 0 and at least
-    ``_PRUNE_MIN_POINTS`` points, the dominance order is read once on
-    ``clouds[0]``, each point that is not minimal there gets one minimal
-    dominator, and it is dropped when that dominator dominates it on every
-    row.  The minimum keeps its value, and equal values share their bits
-    except a zero, whose sign depends on which zero the reduction meets
-    first: a row whose minimum is a zero is taken again over every point.
-    The einsum computes each (t, p, n) entry the same way in any stack, so
-    the result has the bits of the unpruned reduction.
+    ``_PRUNE_MIN_POINTS`` points, two rules drop points:
+
+    * a least element: the first point of ``clouds[0]`` that attains its
+      coordinate-wise minima is tried on every row; when it is at most
+      every point of every row, it alone reaches each minimum, and only its
+      products are taken;
+    * otherwise the dominance order is read once on ``clouds[0]``, each
+      point that is not minimal there gets one minimal dominator, and it is
+      dropped when that dominator dominates it on every row.
+
+    The minimum keeps its value, and equal values share their bits except a
+    zero, whose sign depends on which zero the reduction meets first: a row
+    whose minimum is a zero is taken again over every point.  The einsum
+    computes each (t, p, n) entry the same way in any stack, so the result
+    has the bits of the unpruned reduction.
     This is the one kernel that scalarizes: every caller reaches it through
     ``scalarize_values``, so a value has the same bits wherever it is taken.
     """
     T, p, m = clouds.shape
     if p < _PRUNE_MIN_POINTS or T == 0 or not (weights >= 0).all():
         return _products_min(clouds, weights)
-    c0 = clouds[0].T
-    below = c0[0][:, None] <= c0[0]                 # below[i, j]: a_i <= a_j
-    for k in range(1, m):
-        below &= c0[k][:, None] <= c0[k]
-    if np.count_nonzero(below) == p:                # an antichain: nothing drops
-        return _products_min(clouds, weights)
     # every |partial sum| is at most max|a| * max_n sum_k w_nk
     if not (float(np.abs(clouds).max()) * float(weights.sum(axis=1).max())
             <= np.finfo(float).max / 4):
         return _products_min(clouds, weights)
+    c0 = clouds[0].T
+    least = int((c0 == c0.min(axis=1)[:, None]).all(axis=0).argmax())
+    keep = slice(least, least + 1)
+    if not (clouds[:, keep] <= clouds).all():
+        keep = _dominance_keep(clouds)
+        if keep.all():
+            return _products_min(clouds, weights)
+    out = _products_min(clouds[:, keep], weights)
+    zero = (out == 0.0).any(axis=1)
+    if zero.any():
+        out[zero] = _products_min(clouds[zero], weights)
+    return out
+
+
+def _dominance_keep(clouds: np.ndarray) -> np.ndarray:
+    """The points of a (T, p, m) stack that ``scalarize_batch``'s dominance
+    rule keeps: the minimal points of ``clouds[0]`` and every point whose
+    dominator there does not dominate it on some row."""
+    p, m = clouds.shape[1:]
+    c0 = clouds[0].T
+    below = c0[0][:, None] <= c0[0]                 # below[i, j]: a_i <= a_j
+    for k in range(1, m):
+        below &= c0[k][:, None] <= c0[k]
     # a strict order: a_i <= a_j, except a_i = a_j with i >= j
     precedes = below & ~(below.T & np.tri(p, dtype=bool))
     minimal = ~precedes.any(axis=0)
@@ -109,11 +133,7 @@ def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
         holds &= clouds[:, dominator, k] <= clouds[:, dropped, k]
     keep = minimal
     keep[dropped[~holds.all(axis=0)]] = True
-    out = _products_min(clouds[:, keep], weights)
-    zero = (out == 0.0).any(axis=1)
-    if zero.any():
-        out[zero] = _products_min(clouds[zero], weights)
-    return out
+    return keep
 
 
 def interp_extended(knots: np.ndarray, values: np.ndarray,
@@ -351,36 +371,80 @@ def radial_excesses(rays: list[RayValues]) -> list[np.ndarray]:
     return tables
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2 over the last axis of two broadcasting arrays, with the bits
+    of ``np.sum(d * d, axis=-1)``.  ``np.sum`` adds fewer than 8 terms one
+    after another, so for m < 8 the squares are summed one coordinate at a
+    time, which gives its bits without the full array of differences; from
+    8 terms on it sums pairwise, and the squares go through ``np.sum``."""
+    m = a.shape[-1]
+    if m >= 8:
+        d = a - b
+        d *= d
+        return np.sum(d, axis=-1)
+    s = a[..., 0] - b[..., 0]
+    s *= s
+    for j in range(1, m):
+        d = a[..., j] - b[..., j]
+        d *= d
+        s += d
+    return s
+
+
 def _excess_rows(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """``_excess`` of inner[k] over outer[k] for stacked (K, p, m) clouds,
-    in blocks of rows that keep the (rows, p, q, m) differences within
-    ``_POINTS_BLOCK``.
+    """``_excess`` of inner[k] over outer[k] for stacked (K, p, m) and
+    (K, q, m) clouds, every pass in blocks of ``_POINTS_BLOCK`` entries.
 
     The reductions run on squared distances and one square root follows:
     ``sqrt`` is monotone and correctly rounded, so the square root of a
     minimum or maximum is the minimum or maximum of the square roots, bit
-    for bit.  ``np.sum`` adds fewer than 8 terms one after another, so for
-    m < 8 the squares are summed one coordinate at a time, which gives its
-    bits without the 4-D array; from 8 terms on it sums pairwise, and the
-    4-D squares go through ``np.sum`` itself.
+    for bit.  Every squared distance is one ``_squared_distances`` entry,
+    the same float wherever it is computed.
+
+    Below ``_PRUNE_MIN_POINTS`` points on either side, every row is scanned
+    against every column.  From there on, each inner row i first takes the
+    minimum over those of the outer columns i - 1, i and i + 1 that exist
+    (+inf if none does): a minimum over a subset of the row's floats, so a
+    guess never below the row's minimum.  The row with the largest guess
+    is scanned in full; its minimum L is one of the row minima, so the
+    excess is at least L, and a row whose guess is at most L cannot exceed
+    it.  Only the rows whose guess exceeds L are scanned in full, and their
+    minima fold into L with a max.  The result is the maximum of the same
+    row minima as the full scan, bit for bit (the points are finite, so no
+    NaN arises).  The order of the points decides only how many rows are
+    scanned: on clouds that move a little between neighbouring samples,
+    the nearest column of a row is usually one of its guesses.
     """
     K, p, m = inner.shape
-    out = np.empty(K)
-    for rows in blocks(K, p * outer.shape[1] * m):
-        a, b = inner[rows, :, None, :], outer[rows, None, :, :]
-        if m < 8:
-            s = a[..., 0] - b[..., 0]
-            s *= s
-            for j in range(1, m):
-                d = a[..., j] - b[..., j]
-                d *= d
-                s += d
-        else:
-            d = a - b
-            d *= d
-            s = np.sum(d, axis=3)
-        out[rows] = s.min(axis=2).max(axis=1)
+    q = outer.shape[1]
+    if min(p, q) < _PRUNE_MIN_POINTS:
+        out = np.empty(K)
+        for rows in blocks(K, p * q * m):
+            out[rows] = _squared_distances(inner[rows, :, None, :],
+                                           outer[rows, None, :, :]).min(axis=2).max(axis=1)
+        return np.sqrt(out)
+    guess = np.full((K, p), np.inf)
+    for rows in blocks(K, p * m):
+        for shift in (-1, 0, 1):            # rows lo:hi have the column i + shift
+            lo, hi = max(0, -shift), min(p, q - shift)
+            near = guess[rows, lo:hi]
+            np.minimum(near, _squared_distances(inner[rows, lo:hi],
+                                                outer[rows, lo + shift:hi + shift]), out=near)
+    out = _row_minima(inner[np.arange(K), guess.argmax(axis=1)], outer)
+    cloud, row = np.nonzero(guess > out[:, None])
+    np.maximum.at(out, cloud, _row_minima(inner[cloud, row], outer, cloud))
     return np.sqrt(out)
+
+
+def _row_minima(points: np.ndarray, outer: np.ndarray, cloud=None) -> np.ndarray:
+    """The squared distance from each point points[k] to its nearest point
+    of outer[k], or of outer[cloud[k]] when ``cloud`` is given, in blocks
+    of ``_POINTS_BLOCK`` entries."""
+    out = np.empty(len(points))
+    for part in blocks(len(points), outer.shape[1] * outer.shape[2]):
+        near = outer[part] if cloud is None else outer[cloud[part]]
+        out[part] = _squared_distances(points[part, None, :], near).min(axis=1)
+    return out
 
 
 def hausdorff_check_radial(rays: list[RayValues], excesses: list[np.ndarray], eps_list,

@@ -246,6 +246,15 @@ def test_unknown_settings_key_exits_two(tmp_path, capsys):
     assert "wstar_densty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
+def test_eps_that_is_not_a_finite_distance_exits_two(tmp_path, capsys, eps):
+    # json.dumps writes the bare NaN and Infinity tokens that json.loads reads
+    doc = dict(QUAD_DOC, settings={**QUAD_DOC["settings"], "eps_list": [eps]})
+    assert main(["chain", _write(tmp_path, "eps", doc), "--output", "json"]) == 2
+    out = capsys.readouterr()
+    assert "eps_list" in out.err and out.out == ""
+
+
 def test_repeated_tabulated_x_exits_two(tmp_path, capsys):
     doc = {"cone": HYPER_DOC["cone"],
            "map": {"tabulated": [{"x": [0], "points": [[1, 1]]},
@@ -370,6 +379,14 @@ def test_seed_is_a_suite_flag(quad_file, tmp_path, capsys):
 def test_render_json_rejects_non_report_types(value):
     with pytest.raises(TypeError, match="cannot serialize"):
         render_json({"value": [value]})
+
+
+@pytest.mark.parametrize("tree", [
+    float("nan"), [1.0, float("nan")], {"a": {"b": [float("nan")]}},
+], ids=["top", "list", "nested"])
+def test_render_json_rejects_nan(tree):
+    with pytest.raises(InternalCheckError, match="NaN"):
+        render_json({"report": tree})
 
 
 def test_console_entry_point_help():

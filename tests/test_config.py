@@ -34,6 +34,10 @@ def test_dini_probe_may_reach_the_segment_end():
     {"tau_strict": None},
     {"eps_list": 3},
     {"eps_list": []},
+    {"eps_list": [float("nan")]},
+    {"eps_list": [0.1, float("inf")]},
+    {"eps_list": [float("-inf")]},
+    {"eps_list": [-1.0]},
     {"chain_max_rays": 0},
     {"chain_ray_grid": 1},
 ])

@@ -1,4 +1,6 @@
+import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -459,22 +461,32 @@ def _stack(rng, shape=None):
 
 def test_scalarize_batch_matches_the_unpruned_kernel_bit_for_bit(monkeypatch):
     module = sys.modules["setvi.scalarize"]
-    calls = []
-    kernel = module._products_min
+    calls, scans = [], []
+    kernel, scan = module._products_min, module._dominance_keep
     monkeypatch.setattr(module, "_products_min",
                         lambda c, w: calls.append(c.shape[:2]) or kernel(c, w))
+    monkeypatch.setattr(module, "_dominance_keep", lambda c: scans.append(1) or scan(c))
     rng = np.random.default_rng(20240811)
-    counts = {"negative": 0, "pruned": 0, "zero rows": 0}
+    counts = {"negative": 0, "pruned": 0, "zero rows": 0, "least element": 0,
+              "least only in row 0": 0, "least element, zero rows": 0}
     for case in range(2500):
         clouds, weights = _stack(rng)
         want = _ref_scalarize_batch(clouds, weights)
         calls.clear()
+        scans.clear()
         got = scalarize_batch(clouds, weights)
         assert got.shape == want.shape, f"case {case}"
         assert (got.view(np.int64) == want.view(np.int64)).all(), f"case {case}"
+        pruned = calls[0][1] < clouds.shape[1]
+        least = pruned and not scans
+        c0 = clouds[0]
         counts["negative"] += not (weights >= 0).all()
-        counts["pruned"] += calls[0][1] < clouds.shape[1]
+        counts["pruned"] += pruned
         counts["zero rows"] += len(calls) == 2
+        counts["least element"] += least
+        # row 0 has a least point, but some later row breaks it: the order scan runs
+        counts["least only in row 0"] += bool(scans) and (c0 == c0.min(axis=0)).all(axis=1).any()
+        counts["least element, zero rows"] += least and len(calls) == 2
     assert min(counts.values()) > 100, counts
 
 
@@ -560,18 +572,70 @@ def test_scalarize_batch_keeps_the_nan_of_a_dominated_point():
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
+def _excess_cases(rng, count):
+    """Seeded (inner, outer) stacks for ``_excess_rows``: ordered clouds that
+    move a little from one row to the next, the same shuffled, clustered
+    clouds, duplicate points and exact ties on a coarse grid, with p and q
+    on both sides of ``_PRUNE_MIN_POINTS`` and m from 1 to 10."""
+    for case in range(count):
+        m, K = case % 10 + 1, int(rng.integers(1, 7))
+        p = int(rng.integers(1, 40))
+        q = p if rng.random() < 0.5 else int(rng.integers(1, 40))
+        style = ("ordered", "shuffled", "clustered", "ties")[case // 10 % 4]
+        chain = np.cumsum(rng.uniform(0.0, 1.0, size=(max(p, q), m)), axis=0)
+        inner = chain[:p] + rng.normal(size=(K, 1, m)) * 0.1
+        outer = chain[:q] + rng.normal(size=(K, 1, m)) * 0.1
+        if style == "shuffled":
+            inner = inner[:, rng.permutation(p)]
+        elif style == "clustered":
+            centres = rng.normal(size=(3, m)) * 5.0
+            inner = centres[rng.integers(0, 3, size=(K, p))] + rng.normal(size=(K, p, m)) * 0.01
+            outer = centres[rng.integers(0, 3, size=(K, q))] + rng.normal(size=(K, q, m)) * 0.01
+        elif style == "ties":
+            inner = np.round(rng.normal(size=(K, p, m)))
+            outer = np.round(rng.normal(size=(K, q, m)))
+            inner[:, rng.random(p) < 0.3] = inner[:, :1]
+            outer[:, rng.random(q) < 0.3] = outer[:, :1]
+        scale = float(rng.choice([1e-150, 1.0, 1e150]))
+        yield case, inner * scale, outer * scale
+
+
+def _excess_mismatches(kernel, monkeypatch, count=2000):
+    """Cases of ``_excess_cases`` where kernel differs in bits from the
+    square-root formula, and the cases that reached the pruned scan."""
+    module = sys.modules["setvi.scalarize"]
+    pruned = []
+    scan = module._row_minima
+    monkeypatch.setattr(module, "_row_minima", lambda *a: pruned.append(1) or scan(*a))
+    rng = np.random.default_rng(5)
+    bad, reached = [], 0
+    for case, inner, outer in _excess_cases(rng, count):
+        pruned.clear()
+        d = inner[:, :, None, :] - outer[:, None, :, :]
+        want = np.sqrt(np.sum(d * d, axis=3)).min(axis=2).max(axis=1)
+        if kernel(inner, outer).tobytes() != want.tobytes():
+            bad.append(case)
+        reached += bool(pruned)
+    return bad, reached
+
+
 @pytest.mark.parametrize("block", [None, 1, 500])
 def test_excess_rows_match_the_square_root_formula(monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
-    rng = np.random.default_rng(5)
-    for m in range(1, 11):
-        for _ in range(40):
-            K, p, q = (int(rng.integers(1, 7)), int(rng.integers(1, 13)),
-                       int(rng.integers(1, 13)))
-            scale = float(rng.choice([1e-150, 1.0, 1e150]))
-            inner = rng.normal(size=(K, p, m)) * scale
-            outer = np.round(rng.normal(size=(K, q, m)), 1) * scale
-            d = inner[:, :, None, :] - outer[:, None, :, :]
-            want = np.sqrt(np.sum(d * d, axis=3)).min(axis=2).max(axis=1)
-            assert _excess_rows(inner, outer).tobytes() == want.tobytes(), (m, K, p, q)
+    bad, reached = _excess_mismatches(_excess_rows, monkeypatch)
+    assert bad == []
+    assert reached >= 500
+
+
+def test_excess_parity_catches_a_skipped_scan_of_the_argmax_row(monkeypatch):
+    # the mutant takes the largest guess as the excess: it never scans the
+    # row with the largest guess, so that row's own minimum is not found
+    module = sys.modules["setvi.scalarize"]
+    source = textwrap.dedent(inspect.getsource(module._excess_rows))
+    scan = "out = _row_minima(inner[np.arange(K), guess.argmax(axis=1)], outer)"
+    assert scan in source
+    namespace = dict(vars(module))
+    exec(source.replace(scan, "out = guess.max(axis=1)"), namespace)
+    bad, _ = _excess_mismatches(namespace["_excess_rows"], monkeypatch)
+    assert len(bad) >= 100
