@@ -72,7 +72,7 @@ _SETTING_RULES = {
     "dini": (lambda v: isinstance(v, DiniConfig), "an object"),
     "seed": (lambda v: _number(v, Integral), "an integer"),
     "output": (lambda v: v in ("text", "json", "both"), "text, json or both"),
-    "ray_steps": (lambda v: _number(v, Integral) and v >= 2, "an integer >= 2"),
+    "ray_steps": (lambda v: _number(v, Integral) and 2 <= v <= 4097, "an integer in [2, 4097]"),
     "chain_ray_grid": (lambda v: _number(v, Integral) and v >= 2, "an integer >= 2"),
     "chain_max_rays": (lambda v: _number(v, Integral) and v >= 1, "an integer >= 1"),
     "vi_domain": (lambda v: v in ("formula", "dom"), "formula or dom"),

@@ -384,7 +384,10 @@ def _make_segment_shift(params: dict) -> _Generator:
         for j in range(1, n):
             lin = lin + xs[:, j:j + 1] * linear[:, j]
         shift = offset[None, :] + lin + r2[:, None] * quadratic[None, :]
-        return segment[None, :, :] + shift[:, None, :]
+        # the same adds as segment + shift, without a slow broadcast
+        out = np.repeat(shift[:, None, :], segment.shape[0], axis=1)
+        out += segment
+        return out
 
     return _Generator("segment_shift", dict(params), n, m, batch)
 

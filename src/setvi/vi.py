@@ -9,10 +9,10 @@ for rays that leave the domain of the map.
 
 Verdicts are existential over a sampled weight base, so HOLDS always
 carries a per-point witness and the derivative it cleared, and the report
-is replayable: where the check reads every x in one batch, the replay
-recomputes a recorded witness for its x alone; every kernel treats its
-rows independently, so the value comes back bit for bit and each replay
-checks the batched row.
+is replayable: where the check reads every x in one batch, a replay
+recomputes any set of recorded witnesses, the rows of one check together
+or one x alone; every kernel treats its rows independently, so each value
+comes back bit for bit and each replay checks the batched row.
 
 The chain report wires the checks together: it evaluates the hypotheses a
 given implication needs (convexity, radial continuity, properness, star
@@ -125,22 +125,29 @@ def vi_check(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     return VIVerdict(kind, verdict, per_x=per_x, resolution=resolution)
 
 
-def replay_derivative(map: SetMap, x0, wstar: WStarSample, cfg: DiniConfig,
-                      kind: str, x, w_index: int) -> float:
-    """Recompute the derivative a verdict recorded for (x, w).
+def replay_derivatives(map: SetMap, x0, wstar: WStarSample, cfg: DiniConfig,
+                       kind: str, xs, w_indices) -> np.ndarray:
+    """Recompute the (R,) derivatives a verdict recorded for rows (xs[r], w_indices[r]).
 
-    The per-x path: the (S+1, W) scalarizations of the batched check, for
-    this x alone, at the recorded weight column.  The kernels and
-    dini_table treat each row on its own, so the float comes back
-    bit-identical, and a match checks the batched row.
+    The path of the batched check, for these x only: one (R, S+1, W)
+    scalarization table over every weight, the recorded column of each row,
+    and one dini_table call.  The kernels and dini_table treat each row on
+    its own, so each float comes back bit-identical, and a match checks the
+    batched row.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    base, target = (x, x0) if kind in ("mvi", "mvi2") else (x0, x)
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     steps = cfg.step_grid()
-    phis = ray_scalarizations(map, base, target, np.concatenate([[0.0], steps]),
-                              wstar.weights)[0]
-    return float(dini_table(phis[0], np.ascontiguousarray(phis[1:].T), steps)[w_index])
+    tables = ray_scalarizations(map, *((xs, x0) if kind in ("mvi", "mvi2") else (x0, xs)),
+                                np.concatenate([[0.0], steps]), wstar.weights)
+    phis = tables[np.arange(len(xs)), :, np.asarray(w_indices, dtype=int)]
+    return dini_table(phis[:, 0], np.ascontiguousarray(phis[:, 1:]), steps)
+
+
+def replay_derivative(map: SetMap, x0, wstar: WStarSample, cfg: DiniConfig,
+                      kind: str, x, w_index: int) -> float:
+    """The one-row form of ``replay_derivatives``: the derivative recorded for (x, w)."""
+    return float(replay_derivatives(map, x0, wstar, cfg, kind, [x], [w_index])[0])
 
 
 # ---------------------------------------------------------------------------

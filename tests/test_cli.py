@@ -246,6 +246,15 @@ def test_unknown_settings_key_exits_two(tmp_path, capsys):
     assert "wstar_densty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [4097, 4098])
+def test_ray_steps_is_capped(tmp_path, capsys, steps):
+    # one setting must not buy unbounded work: the convexity grids stop at 4097
+    doc = dict(QUAD_DOC, settings={**QUAD_DOC["settings"], "ray_steps": steps})
+    rejected = main(["convexity", _write(tmp_path, "steps", doc)]) == 2
+    assert rejected == (steps > 4097)
+    assert ("ray_steps" in capsys.readouterr().err) == rejected
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1.0])
 def test_eps_that_is_not_a_finite_distance_exits_two(tmp_path, capsys, eps):
     # json.dumps writes the bare NaN and Infinity tokens that json.loads reads

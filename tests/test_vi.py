@@ -8,12 +8,14 @@ from setvi.cone import dual_base, make_cone
 from setvi.scalarize import block_points
 from setvi.errors import BasePointOutsideDomain
 from setvi.setmap import builtin_map, load_problem
+from setvi.suite import run_suite
 from setvi.verdicts import CheckResult, Verdict
 from setvi.vi import (
     ChainStatus,
     _equivalence,
     _implication,
     replay_derivative,
+    replay_derivatives,
     theorem_chain,
     vi_check,
 )
@@ -296,3 +298,84 @@ def test_chain_on_tabulated_map_uses_stored_segment_samples():
     assert not rep.violated
     assert rep.hypotheses["c_convexity"].verdict is Verdict.HOLDS
     assert rep.verdicts["w_min"] is Verdict.HOLDS
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def tabulated_map():
+    xs = np.linspace(0, 1, 5)
+    entries = [{"x": [float(x)], "points": [[float((x - 0.2) ** 2), float((x - 0.8) ** 2)],
+                                            [1.0, 1.0]]}
+               for x in xs]
+    return load_problem({"cone": {"dual_generators": [[1, 0], [0, 1]],
+                                  "interior_point": [1, 1]},
+                         "map": {"tabulated": entries}}).map
+
+
+def square_map():
+    axis = np.linspace(-1, 2, 4)
+    domain = np.stack([a.ravel() for a in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    return builtin_map("quadratic_vector", {"targets": [[0, 0], [1, 1]]}, domain=domain)
+
+
+BATCH_CASES = [(quad_map, [0.5]), (cloud_map, [0.5]), (tabulated_map, [0.25]),
+               (square_map, [0.0, 1.0])]
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("kind", ["svi", "mvi", "svi2", "mvi2"])
+    @pytest.mark.parametrize("make_map, x0", BATCH_CASES)
+    def test_batch_matches_rows_and_record_bit_for_bit(self, make_map, x0, kind):
+        map_ = make_map()
+        held = [e for e in vi_check(map_, x0, ORTHANT, WS, CFG, kind, TAU).per_x
+                if e["witness_w"] is not None]
+        assert len(held) > 1
+        again = replay_derivatives(map_, x0, WS, CFG, kind, [e["x"] for e in held],
+                                   [e["witness_w"] for e in held])
+        rows = [replay_derivative(map_, x0, WS, CFG, kind, e["x"], e["witness_w"])
+                for e in held]
+        assert _bits(again) == _bits(rows) == _bits([e["derivative"] for e in held])
+
+    def test_a_wrong_weight_index_changes_the_replay(self):
+        map_ = quad_map()
+        held = [e for e in vi_check(map_, [0.5], ORTHANT, WS, CFG, "svi", TAU).per_x
+                if e["witness_w"] is not None and e["x"] != [0.5]]
+        shifted = [(e["witness_w"] + 1) % len(WS) for e in held]
+        again = replay_derivatives(map_, [0.5], WS, CFG, "svi", [e["x"] for e in held],
+                                   shifted)
+        assert all(_bits(a) != _bits(e["derivative"]) for a, e in zip(again, held))
+
+    def test_suite_replays_once_per_chain_and_kind(self, monkeypatch):
+        suite = sys.modules["setvi.suite"]
+        kinds = []  # the kinds replayed after each chain
+
+        def chain(*args, **kwargs):
+            kinds.append([])
+            return theorem_chain(*args, **kwargs)
+
+        def replays(*args):
+            kinds[-1].append(args[4])
+            return replay_derivatives(*args)
+
+        monkeypatch.setattr(suite, "theorem_chain", chain)
+        monkeypatch.setattr(suite, "replay_derivatives", replays)
+        report = run_suite(seed=5, instances=6)
+        assert report["summary"]["replay_failures"] == []
+        assert len(kinds) == sum(len(res["per_base"]) for res in report["instances"])
+        assert all(sorted(k) == ["mvi", "svi"] for k in kinds)
+
+    def test_a_stack_dependent_kernel_fails_the_suite_replays(self, monkeypatch):
+        # a mutant whose rows depend on their stack: replays of fewer rows
+        # than the check read come back with other bits
+        scalarize = sys.modules["setvi.scalarize"]
+        original = scalarize.scalarize_batch
+
+        def mutant(clouds, weights):
+            out = original(clouds, weights)
+            mean = out.mean()
+            return (out - mean) + mean
+
+        monkeypatch.setattr(scalarize, "scalarize_batch", mutant)
+        assert run_suite(seed=5, instances=6)["summary"]["replay_failures"]
