@@ -401,7 +401,8 @@ def convexity_pairs(map: SetMap, t_samples, max_pairs: int) -> list:
     Tabulated maps keep only pairs whose combination points are stored
     samples themselves, by the rule ``evaluate`` answers with, read for
     every combination point at once; more than max_pairs pairs are thinned
-    by a uniform stride over the whole list.
+    by a uniform stride over the whole list, taken on the indices before any
+    pair is built.
     """
     first, second = np.triu_indices(map.domain.shape[0], 1)
     if map.kind == "tabulated":
@@ -410,11 +411,10 @@ def convexity_pairs(map: SetMap, t_samples, max_pairs: int) -> list:
         points = (s * x1 + (1.0 - s) * x2).reshape(-1, map.domain_dim)
         keep = nearest_samples(map, points)[1].reshape(len(first), -1).all(axis=1)
         first, second = first[keep], second[keep]
-    pairs = [(map.domain[i], map.domain[j]) for i, j in zip(first.tolist(), second.tolist())]
-    if len(pairs) > max_pairs:
-        stride = int(np.ceil(len(pairs) / max_pairs))
-        pairs = pairs[::stride]
-    return pairs
+    if len(first) > max_pairs:
+        stride = int(np.ceil(len(first) / max_pairs))
+        first, second = first[::stride], second[::stride]
+    return [(map.domain[i], map.domain[j]) for i, j in zip(first.tolist(), second.tolist())]
 
 
 def c_convexity_check(map: SetMap, cone: Cone, wstar: WStarSample,

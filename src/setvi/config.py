@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 
 from .analysis import DiniConfig
 from .cone import TAU_STRICT
-from .errors import SchemaError
+from .setmap import _MAX_SAMPLES, Rule, _array, _integer, _real, _validate
 
 
 @dataclass(frozen=True)
@@ -58,39 +56,24 @@ class RunSettings:
         return out
 
 
-def _number(v, kind=Real) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
-
-
-def _numbers(v) -> bool:
-    return isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_number, v))
+def _or_null(rule: Rule) -> Rule:
+    return rule._replace(test=lambda v: v is None or rule.test(v))
 
 
 _SETTING_RULES = {
-    "tau_strict": (lambda v: _number(v) and 0 < v < math.inf, "a positive finite number"),
-    "wstar_density": (lambda v: _number(v, Integral) and v >= 1, "an integer >= 1"),
-    "dini": (lambda v: isinstance(v, DiniConfig), "an object"),
-    "seed": (lambda v: _number(v, Integral), "an integer"),
-    "output": (lambda v: v in ("text", "json", "both"), "text, json or both"),
-    "ray_steps": (lambda v: _number(v, Integral) and 2 <= v <= 4097, "an integer in [2, 4097]"),
-    "chain_ray_grid": (lambda v: _number(v, Integral) and v >= 2, "an integer >= 2"),
-    "chain_max_rays": (lambda v: _number(v, Integral) and v >= 1, "an integer >= 1"),
-    "vi_domain": (lambda v: v in ("formula", "dom"), "formula or dom"),
-    "eps_list": (lambda v: v is None or (_numbers(v) and all(0 <= e < math.inf for e in v)),
-                 "a nonempty list of finite numbers >= 0"),
-    "probe_radii": (lambda v: v is None or (_numbers(v) and all(r > 0 for r in v)),
-                    "a nonempty list of positive numbers"),
+    "tau_strict": _real("a positive finite number", lambda v: v > 0),
+    "wstar_density": _integer(1),
+    "dini": Rule(lambda v: isinstance(v, DiniConfig), "an object"),
+    "seed": _integer(),
+    "output": Rule(lambda v: v in ("text", "json", "both"), "text, json or both"),
+    "ray_steps": _integer(2, _MAX_SAMPLES),
+    "chain_ray_grid": _integer(2, _MAX_SAMPLES),
+    # uncapped: the radial survey never reads more rays than there are samples
+    "chain_max_rays": _integer(1),
+    "vi_domain": Rule(lambda v: v in ("formula", "dom"), "formula or dom"),
+    "eps_list": _or_null(_array("a nonempty list of finite numbers >= 0", (1,), True,
+                                lambda a: (a >= 0).all())),
+    "probe_radii": _or_null(_array("a nonempty list of positive finite numbers", (1,), True,
+                                   lambda a: (a > 0).all())),
 }
-_DINI_RULES = {"t_max": (_number, "a number"), "ratio": (_number, "a number"),
-               "steps": (lambda v: _number(v, Integral), "an integer")}
-
-
-def _validate(where: str, rules: dict, values: dict) -> None:
-    """Unknown keys and values failing their (test, description) rule are a
-    SchemaError: values are rejected, never coerced."""
-    unknown = sorted(set(values) - set(rules))
-    if unknown:
-        raise SchemaError(f"unknown {where} keys {unknown}; known: {sorted(rules)}")
-    for key, value in values.items():
-        if not rules[key][0](value):
-            raise SchemaError(f"{where} {key!r} must be {rules[key][1]}, not {value!r}")
+_DINI_RULES = {"t_max": _real(), "ratio": _real(), "steps": _integer(1, 4096)}

@@ -16,9 +16,10 @@ Problem files bundle a cone, a map, base points and settings; see
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -314,42 +315,118 @@ def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
 
 
 # ---------------------------------------------------------------------------
+# Rule tables
+# ---------------------------------------------------------------------------
+
+
+class Rule(NamedTuple):
+    """What one key of a document node must hold: the test its value must
+    pass, the description a message gives, whether the key must be given,
+    and the error class that sets the exit code."""
+
+    test: Callable[[object], bool]
+    what: str
+    required: bool = False
+    error: type = SchemaError
+
+
+def _validate(where: str, rules: dict, values: dict) -> None:
+    """Check a node against its rule table: an unknown key, a missing
+    required key and a value failing its test each raise their rule's error
+    class, naming the key.  Values are rejected, never coerced."""
+    unknown = sorted(set(values) - set(rules))
+    if unknown:  # the rules of one table share their error class
+        raise next(iter(rules.values())).error(
+            f"unknown {where} keys {unknown}; known: {sorted(rules)}")
+    for key, rule in rules.items():
+        if key in values:
+            if not rule.test(values[key]):
+                shown = repr(values[key])
+                shown = shown if len(shown) <= 80 else shown[:76] + " ..."
+                raise rule.error(f"{where} {key!r} must be {rule.what}, not {shown}")
+        elif rule.required:
+            raise rule.error(f"{where} needs {key!r}")
+
+
+def _integer(lo=-np.inf, hi=np.inf) -> Rule:
+    """An integer in [lo, hi] that is not a bool: no count is truncated."""
+    what = ("an integer" if lo == -np.inf else f"an integer >= {lo}" if hi == np.inf
+            else f"an integer in [{lo}, {hi}]")
+    return Rule(lambda v: isinstance(v, Integral) and not isinstance(v, bool) and lo <= v <= hi,
+                what)
+
+
+def _real(what="a finite number", test=lambda v: True, required=False) -> Rule:
+    """A finite real that is not a bool and passes test."""
+    return Rule(lambda v: isinstance(v, Real) and not isinstance(v, bool)
+                and abs(v) <= _FLOAT_MAX and test(v), what, required)
+
+
+def _array(what: str, ndims: tuple, nonempty=False, test=lambda a: True,
+           required=False) -> Rule:
+    """Numbers nested to one of ndims, all finite, read by one array
+    conversion: a string, a null, a list of only booleans or ragged nesting
+    fails, and so do the NaN and Infinity that JSON readers accept."""
+    def check(v) -> bool:
+        try:
+            a = np.asarray(v)
+        except (ValueError, TypeError, OverflowError):
+            return False
+        return (a.dtype.kind in "iuf" and a.ndim in ndims and (a.size > 0 or not nonempty)
+                and bool(np.isfinite(a).all()) and bool(test(a)))
+    return Rule(check, what, required)
+
+
+def _params(**rules: Rule) -> dict:
+    """A generator's params table, whose rules raise BadParameters."""
+    return {key: rule._replace(error=BadParameters) for key, rule in rules.items()}
+
+
+_MAX_SAMPLES = 4097  # the most samples one setting may ask for on a grid or ray
+_OBJECT = Rule(lambda v: isinstance(v, dict), "an object")
+_POINTS = _array("a list of points with finite coordinates", (1, 2))
+_CLOUD = _array("a nonempty list of points with finite coordinates", (1, 2), True, required=True)
+_VECTOR = _array("a list of finite numbers", (1,))
+_NUMBERS = _array("a finite number or a nonempty list of them", (0, 1), True, required=True)
+_COUNT = _integer(1)
+
+# the rule table of every node of a problem document, walked by load_problem
+SCHEMA = {
+    "problem": {"cone": _OBJECT._replace(required=True), "map": _OBJECT._replace(required=True),
+                "base_points": _POINTS, "settings": _OBJECT},
+    "cone": {"dual_generators": _array("a nonempty matrix of finite numbers", (2,), True,
+                                       required=True),
+             "interior_point": _VECTOR._replace(required=True)},
+    "map": {"tabulated": Rule(lambda v: isinstance(v, list) and len(v) > 0
+                              and all(map(_OBJECT.test, v)), "a nonempty list of objects"),
+            "generator": _OBJECT},
+    "tabulated entry": {"x": _array("a nonempty list of finite numbers", (1,), True,
+                                    required=True),
+                        "points": _POINTS,
+                        "whole_space": Rule(lambda v: isinstance(v, bool), "true or false")},
+    "generator": {"name": Rule(lambda v: isinstance(v, str), "a string", True),
+                  "params": _OBJECT, "domain_grid": _OBJECT, "domain_points": _POINTS},
+    "domain_grid": {"from": _NUMBERS, "to": _NUMBERS,
+                    "steps": Rule(lambda v: _COUNT.test(v) or (
+                        isinstance(v, list) and len(v) > 0 and all(map(_COUNT.test, v))),
+                        "an integer >= 1 or a nonempty list of them", True)},
+}
+
+
+# ---------------------------------------------------------------------------
 # Built-in generator catalog
 # ---------------------------------------------------------------------------
 
 
-def _is_count(v) -> bool:
-    """An integer that is not a bool: the rule for every count in a problem."""
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    """A real that is not a bool and a finite float: the rule for every scalar."""
-    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
-
-
-def _scalar_param(params: dict, key: str, default, test=_is_count, what="an integer"):
-    value = params.get(key, default)
-    if not test(value):
-        raise BadParameters(f"parameter {key!r} must be {what}, not {value!r}")
-    return value
-
-
-def _param_array(params: dict, key: str, default=None) -> np.ndarray | None:
-    if key not in params:
-        return None if default is None else np.asarray(default, dtype=float)
-    return _as_numbers(params[key], f"parameter {key!r}", BadParameters)
+def _floats(params: dict, key: str, default=None) -> np.ndarray:
+    return np.asarray(params.get(key, default), dtype=float)
 
 
 def _make_quadratic_vector(params: dict) -> _Generator:
-    targets = _param_array(params, "targets")
-    if targets is None or targets.size == 0:
-        raise BadParameters("quadratic_vector needs a nonempty 'targets' list")
+    targets = _floats(params, "targets")
     if targets.ndim <= 1:
         # scalar targets: one squared-distance objective per target on a 1-D domain
         targets = targets.reshape(-1, 1)
-    if targets.ndim != 2:
-        raise BadParameters("targets must be scalars or equal-length vectors")
     k, n = targets.shape
 
     def batch(xs: np.ndarray) -> np.ndarray:
@@ -360,17 +437,13 @@ def _make_quadratic_vector(params: dict) -> _Generator:
 
 
 def _make_segment_shift(params: dict) -> _Generator:
-    segment = _param_array(params, "segment")
-    if segment is None or segment.size == 0:
-        raise BadParameters("segment_shift needs a nonempty 'segment' cloud")
-    segment = np.atleast_2d(segment)
+    segment = np.atleast_2d(_floats(params, "segment"))
     m = segment.shape[1]
-    n = _scalar_param(params, "domain_dim", 1)
-    offset = _param_array(params, "offset", default=np.zeros(m))
-    linear = _param_array(params, "linear", default=np.zeros((m, n)))
-    linear = np.atleast_2d(linear)
-    quadratic = _param_array(params, "quadratic", default=np.zeros(m))
-    center = _param_array(params, "center", default=np.zeros(n))
+    n = params.get("domain_dim", 1)
+    offset = _floats(params, "offset", np.zeros(m))
+    linear = np.atleast_2d(_floats(params, "linear", np.zeros((m, n))))
+    quadratic = _floats(params, "quadratic", np.zeros(m))
+    center = _floats(params, "center", np.zeros(n))
     if offset.shape != (m,) or quadratic.shape != (m,) or linear.shape != (m, n):
         raise BadParameters("segment_shift coefficient shapes are inconsistent")
     if center.shape != (n,):
@@ -392,49 +465,30 @@ def _make_segment_shift(params: dict) -> _Generator:
     return _Generator("segment_shift", dict(params), n, m, batch)
 
 
-def _make_constant_cloud(params: dict) -> _Generator:
-    points = _param_array(params, "points")
-    if points is None or points.size == 0:
-        raise BadParameters("constant_cloud needs a nonempty 'points' cloud")
-    points = np.atleast_2d(points)
-    n = _scalar_param(params, "domain_dim", 1)
-    m = points.shape[1]
-
-    def batch(xs: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(points[None, :, :], (xs.shape[0],) + points.shape).copy()
-
-    return _Generator("constant_cloud", dict(params), n, m, batch)
-
-
-def _make_hyperbola_truncation(params: dict) -> _Generator:
-    T = float(_scalar_param(params, "T", 0.0, _is_number, "a finite number"))
-    if T <= 1.0:
-        raise BadParameters("hyperbola_truncation needs a truncation scale T > 1")
-    samples = _scalar_param(params, "samples", 33)
-    if samples < 2:
-        raise BadParameters("hyperbola_truncation needs at least 2 samples")
-    s = np.logspace(-np.log10(T), np.log10(T), samples)
-    cloud = np.column_stack([s, 1.0 / s])
-    n = _scalar_param(params, "domain_dim", 1)
-
+def _constant(name: str, cloud: np.ndarray, params: dict) -> _Generator:
+    """A generator whose value is the same cloud at every point."""
     def batch(xs: np.ndarray) -> np.ndarray:
         return np.broadcast_to(cloud[None, :, :], (xs.shape[0],) + cloud.shape).copy()
 
-    return _Generator("hyperbola_truncation", dict(params), n, 2, batch)
+    return _Generator(name, dict(params), params.get("domain_dim", 1), cloud.shape[1], batch)
+
+
+def _make_constant_cloud(params: dict) -> _Generator:
+    return _constant("constant_cloud", np.atleast_2d(_floats(params, "points")), params)
+
+
+def _make_hyperbola_truncation(params: dict) -> _Generator:
+    T = float(params["T"])
+    s = np.logspace(-np.log10(T), np.log10(T), params.get("samples", 33))
+    return _constant("hyperbola_truncation", np.column_stack([s, 1.0 / s]), params)
 
 
 def _make_jump_map(params: dict) -> _Generator:
-    left = _param_array(params, "left_points")
-    right = _param_array(params, "right_points")
-    if left is None or right is None:
-        raise BadParameters("jump_map needs 'left_points' and 'right_points'")
-    left = np.atleast_2d(left)
-    right = np.atleast_2d(right)
+    left = np.atleast_2d(_floats(params, "left_points"))
+    right = np.atleast_2d(_floats(params, "right_points"))
     if left.shape[1] != right.shape[1]:
         raise BadParameters("jump_map sides must share the image dimension")
-    if "jump_at" not in params:
-        raise BadParameters("jump_map needs a 'jump_at' location")
-    jump_at = float(_scalar_param(params, "jump_at", None, _is_number, "a finite number"))
+    jump_at = float(params["jump_at"])
 
     def one(x: np.ndarray) -> SetValue:
         return SetValue.make(left if x[0] < jump_at else right)
@@ -442,14 +496,21 @@ def _make_jump_map(params: dict) -> _Generator:
     return _Generator("jump_map", dict(params), 1, left.shape[1], None, one)
 
 
-# name -> (factory, the params keys it reads)
+# name -> (factory, the rule table of its params)
 _CATALOG = {
-    "quadratic_vector": (_make_quadratic_vector, {"targets"}),
-    "segment_shift": (_make_segment_shift, {"segment", "domain_dim", "offset", "linear",
-                                            "quadratic", "center"}),
-    "constant_cloud": (_make_constant_cloud, {"points", "domain_dim"}),
-    "hyperbola_truncation": (_make_hyperbola_truncation, {"T", "samples", "domain_dim"}),
-    "jump_map": (_make_jump_map, {"left_points", "right_points", "jump_at"}),
+    "quadratic_vector": (_make_quadratic_vector, _params(targets=_array(
+        "a nonempty list of finite numbers or of equal-length vectors", (0, 1, 2), True,
+        required=True))),
+    "segment_shift": (_make_segment_shift, _params(
+        segment=_CLOUD, domain_dim=_COUNT, offset=_VECTOR,
+        linear=_array("a finite number or a matrix of them", (0, 1, 2)),
+        quadratic=_VECTOR, center=_VECTOR)),
+    "constant_cloud": (_make_constant_cloud, _params(points=_CLOUD, domain_dim=_COUNT)),
+    "hyperbola_truncation": (_make_hyperbola_truncation, _params(
+        T=_real("a finite number > 1", lambda v: v > 1, required=True),
+        samples=_integer(2), domain_dim=_COUNT)),
+    "jump_map": (_make_jump_map, _params(left_points=_CLOUD, right_points=_CLOUD,
+                                         jump_at=_real(required=True))),
 }
 
 
@@ -457,16 +518,14 @@ def builtin_map(name: str, params: dict, domain=None) -> SetMap:
     """Instantiate a cataloged generator as a map on the given domain.
 
     Without an explicit domain the map gets an 11-point grid on [0, 1]^n;
-    evaluation is still defined at any point of the domain space.  A
-    parameter key the generator does not read is a BadParameters error.
+    evaluation is still defined at any point of the domain space.  The
+    params must pass the generator's rule table (a BadParameters error).
     """
     if name not in _CATALOG:
         raise UnknownGenerator(f"no generator named {name!r}; "
                                f"known: {sorted(_CATALOG)}")
-    factory, keys = _CATALOG[name]
-    unknown = sorted(set(params) - keys)
-    if unknown:
-        raise BadParameters(f"unknown {name} params {unknown}; known: {sorted(keys)}")
+    factory, rules = _CATALOG[name]
+    _validate(f"{name} params", rules, params)
     gen = factory(params)
     if domain is None:
         axes = [np.linspace(0.0, 1.0, 11)] * gen.domain_dim
@@ -497,37 +556,67 @@ class Problem:
     settings: dict = field(default_factory=dict)
 
 
-def _as_numbers(raw, what: str, error=SchemaError) -> np.ndarray:
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{what} must be numeric") from exc
+def _point_list(raw) -> np.ndarray:
+    """A list of points that passed ``_POINTS``; bare numbers are 1-D points."""
+    arr = np.asarray(raw, dtype=float)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
-def _as_point_list(raw, what: str) -> np.ndarray:
-    arr = _as_numbers(raw, what)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2:
-        raise SchemaError(f"{what} must be a list of points")
-    return arr
+def _tabulated_map(entries: list, dim: int) -> SetMap:
+    xs, values, seen = [], [], set()
+    for i, entry in enumerate(entries):
+        _validate(f"tabulated entry {i}", SCHEMA["tabulated entry"], entry)
+        key = tuple(map(float, entry["x"]))
+        if key in seen:
+            raise SchemaError(f"tabulated x {list(key)} appears more than once")
+        seen.add(key)
+        xs.append(key)
+        values.append(SetValue.make(np.asarray(entry.get("points", []), dtype=float),
+                                    whole_space=entry.get("whole_space", False), dim=dim))
+    if len({len(x) for x in xs}) != 1:
+        raise SchemaError("tabulated sample points have mixed dimensions")
+    if len({v.dim for v in values}) != 1:
+        raise SchemaError("tabulated values have mixed image dimensions")
+    return SetMap(domain=np.array(xs), kind="tabulated", values=values)
 
 
-def _known_keys(where: str, doc: dict, known: set) -> None:
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise SchemaError(f"unknown {where} keys {unknown}; known: {sorted(known)}")
+def _domain_grid(grid: dict) -> np.ndarray:
+    _validate("domain_grid", SCHEMA["domain_grid"], grid)
+    lo, hi = (np.atleast_1d(np.asarray(grid[k], dtype=float)) for k in ("from", "to"))
+    if lo.shape != hi.shape:
+        raise SchemaError("domain_grid 'from' and 'to' differ in shape")
+    steps = grid["steps"] if isinstance(grid["steps"], list) else [grid["steps"]] * lo.size
+    if len(steps) != lo.size:
+        raise SchemaError(f"domain_grid 'steps' must give one integer per axis, "
+                          f"not {grid['steps']!r}")
+    count = math.prod(steps)
+    if count > _MAX_SAMPLES:
+        raise SchemaError(f"domain grid would hold {count} points; lower domain_grid "
+                          f"'steps' to at most {_MAX_SAMPLES} points")
+    return _grid_points([np.linspace(a, b, k) for a, b, k in zip(lo, hi, steps)])
+
+
+def _generator_map(gdoc: dict) -> SetMap:
+    _validate("generator", SCHEMA["generator"], gdoc)
+    parts = [read(gdoc[key]) for key, read in (("domain_grid", _domain_grid),
+                                                ("domain_points", _point_list)) if key in gdoc]
+    if not parts:
+        raise SchemaError("generator maps need 'domain_grid' or 'domain_points'")
+    domain = np.vstack(parts)
+    domain = domain[np.sort(np.unique(domain, axis=0, return_index=True)[1])]
+    return builtin_map(gdoc["name"], gdoc.get("params", {}), domain=domain)
 
 
 def load_problem(document) -> Problem:
     """Validate a problem document (dict, JSON string, or path to one).
 
-    Schema: top-level "cone" {dual_generators, interior_point}, "map"
-    (either {"tabulated": [{x, points, whole_space}]} or {"generator":
-    {name, params, domain_grid {from, to, steps} | domain_points}}),
-    optional "base_points" and "settings".  An unknown key, a value of the
-    wrong type, an x that is not a nonempty list of finite numbers and a map
-    with both kinds are a SchemaError: a typo fails instead of running.
+    Every node is checked against its rule table in ``SCHEMA`` (a
+    generator's params against its catalog table): an unknown key, a
+    missing required key or a value of the wrong type is a SchemaError
+    (BadParameters in params) naming the key, so a typo fails instead of
+    running.  Cross-field checks follow: one of "tabulated" and "generator",
+    distinct tabulated x, matching dimensions and at most ``_MAX_SAMPLES``
+    domain grid points.
     """
     if isinstance(document, (str, bytes)):
         text = document
@@ -540,110 +629,25 @@ def load_problem(document) -> Problem:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise SchemaError("problem document must be a JSON object")
-    _known_keys("problem", document, {"cone", "map", "base_points", "settings"})
-
-    if "cone" not in document:
-        raise SchemaError("missing 'cone'")
-    cone_doc = document["cone"]
-    if not isinstance(cone_doc, dict) or "dual_generators" not in cone_doc \
-            or "interior_point" not in cone_doc:
-        raise SchemaError("'cone' needs 'dual_generators' and 'interior_point'")
-    _known_keys("cone", cone_doc, {"dual_generators", "interior_point"})
-    cone = make_cone(*(_as_numbers(cone_doc[k], f"cone {k!r}")
-                       for k in ("dual_generators", "interior_point")))
-
-    if "map" not in document or not isinstance(document["map"], dict):
-        raise SchemaError("missing 'map' object")
-    map_doc = document["map"]
-    _known_keys("map", map_doc, {"tabulated", "generator"})
-    if "tabulated" in map_doc and "generator" in map_doc:
-        raise SchemaError("'map' holds both 'tabulated' and 'generator'; give one")
-
-    if "tabulated" in map_doc:
-        entries = map_doc["tabulated"]
-        if not isinstance(entries, list) or not entries:
-            raise SchemaError("'tabulated' must be a nonempty list of entries")
-        xs, values, seen = [], [], set()
-        for entry in entries:
-            if not isinstance(entry, dict) or "x" not in entry:
-                raise SchemaError("tabulated entries need an 'x' field")
-            _known_keys("tabulated entry", entry, {"x", "points", "whole_space"})
-            x = entry["x"]
-            if not (isinstance(x, list) and x and all(map(_is_number, x))):
-                raise SchemaError(f"tabulated 'x' must be a nonempty list of finite numbers, "
-                                  f"not {x!r}")
-            key = tuple(map(float, x))
-            if key in seen:
-                raise SchemaError(f"tabulated x {list(key)} appears more than once")
-            seen.add(key)
-            whole = entry.get("whole_space", False)
-            if not isinstance(whole, bool):
-                raise SchemaError(f"tabulated 'whole_space' must be true or false, "
-                                  f"not {whole!r}")
-            xs.append(key)
-            values.append(SetValue.make(_as_numbers(entry.get("points", []), "tabulated 'points'"),
-                                        whole_space=whole, dim=cone.dim))
-        dims = {len(x) for x in xs}
-        if len(dims) != 1:
-            raise SchemaError("tabulated sample points have mixed dimensions")
-        vdims = {v.dim for v in values}
-        if len(vdims) != 1:
-            raise SchemaError("tabulated values have mixed image dimensions")
-        if next(iter(vdims)) != cone.dim:
-            raise DimensionMismatch("value dimension differs from the cone dimension")
-        map_ = SetMap(domain=np.array(xs), kind="tabulated", values=values)
-    elif "generator" in map_doc:
-        gdoc = map_doc["generator"]
-        if not isinstance(gdoc, dict) or not isinstance(gdoc.get("name"), str):
-            raise SchemaError("'generator' needs a 'name' string")
-        _known_keys("generator", gdoc, {"name", "params", "domain_grid", "domain_points"})
-        params = gdoc.get("params", {})
-        if not isinstance(params, dict):
-            raise SchemaError("generator 'params' must be an object")
-        domain = None
-        if "domain_grid" in gdoc:
-            grid = gdoc["domain_grid"]
-            if not isinstance(grid, dict):
-                raise SchemaError("'domain_grid' must be an object")
-            _known_keys("domain_grid", grid, {"from", "to", "steps"})
-            for key in ("from", "to", "steps"):
-                if key not in grid:
-                    raise SchemaError(f"domain_grid needs '{key}'")
-            lo, hi = (np.atleast_1d(_as_numbers(grid[k], f"domain_grid {k!r}"))
-                      for k in ("from", "to"))
-            if lo.shape != hi.shape:
-                raise SchemaError("domain_grid 'from' and 'to' differ in shape")
-            steps = grid["steps"]
-            steps = list(steps) if isinstance(steps, (list, tuple)) else [steps] * lo.size
-            if len(steps) != lo.size or not all(_is_count(s) and s >= 1 for s in steps):
-                raise SchemaError("domain_grid 'steps' must give an integer >= 1 per axis, "
-                                  f"not {grid['steps']!r}")
-            axes = [np.linspace(lo[i], hi[i], steps[i]) for i in range(lo.size)]
-            domain = _grid_points(axes)
-        if "domain_points" in gdoc:
-            pts = _as_point_list(gdoc["domain_points"], "domain_points")
-            domain = pts if domain is None else np.vstack([domain, pts])
-        if domain is None:
-            raise SchemaError("generator maps need 'domain_grid' or 'domain_points'")
-        domain = domain[np.sort(np.unique(domain, axis=0, return_index=True)[1])]
-        map_ = builtin_map(gdoc["name"], params, domain=domain)
-        if map_.image_dim != cone.dim:
-            raise DimensionMismatch("generator image dimension differs from the cone")
-    else:
-        raise SchemaError("'map' needs either 'tabulated' or 'generator'")
-
+    _validate("problem", SCHEMA["problem"], document)
+    cone_doc, map_doc = document["cone"], document["map"]
+    _validate("cone", SCHEMA["cone"], cone_doc)
+    cone = make_cone(cone_doc["dual_generators"], cone_doc["interior_point"])
+    _validate("map", SCHEMA["map"], map_doc)
+    if len(map_doc) != 1:
+        raise SchemaError("'map' must hold one of 'tabulated' and 'generator', not "
+                          + ("both" if map_doc else "neither"))
+    map_ = (_tabulated_map(map_doc["tabulated"], cone.dim) if "tabulated" in map_doc
+            else _generator_map(map_doc["generator"]))
+    if map_.image_dim != cone.dim:
+        raise DimensionMismatch(f"map image dimension {map_.image_dim} differs from the "
+                                f"cone dimension {cone.dim}")
     if map_.domain.shape[0] == 0:
         raise EmptyDomain("map has no domain samples")
-
-    base = document.get("base_points", [])
-    base_points = (
-        _as_point_list(base, "base_points") if base else np.zeros((0, map_.domain_dim))
-    )
-    if base_points.size and base_points.shape[1] != map_.domain_dim:
+    base_points = _point_list(document.get("base_points", []))
+    if base_points.size == 0:
+        base_points = np.zeros((0, map_.domain_dim))
+    elif base_points.shape[1] != map_.domain_dim:
         raise DimensionMismatch("base points do not match the domain dimension")
-
-    settings = document.get("settings", {})
-    if not isinstance(settings, dict):
-        raise SchemaError("'settings' must be an object")
-
-    return Problem(cone=cone, map=map_, base_points=base_points, settings=dict(settings))
+    return Problem(cone=cone, map=map_, base_points=base_points,
+                   settings=dict(document.get("settings", {})))

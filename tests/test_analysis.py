@@ -362,6 +362,49 @@ class TestConeConvexity:
         assert [(a[0], b[0]) for a, b in every] == [(0.0, 0.25), (0.0, 1.0),
                                                    (0.25, 1.0), (0.75, 1.0)]
 
+    @staticmethod
+    def _pairs_then_stride(m, t_samples, max_pairs):
+        """The reference: every kept pair built as a tuple, then thinned."""
+        first, second = np.triu_indices(m.domain.shape[0], 1)
+        pairs = [(m.domain[i], m.domain[j]) for i, j in zip(first, second)]
+        if m.kind == "tabulated":
+            stored = {tuple(x) for x in m.domain}
+            pairs = [(a, b) for a, b in pairs
+                     if all(tuple(t * a + (1.0 - t) * b) in stored for t in t_samples)]
+        if len(pairs) > max_pairs:
+            pairs = pairs[::int(np.ceil(len(pairs) / max_pairs))]
+        return pairs
+
+    def test_index_stride_matches_the_list_stride(self):
+        # thinning the indices before any tuple is built keeps the pairs and their order
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n, max_pairs = int(rng.integers(1, 61)), int(rng.integers(1, 41))
+            # most of a quarter grid, so that many combination points are stored samples
+            xs = np.sort(rng.choice(0.25 * np.arange(n + 4), size=n, replace=False))
+            doc = {"cone": {"dual_generators": [[1, 0], [0, 1]], "interior_point": [1, 1]},
+                   "map": {"tabulated": [{"x": [x], "points": [[x, -x]]} for x in xs]}}
+            for m in (builtin_map("quadratic_vector", {"targets": [0, 1]},
+                                  domain=xs.reshape(-1, 1)), load_problem(doc).map):
+                got = convexity_pairs(m, CONVEXITY_T_SAMPLES, max_pairs)
+                want = self._pairs_then_stride(m, CONVEXITY_T_SAMPLES, max_pairs)
+                assert [(a.tolist(), b.tolist()) for a, b in got] == \
+                    [(a.tolist(), b.tolist()) for a, b in want]
+
+    def test_a_large_domain_builds_only_the_kept_pairs(self):
+        # 2049 samples have 2,096,128 pairs; as tuples they held about 750 MB
+        import tracemalloc
+
+        m = builtin_map("quadratic_vector", {"targets": [0, 1]},
+                        domain=np.linspace(-1.0, 2.0, 2049).reshape(-1, 1))
+        tracemalloc.start()
+        try:
+            pairs = convexity_pairs(m, CONVEXITY_T_SAMPLES, max_pairs=36)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) <= 36 and peak < 64 * 2 ** 20
+
 
 class TestDiewertWitness:
     def test_linear_path_any_point(self):

@@ -3,6 +3,8 @@ import copy
 import hashlib
 import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 
 import setvi.vi
 from setvi.cli import main
+from setvi.config import _DINI_RULES, _SETTING_RULES
 from setvi.errors import InternalCheckError
 from setvi.report import format_float, render_json
+from setvi.setmap import _CATALOG, SCHEMA
 from setvi.verdicts import Verdict
 
 QUAD_DOC = {
@@ -333,6 +337,17 @@ MALFORMED_DOCS = {
         **_GENERATOR, "name": "jump_map",
         "params": {"left_points": [[0, 0]], "right_points": [[1, 1]], "jump_at": [0.5]}}),
         "'jump_at'"),
+    # json.dumps writes the bare NaN and Infinity tokens that json.loads reads
+    "nan-base_points": (_replaced(QUAD_DOC, ("base_points",), [[float("nan")]]),
+                        "'base_points'"),
+    "nan-from": (_replaced(QUAD_DOC, ("map", "generator", "domain_grid", "from"),
+                           [float("nan")]), "'from'"),
+    "nan-targets": (_replaced(QUAD_DOC, ("map", "generator", "params", "targets"),
+                              [float("nan"), 1]), "'targets'"),
+    "nan-points": (_replaced(HYPER_DOC, ("map", "tabulated", 0, "points"),
+                             [[float("nan"), 0]]), "'points'"),
+    "infinity-domain_points": (_replaced(QUAD_DOC, ("map", "generator", "domain_points"),
+                                         [[float("inf")]]), "'domain_points'"),
 }
 
 
@@ -358,7 +373,115 @@ _SMALL_JSON = st.recursive(
     max_leaves=8)
 
 
-@pytest.mark.parametrize("doc", [NONUNIFORM_DOC, QUAD_DOC], ids=["tabulated", "generator"])
+def test_finite_input_that_overflows_keeps_its_evaluation_error(tmp_path, capsys):
+    doc = _replaced(QUAD_DOC, ("map", "generator", "params", "targets"), [1e308, 1])
+    with np.errstate(over="ignore"):
+        assert main(["minimality", _write(tmp_path, "overflow", doc)]) == 2
+    assert "set value points must be finite" in capsys.readouterr().err
+
+
+DIGESTS = Path(__file__).parent.parent / "scripts" / "digest_problems"
+
+
+def _digest(name):
+    return json.loads((DIGESTS / f"{name}.json").read_text(encoding="utf-8"))
+
+
+_PARAMS_DOCS = {"quadratic_vector": QUAD_DOC, "segment_shift": _digest("segment_shift_2d"),
+                "constant_cloud": ANTICHAIN_DOC,
+                "hyperbola_truncation": _digest("hyperbola_truncation"),
+                "jump_map": _digest("jump_map")}
+
+# every rule table: the name its messages give, and a document with the path
+# of a node that the table checks
+RULE_TABLES = {
+    "problem": (SCHEMA["problem"], "problem", QUAD_DOC, ()),
+    "cone": (SCHEMA["cone"], "cone", QUAD_DOC, ("cone",)),
+    "map": (SCHEMA["map"], "map", QUAD_DOC, ("map",)),
+    "tabulated entry": (SCHEMA["tabulated entry"], "tabulated entry 0", HYPER_DOC,
+                        ("map", "tabulated", 0)),
+    "generator": (SCHEMA["generator"], "generator", QUAD_DOC, ("map", "generator")),
+    "domain_grid": (SCHEMA["domain_grid"], "domain_grid", QUAD_DOC,
+                    ("map", "generator", "domain_grid")),
+    "settings": (_SETTING_RULES, "settings", QUAD_DOC, ("settings",)),
+    "dini": (_DINI_RULES, "dini", QUAD_DOC, ("settings", "dini")),
+    **{f"{name} params": (rules, f"{name} params", _PARAMS_DOCS[name],
+                          ("map", "generator", "params"))
+       for name, (_, rules) in _CATALOG.items()},
+}
+
+# a rule is broken by the first of these that its test rejects
+_BAD_VALUES = [0, -1, 1.5, 4098, [0.5], [[0.5]], [], [float("nan")], "x", None, {"bad": 1}]
+
+
+def _rule_breaks():
+    """One broken document per rule, per required key and per table, with
+    the message that must name the broken key."""
+    for table, (rules, where, doc, path) in RULE_TABLES.items():
+        node = doc
+        for key in path:
+            node = node[key]
+        yield pytest.param(_replaced(doc, path, {**node, "typo": 1}),
+                           f"unknown {where} keys ['typo']", id=f"{table}-unknown")
+        for key, rule in rules.items():
+            bad = next(v for v in _BAD_VALUES if not rule.test(v))
+            yield pytest.param(_replaced(doc, path + (key,), bad),
+                               f"{where} {key!r} must be {rule.what}, not ",
+                               id=f"{table}-{key}")
+            if rule.required:
+                yield pytest.param(_replaced(doc, path, {k: v for k, v in node.items()
+                                                         if k != key}),
+                                   f"{where} needs {key!r}", id=f"{table}-{key}-missing")
+
+
+def test_every_rule_table_has_a_document():
+    tables = set(SCHEMA) | {f"{name} params" for name in _CATALOG} | {"settings", "dini"}
+    assert set(RULE_TABLES) == tables
+
+
+@pytest.mark.parametrize("doc, message", _rule_breaks())
+def test_every_rule_rejects_with_its_key(tmp_path, capsys, doc, message):
+    assert main(["minimality", _write(tmp_path, "broken", doc)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [4097, 4098])
+def test_chain_ray_grid_is_capped(tmp_path, capsys, grid):
+    doc = dict(QUAD_DOC, settings={**QUAD_DOC["settings"], "chain_ray_grid": grid})
+    rejected = main(["chain", _write(tmp_path, "grid", doc)]) == 2
+    assert rejected == (grid > 4097)
+    assert ("'chain_ray_grid'" in capsys.readouterr().err) == rejected
+
+
+@pytest.mark.parametrize("steps", [4096, 4097])
+def test_dini_steps_are_capped(tmp_path, capsys, steps):
+    # at ratio 0.9 the step grid ends near 1e-191, so only the cap can refuse it
+    dini = {"t_max": 1e-4, "ratio": 0.9, "steps": steps}
+    doc = dict(QUAD_DOC, settings={**QUAD_DOC["settings"], "dini": dini})
+    rejected = main(["chain", _write(tmp_path, "dini", doc)]) == 2
+    assert rejected == (steps > 4096)
+    assert ("dini 'steps'" in capsys.readouterr().err) == rejected
+
+
+@pytest.mark.parametrize("steps", [4097, 4098, [3, 1365], [3, 1366]])
+def test_domain_grid_points_are_capped(tmp_path, capsys, steps):
+    axes = 1 if isinstance(steps, int) else len(steps)
+    count = steps if axes == 1 else math.prod(steps)
+    doc = {**QUAD_DOC, "base_points": [[0.5] * axes],
+           "map": {"generator": {"name": "quadratic_vector",
+                                 "params": {"targets": [[0.0] * axes, [1.0] * axes]},
+                                 "domain_grid": {"from": [-1] * axes, "to": [2] * axes,
+                                                 "steps": steps}}}}
+    rejected = main(["minimality", _write(tmp_path, "grid", doc)]) == 2
+    assert rejected == (count > 4097)
+    assert (f"domain grid would hold {count} points" in capsys.readouterr().err) == rejected
+
+
+@pytest.mark.parametrize("doc", [NONUNIFORM_DOC, QUAD_DOC, _digest("segment_shift_2d"),
+                                 _digest("jump_map"), _digest("hyperbola_truncation"),
+                                 _digest("clouds_chain_4d")],
+                         ids=["tabulated", "generator", "segment_shift_2d", "jump_map",
+                              "hyperbola_truncation", "clouds_chain_4d"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_any_node_replaced_exits_with_a_cli_code(doc, data):
