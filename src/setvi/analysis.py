@@ -367,7 +367,8 @@ def classify_path(path: ScalarPath, cfg: DiniConfig | None = None,
     ((cvx, cvx_w),), ((ccv, ccv_w),), pairs = _pseudo_scan(
         t, v[:, None], d_plus[:, None], d_minus[:, None], tau)
 
-    diffs = np.diff(v)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which neither test counts
+        diffs = np.diff(v)
     dec = diffs < -tau
     i = 0
     while i < dec.size and dec[i]:
@@ -409,7 +410,7 @@ def convexity_pairs(map: SetMap, t_samples, max_pairs: int) -> list:
         s = np.asarray([float(t) for t in t_samples])[None, :, None]
         x1, x2 = map.domain[first][:, None, :], map.domain[second][:, None, :]
         points = (s * x1 + (1.0 - s) * x2).reshape(-1, map.domain_dim)
-        keep = nearest_samples(map, points)[1].reshape(len(first), -1).all(axis=1)
+        keep = nearest_samples(map, points)[1].reshape(len(first), s.size).all(axis=1)
         first, second = first[keep], second[keep]
     if len(first) > max_pairs:
         stride = int(np.ceil(len(first) / max_pairs))

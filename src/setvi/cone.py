@@ -13,19 +13,13 @@ epsilon-ball around y stays inside C whenever the margin is positive.
 That turns "there is a neighborhood U with y + U inside the cone" into a
 single closed-form number.
 
-Margins against an extended set A + C read only the C-minimal anchors of
-a finite cloud A, since A + C = Min(A) + C.  ``ext_margins`` drops the
-anchors that another anchor dominates by more than a rounding bound, so
-the margins and witnesses keep their bits; it prunes only when the cloud
-of probed points is over four times the anchor cloud, where the pairwise
-scan costs less than it saves.  Its docstring derives the bound.
-
-The same order works on the probe side: a probe that another probe
-dominates has a larger margin against every anchor cloud, so a caller that
-reads only the smallest margin over a probe cloud (or over the Minkowski
-combinations of two clouds) needs only the C-minimal probes.
-``dominated_probes`` marks the others, with the same rounding bound scaled
-for the combinations; its docstring derives it.
+``ext_margins`` reads every anchor of a finite cloud A when it takes
+margins against the extended set A + C.  The order prunes on the probe
+side: a probe that another probe dominates has a larger margin against
+every anchor cloud, so a caller that reads only the smallest margin over a
+probe cloud (or over the Minkowski combinations of two clouds) needs only
+the C-minimal probes.  ``dominated_probes`` marks the others, with a
+rounding bound that keeps the margins' bits; its docstring derives it.
 """
 
 from __future__ import annotations
@@ -51,12 +45,11 @@ _EPS = float(np.finfo(float).eps)
 _ETA = float(np.finfo(float).smallest_subnormal)
 _MAX_SCALE = float(np.finfo(float).max) / 8
 
-# clouds of fewer points skip the dominance scans of scalarize_batch and
-# dominated_probes.  A measured cost rule (2-vCPU host, 21- and 360-row
-# stacks, 33 and 84 weights): from 8 points on, pruning a chain's
-# scalarizations takes 0.16-1.25x the unpruned time and a scan that drops
-# nothing (an antichain) costs at most 1.2x; below 8 points the fixed cost
-# of the scan wins on short stacks.  ``run_suite`` instances hold at most 4
+# clouds of fewer points take no pruning path: scalarize_batch's least-point
+# rule, dominated_probes' scan and _excess_rows' guesses start at 8 points.
+# The threshold was measured on scalarize_batch (2-vCPU host, 21- and
+# 360-row stacks, 33 and 84 weights): below 8 points the fixed cost of a
+# pruning pass won on short stacks.  ``run_suite`` instances hold at most 4
 # points per value and keep the unpruned kernels.
 _PRUNE_MIN_POINTS = 8
 
@@ -172,7 +165,7 @@ def _dominated(clouds: np.ndarray, normals: np.ndarray, delta) -> np.ndarray:
     (..., n, n) slab: about 7x faster than ``_facet_min`` on twenty
     64-point 4-D clouds under 4 facets (2-vCPU host).
     Its error is below gamma_m (||p||_1 + ||p'||_1) + u |ghat_j . (p - p')|
-    plus m underflow terms, under the 2 E that ext_margins allows for s.
+    plus m underflow terms, under the 2 E that dominated_probes allows for s.
     """
     proj = np.moveaxis(clouds @ normals.T, -1, 0)
     s = proj[0][..., :, None] - proj[0][..., None, :]
@@ -192,20 +185,6 @@ def kept_indices(dominated: np.ndarray) -> np.ndarray:
     return np.take_along_axis(kept, np.minimum(width, count - 1), axis=-1)
 
 
-def _kept_anchors(pts: np.ndarray, ys: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """``kept_indices`` of the anchors no other anchor strictly dominates,
-    per stacked cloud.
-
-    Anchor a is dropped when some a' has a computed
-    min_j ghat_j . (a - a') > delta; see ext_margins for why such an
-    anchor never realizes a margin and how delta is chosen.  A repeated
-    anchor gives the same table column as its first copy, so the first
-    maximizing column is never a repeat.
-    """
-    scale = np.abs(pts).sum(axis=-1).max(axis=-1) + np.abs(ys).sum(axis=-1).max(axis=-1)
-    return kept_indices(_dominated(pts, normals, _dominance_bound(normals.shape[1], scale)))
-
-
 def dominated_probes(ys: np.ndarray, cone: Cone, scale: float,
                      factor: float = 1.0) -> np.ndarray:
     """(..., n) mask of the probes of stacked (..., n, m) clouds that never
@@ -215,14 +194,21 @@ def dominated_probes(ys: np.ndarray, cone: Cone, scale: float,
     max_a ||a||_1 + max_y ||y||_1 over the anchors and the probes.  Clouds
     of fewer than ``_PRUNE_MIN_POINTS`` probes mark nothing.
 
-    Probes: y is marked when some y' has a computed
-    s = min_j ghat_j . (y - y') > delta, with delta and E as in
-    ext_margins.  The anchor argument with the roles swapped,
-    ghat_j . (y - a) = ghat_j . (y' - a) + ghat_j . (y - y'), gives
-    d(y, a) >= d(y', a) + s for every anchor a; the computed s errs by
-    less than 2 E, so the exact s exceeds 6 E and the computed d(y, a)
-    exceeds the computed d(y', a) by more than 4 E.  The margin, the
-    maximum over the anchors, keeps that strict order.
+    Rounding model: a computed d(y, a) = min_j ghat_j . (y - a) is a
+    length-m dot product of rounded differences; its error is at most
+    gamma_(m+1) ||ghat_j||_2 ||y - a||_2 plus m underflow terms eta, below
+    E = (m + 1) (eps N + eta).  A computed s = min_j ghat_j . (y - y'), a
+    difference of rounded projections (see ``_dominated``), errs by less
+    than 2 E.
+
+    Probes: y is marked when some y' has a computed s > delta, with
+    delta = 8 (m + 2) (eps N + eta) >= 8 E from ``_dominance_bound``.  Since
+    ghat_j . (y - a) = ghat_j . (y' - a) + ghat_j . (y - y'), the exact
+    d(y, a) >= d(y', a) + s for every anchor a; the exact s exceeds 6 E, so
+    the computed d(y, a) exceeds the computed d(y', a) by more than 4 E.
+    The margin, the maximum over the anchors, keeps that strict order.  A
+    nonfinite cloud, or one whose 1-norms reach max_float / 8 where a
+    difference may overflow, gets delta = inf and marks nothing.
 
     Combinations (``factor`` c < 1): the probes are y = fl(fl(t p) + fl(t' q))
     for p in a cloud P of ys, q in a second cloud Q and t' = fl(1 - t),
@@ -256,63 +242,23 @@ def ext_margins(points: np.ndarray, cone: Cone, ys: np.ndarray):
     a (K, n_y, m) stack or one probe cloud for all of them: entry k of the
     result belongs to anchors k.  Returns (margins, witnesses) where
     margins[..., i] = max_a min_j ghat_j . (ys[..., i, :] - a) and
-    witnesses[..., i] is the first maximizing anchor index.  Every entry
-    has the bits of a call on its clouds alone.
-
-    A + C equals Min(A) + C for a finite cloud, so the maximum never needs
-    a dominated anchor: if s = min_j ghat_j . (a - a') > 0, then
-    ghat_j . (y - a) = ghat_j . (y - a') - ghat_j . (a - a') gives
-    d(y, a) <= d(y, a') - s for d(y, a) = min_j ghat_j . (y - a).  Anchors
-    are pruned on computed values, so the bound must survive rounding.
-    A computed d(y, a) is a length-m dot product of rounded differences;
-    its error is at most gamma_(m+1) ||ghat_j||_2 ||y - a||_2 plus m
-    underflow terms eta, below E = (m + 1) (eps N + eta) with
-    N = max_a ||a||_1 + max_y ||y||_1, and that of s, a difference of
-    rounded projections (see ``_dominated``), is below 2 E.  A
-    computed s > delta = 8 (m + 2) (eps N + eta) >= 8 E leaves an exact
-    s > 6 E, so the computed d(y, a) is strictly below the computed
-    d(y, a') for every y.  The strict order on anchors is acyclic, so each
-    pruned anchor sits strictly below some kept one: the margins keep
-    their bits and the first-index witness maps back through the kept
-    indices unchanged.  A nonfinite cloud, or one whose 1-norms reach
-    max_float / 8 where a difference may overflow, prunes nothing.
-
-    Pruning scans n_a^2 anchor pairs to shrink an (n_y, n_a) table, so it
-    runs only when 1 < n_a and 4 n_a < n_y, where the scan is small next
-    to what it saves; otherwise every anchor is kept.  Measured on a
-    2-vCPU VM when every call held one cloud: pruning whenever 1 < n_a
-    slowed the benchmark's ``suite`` workload, whose clouds have at most 5
-    anchors and 32 probes, mostly n_y = n_a^2 with n_a <= 4, from 56.4 to
-    54.8 chains/s (medians of ten alternating runs, slower in all ten);
-    factors 1 and 2 also cost time on those clouds, 4 and 8 cost none.
-    The chain's checks stack those clouds, one call per bounded block of
-    clouds of one shape (about 7 calls per ``suite`` chain), and the rule
-    holds per stack, whose clouds share n_a and n_y.
+    witnesses[..., i] is the first maximizing anchor index.  Every anchor
+    is read, and every entry has the bits of a call on its clouds alone.
 
     The probe side is the caller's: a caller that reads only the smallest
     margin over the probes, or over the Minkowski combinations of two
-    clouds, may first drop the probes ``dominated_probes`` marks, by the
-    same bound argued with y and y' in place of a and a' (and scaled for
-    the rounding of the combinations); the smallest margin, its first
-    index and the probe there keep their bits.
+    clouds, may first drop the probes ``dominated_probes`` marks; the
+    smallest margin, its first index and the probe there keep their bits.
     """
     pts = np.asarray(points, dtype=float)
     ys = np.asarray(ys, dtype=float)
     one = pts.ndim == 2
     pts = pts[None] if one else pts
     ys = ys[None] if ys.ndim == 2 else ys
-    normals = cone.normalized_normals
-    (K, n_a), n_y = pts.shape[:2], ys.shape[1]
-    rows = np.arange(K)[:, None]
-    kept = None
-    if 1 < n_a and 4 * n_a < n_y:
-        kept = _kept_anchors(pts, ys, normals)
-        pts = pts[rows, kept]
-    per_anchor = _facet_min(ys, pts, normals)  # (K, n_y, n_kept)
+    per_anchor = _facet_min(ys, pts, cone.normalized_normals)  # (K, n_y, n_a)
     witnesses = per_anchor.argmax(axis=2)
-    margins = per_anchor[rows, np.arange(n_y), witnesses]
-    if kept is not None:
-        witnesses = kept[rows, witnesses]
+    K, n_y = witnesses.shape
+    margins = per_anchor[np.arange(K)[:, None], np.arange(n_y), witnesses]
     return (margins[0], witnesses[0]) if one else (margins, witnesses)
 
 

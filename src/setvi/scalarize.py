@@ -68,22 +68,16 @@ def _products_min(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Scalarize a (T, p, m) stack of clouds under (n, m) weights -> (T, n).
 
-    Only points that no other point of their cloud dominates
-    componentwise can attain the minimum under weights >= 0, and rounding
+    A least point attains every minimum under weights >= 0, and rounding
     keeps that: when w >= 0 and a <= b in every coordinate, each rounded
     product and each rounded partial sum of fl(w . a) is at most its
     counterpart in fl(w . b), in any fixed evaluation order, because
     rounding is monotone.  This needs no rounding bound, only that nothing
     overflows (inf - inf is NaN).  So for weights >= 0 and at least
-    ``_PRUNE_MIN_POINTS`` points, two rules drop points:
-
-    * a least element: the first point of ``clouds[0]`` that attains its
-      coordinate-wise minima is tried on every row; when it is at most
-      every point of every row, it alone reaches each minimum, and only its
-      products are taken;
-    * otherwise the dominance order is read once on ``clouds[0]``, each
-      point that is not minimal there gets one minimal dominator, and it is
-      dropped when that dominator dominates it on every row.
+    ``_PRUNE_MIN_POINTS`` points, the first point of ``clouds[0]`` that
+    attains its coordinate-wise minima is tried on every row; when it is
+    at most every point of every row, only its products are taken, and
+    otherwise every point's are.
 
     The minimum keeps its value, and equal values share their bits except a
     zero, whose sign depends on which zero the reduction meets first: a row
@@ -104,36 +98,12 @@ def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
     least = int((c0 == c0.min(axis=1)[:, None]).all(axis=0).argmax())
     keep = slice(least, least + 1)
     if not (clouds[:, keep] <= clouds).all():
-        keep = _dominance_keep(clouds)
-        if keep.all():
-            return _products_min(clouds, weights)
+        return _products_min(clouds, weights)
     out = _products_min(clouds[:, keep], weights)
     zero = (out == 0.0).any(axis=1)
     if zero.any():
         out[zero] = _products_min(clouds[zero], weights)
     return out
-
-
-def _dominance_keep(clouds: np.ndarray) -> np.ndarray:
-    """The points of a (T, p, m) stack that ``scalarize_batch``'s dominance
-    rule keeps: the minimal points of ``clouds[0]`` and every point whose
-    dominator there does not dominate it on some row."""
-    p, m = clouds.shape[1:]
-    c0 = clouds[0].T
-    below = c0[0][:, None] <= c0[0]                 # below[i, j]: a_i <= a_j
-    for k in range(1, m):
-        below &= c0[k][:, None] <= c0[k]
-    # a strict order: a_i <= a_j, except a_i = a_j with i >= j
-    precedes = below & ~(below.T & np.tri(p, dtype=bool))
-    minimal = ~precedes.any(axis=0)
-    dropped = np.flatnonzero(~minimal)
-    dominator = (precedes[:, dropped] & minimal[:, None]).argmax(axis=0)
-    holds = clouds[:, dominator, 0] <= clouds[:, dropped, 0]
-    for k in range(1, m):
-        holds &= clouds[:, dominator, k] <= clouds[:, dropped, k]
-    keep = minimal
-    keep[dropped[~holds.all(axis=0)]] = True
-    return keep
 
 
 def interp_extended(knots: np.ndarray, values: np.ndarray,

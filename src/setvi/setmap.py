@@ -241,8 +241,9 @@ def concat_values(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The values at the rows of xs as a ``stack_values`` triple: a batch
     kernel's clouds as they are, rows of a tabulated map's stack, or
-    ``evaluate`` per row.  A kernel computes each row on its own, so every
-    value has the bits ``evaluate`` gives it."""
+    ``evaluate`` per row (no rows give an empty triple in the map's image
+    dimension).  A kernel computes each row on its own, so every value has
+    the bits ``evaluate`` gives it."""
     clouds = evaluate_batch(map, xs)
     if clouds is not None:
         return _finite(clouds), np.full(len(clouds), clouds.shape[1]), np.zeros(len(clouds), bool)
@@ -250,6 +251,8 @@ def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
         index = _lookup(map, np.asarray(xs, dtype=float))
         stack, counts, whole = map.stacked
         return stack[index, :max(1, counts[index].max(initial=0))], counts[index], whole[index]
+    if not len(xs):
+        return np.zeros((0, 1, map.image_dim)), np.zeros(0, np.intp), np.zeros(0, bool)
     return stack_values([evaluate(map, x) for x in xs])
 
 

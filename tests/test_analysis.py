@@ -12,7 +12,6 @@ from setvi.analysis import (
     diewert_witness,
     dini_lower,
 )
-from setvi import cone as cone_mod
 from setvi.cone import dual_base, make_cone
 from setvi.errors import InternalCheckError, NoWitnessFound, StepOutsideDomain
 from setvi.order import classify_weak_min
@@ -198,37 +197,23 @@ class TestConeConvexity:
         assert res.witness["margin"] == -1.0
         assert res.details["scalar_witness"] is None
 
-    def test_containment_witness_survives_anchor_pruning(self, monkeypatch):
+    def test_containment_witness_on_chains_of_dominated_anchors(self):
         # F(0) and F(4) are 8-point staircases (antichains under the
         # orthant, so no combined point drops) and F(1), F(2), F(3) 8-point
         # chains from (1.5, 1.5): 64 combination points against 8 anchors
-        # of which 7 are dominated, for each of the 6 combinations of one
-        # stacked call, so the FAILS witness comes from pruned margins and
-        # must equal the one computed over every anchor
+        # of which 7 are dominated.  The first worst point, (0, 2) at
+        # t = 0.25, has its margin min(0 - 1.5, 2 - 1.5) at the least anchor
         s = np.linspace(0.0, 2.0, 8)
         stair = np.column_stack([s, 2.0 - s])
         steps = np.tile([[0.3, 0.1], [0.1, 0.4]], (4, 1))[:7]
         chain = 1.5 + np.cumsum(np.vstack([[0.0, 0.0], steps]), axis=0)
         m = self.tabulated([stair.tolist()] + [chain.tolist()] * 3 + [stair.tolist()])
         pairs = [(np.array([0.0]), np.array([4.0])), (np.array([4.0]), np.array([0.0]))]
-        kept = []
-        prune = cone_mod._kept_anchors
-
-        def spy(pts, ys, normals):
-            idx = prune(pts, ys, normals)
-            kept.append((pts.shape[:-1], idx.shape[-1]))
-            return idx
-
-        monkeypatch.setattr(cone_mod, "_kept_anchors", spy)
-        pruned = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
-        monkeypatch.setattr(cone_mod, "_kept_anchors", lambda pts, ys, normals: np.broadcast_to(
-            np.arange(pts.shape[-2]), pts.shape[:-1]))
-        full = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
-        assert kept == [((6, 8), 1)]
-        assert pruned.verdict is Verdict.FAILS
-        assert pruned.witness["margin"] < 0
-        assert pruned.witness == full.witness
-        assert pruned.details == full.details
+        res = c_convexity_check(m, ORTHANT, WS, pairs, [0.25, 0.5, 0.75])
+        assert res.verdict is Verdict.FAILS
+        assert res.witness == {"x1": [0.0], "x2": [4.0], "t": 0.25,
+                               "point": [0.0, 2.0], "margin": -1.5}
+        assert res.details["scalar_witness"]["gap"] == 1.5
 
     def test_containment_witness_survives_probe_pruning(self, monkeypatch):
         # each F(x) is an 8-point chain under the orthant, shifted by a

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -572,3 +573,41 @@ def test_dini_step_beyond_the_segment_exits_two(tmp_path, capsys):
     doc = dict(QUAD_DOC, settings={"dini": {"t_max": 2.0}})
     assert main(["vi", _write(tmp_path, "far", doc), "--kind", "svi"]) == 2
     assert "t_max" in capsys.readouterr().err
+
+
+def _one_sample(map_doc):
+    return {"cone": QUAD_DOC["cone"], "map": map_doc}
+
+
+# one domain sample: no pair to combine and no ray to walk
+ONE_SAMPLE_DOCS = {
+    "tabulated_1d": _one_sample({"tabulated": [{"x": [0.0], "points": [[0, 0], [1, -1]]}]}),
+    "tabulated_2d": _one_sample({"tabulated": [{"x": [0.0, 0.0], "points": [[0, 0], [1, -1]]}]}),
+    "jump_map": _one_sample({"generator": {
+        "name": "jump_map", "params": {"left_points": [[0, 0], [0.5, -0.2]],
+                                       "right_points": [[-1, -1]], "jump_at": 0.55},
+        "domain_grid": {"from": [0], "to": [1], "steps": 1}}}),
+    "quadratic": _one_sample({"generator": {
+        "name": "quadratic_vector", "params": {"targets": [0, 1]},
+        "domain_grid": {"from": [0.5], "to": [0.5], "steps": 1}}}),
+}
+
+
+@pytest.mark.parametrize("doc", ONE_SAMPLE_DOCS.values(), ids=ONE_SAMPLE_DOCS.keys())
+def test_one_sample_map_runs_chain_and_convexity(tmp_path, capsys, doc):
+    path = _write(tmp_path, "one", doc)
+    assert main(["chain", path]) == 0
+    assert main(["convexity", path]) == 3
+    assert capsys.readouterr().err == ""
+
+
+def test_convexity_on_empty_trailing_samples_warns_nothing(tmp_path, capsys):
+    # the last two scalar path values are +inf, and their difference is NaN
+    doc = {"cone": QUAD_DOC["cone"],
+           "map": {"tabulated": [{"x": [0], "points": [[0, 0]]}, {"x": [1], "points": []},
+                                 {"x": [2], "points": []}]}}
+    path = _write(tmp_path, "tail", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convexity", path]) == 3
+    assert capsys.readouterr().err == ""

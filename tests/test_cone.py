@@ -4,7 +4,6 @@ import pytest
 from setvi.analysis import CONVEXITY_T_SAMPLES, _kept_ends
 from setvi.cone import (
     _PRUNE_MIN_POINTS,
-    _kept_anchors,
     cone_margin,
     dominated_probes,
     dual_base,
@@ -191,7 +190,7 @@ def parity_cloud(rng, cone, n_a):
 
 def test_ext_margins_matches_the_unpruned_kernel():
     rng = np.random.default_rng(20240811)
-    pruning_cases = dropped = 0
+    dense_probes = 0
     for _ in range(3000):
         m = int(rng.integers(1, 6))
         cone = parity_cone(rng, m)
@@ -206,18 +205,16 @@ def test_ext_margins_matches_the_unpruned_kernel():
         ref_margins, ref_witnesses = reference_ext_margins(pts, cone, ys)
         assert margins.tobytes() == ref_margins.tobytes()
         assert witnesses.tolist() == ref_witnesses.tolist()
-        if 1 < n_a and 4 * n_a < n_y:
-            pruning_cases += 1
-            dropped += len(_kept_anchors(pts, ys, cone.normalized_normals)) < n_a
-    assert pruning_cases > 1000 and dropped > 500
+        dense_probes += 1 < n_a and 4 * n_a < n_y
+    assert dense_probes > 1000
 
 
 def test_stacked_ext_margins_match_separate_calls():
     # K anchor clouds of one size against K probe clouds or one shared one:
     # each entry of a stacked call has the bits of the 2-D call on its own
-    # clouds, in the pruned regime (4 n_a < n_y) and out of it
+    # clouds, with probe clouds over four times the anchor cloud and below
     rng = np.random.default_rng(7)
-    regimes = {"pruned": 0, "unpruned": 0, "shared probes": 0}
+    regimes = {"many probes": 0, "few probes": 0, "shared probes": 0}
     for _ in range(1500):
         m = int(rng.integers(1, 6))
         cone = parity_cone(rng, m)
@@ -238,25 +235,24 @@ def test_stacked_ext_margins_match_separate_calls():
             one_margins, one_witnesses = ext_margins(pts[k], cone, ys if shared else ys[k])
             assert margins[k].tobytes() == one_margins.tobytes()
             assert witnesses[k].tolist() == one_witnesses.tolist()
-        regimes["pruned" if 1 < n_a and 4 * n_a < n_y else "unpruned"] += 1
+        regimes["many probes" if 1 < n_a and 4 * n_a < n_y else "few probes"] += 1
         regimes["shared probes"] += shared
     assert min(regimes.values()) > 300, regimes
 
 
 def test_ordered_cloud_keeps_one_anchor():
-    # a cloud totally ordered by the orthant has one C-minimal point; the
-    # 4096 probes are its pairwise midpoints, a probe cloud 64 times the
-    # anchor cloud (a convexity check now combines only C-minimal points)
+    # a cloud totally ordered by the orthant has one C-minimal point, the
+    # first, and it is every probe's witness; the 4096 probes are its
+    # pairwise midpoints, a probe cloud 64 times the anchor cloud
     rng = np.random.default_rng(3)
     cone = make_cone(np.eye(4), np.ones(4))
     cloud = rng.uniform(-1, 1, size=4) + np.cumsum(
         np.vstack([np.zeros(4), rng.uniform(0.1, 1.0, size=(63, 4))]), axis=0)
     probes = (0.5 * cloud[:, None, :] + 0.5 * cloud[None, :, :]).reshape(-1, 4)
-    assert _kept_anchors(cloud, probes, cone.normalized_normals).tolist() == [0]
     margins, witnesses = ext_margins(cloud, cone, probes)
     ref_margins, ref_witnesses = reference_ext_margins(cloud, cone, probes)
     assert margins.tobytes() == ref_margins.tobytes()
-    assert witnesses.tolist() == ref_witnesses.tolist()
+    assert witnesses.tolist() == ref_witnesses.tolist() == [0] * len(probes)
 
 
 def probe_cloud(rng, cone, n, pts):

@@ -461,31 +461,31 @@ def _stack(rng, shape=None):
 
 def test_scalarize_batch_matches_the_unpruned_kernel_bit_for_bit(monkeypatch):
     module = sys.modules["setvi.scalarize"]
-    calls, scans = [], []
-    kernel, scan = module._products_min, module._dominance_keep
+    calls = []
+    kernel = module._products_min
     monkeypatch.setattr(module, "_products_min",
                         lambda c, w: calls.append(c.shape[:2]) or kernel(c, w))
-    monkeypatch.setattr(module, "_dominance_keep", lambda c: scans.append(1) or scan(c))
     rng = np.random.default_rng(20240811)
-    counts = {"negative": 0, "pruned": 0, "zero rows": 0, "least element": 0,
-              "least only in row 0": 0, "least element, zero rows": 0}
+    counts = {"negative": 0, "least element": 0, "least only in row 0": 0,
+              "least element, zero rows": 0}
     for case in range(2500):
         clouds, weights = _stack(rng)
         want = _ref_scalarize_batch(clouds, weights)
         calls.clear()
-        scans.clear()
         got = scalarize_batch(clouds, weights)
         assert got.shape == want.shape, f"case {case}"
         assert (got.view(np.int64) == want.view(np.int64)).all(), f"case {case}"
-        pruned = calls[0][1] < clouds.shape[1]
-        least = pruned and not scans
+        T, p = clouds.shape[:2]
+        least = calls[0][1] < p
         c0 = clouds[0]
+        first = (c0 == c0.min(axis=0)).all(axis=1)
+        eligible = p >= _PRUNE_MIN_POINTS and (weights >= 0).all()
         counts["negative"] += not (weights >= 0).all()
-        counts["pruned"] += pruned
-        counts["zero rows"] += len(calls) == 2
         counts["least element"] += least
-        # row 0 has a least point, but some later row breaks it: the order scan runs
-        counts["least only in row 0"] += bool(scans) and (c0 == c0.min(axis=0)).all(axis=1).any()
+        # row 0 has a least point, but some later row breaks it: every point's products are taken
+        counts["least only in row 0"] += bool(
+            eligible and first.any() and not (clouds[:, [first.argmax()]] <= clouds).all()
+            and calls == [(T, p)])
         counts["least element, zero rows"] += least and len(calls) == 2
     assert min(counts.values()) > 100, counts
 
