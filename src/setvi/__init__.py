@@ -52,7 +52,9 @@ from .vi import (
     VIVerdict,
     replay_derivative,
     theorem_chain,
+    theorem_chains,
     vi_check,
+    vi_checks,
 )
 
 __version__ = "0.1.0"

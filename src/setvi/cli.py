@@ -25,7 +25,7 @@ from .report import render_json
 from .scalarize import scalar_path
 from .setmap import load_problem, ray_grid
 from .suite import SUITE_DEFAULTS, run_suite
-from .vi import theorem_chain, vi_check
+from .vi import theorem_chains, vi_checks
 
 _OK, _FAILED, _INPUT_ERROR, _UNDETERMINED, _INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -124,9 +124,11 @@ def _cmd_minimality(args) -> int:
 def _cmd_vi(args) -> int:
     problem, settings, wstar = _load(args)
     statuses, entries, lines = [], [], []
-    for x0 in _base_points(problem):
-        verdict = vi_check(problem.map, x0, problem.cone, wstar, settings.dini,
-                           args.kind, settings.tau_strict, settings.vi_domain)
+    x0s = _base_points(problem)
+    checks = vi_checks(problem.map, x0s, problem.cone, wstar, settings.dini, (args.kind,),
+                       settings.tau_strict, settings.vi_domain)
+    for x0, verdicts in zip(x0s, checks):
+        verdict = verdicts[args.kind]
         entries.append({"x0": x0.tolist(), **verdict.to_dict()})
         statuses.append(verdict.verdict.value)
         lines.append(f"{args.kind} at x0={x0.tolist()}: {verdict.verdict.value}")
@@ -139,13 +141,14 @@ def _cmd_vi(args) -> int:
 def _cmd_chain(args) -> int:
     problem, settings, wstar = _load(args)
     statuses, entries, lines = [], [], []
-    for x0 in _base_points(problem):
-        rep = theorem_chain(problem.map, x0, problem.cone, wstar,
-                            cfg=settings.dini, tau=settings.tau_strict,
-                            ray_grid_size=settings.chain_ray_grid,
-                            max_rays=settings.chain_max_rays,
-                            eps_list=settings.eps_list,
-                            vi_domain=settings.vi_domain)
+    x0s = _base_points(problem)
+    reports = theorem_chains(problem.map, x0s, problem.cone, wstar,
+                             cfg=settings.dini, tau=settings.tau_strict,
+                             ray_grid_size=settings.chain_ray_grid,
+                             max_rays=settings.chain_max_rays,
+                             eps_list=settings.eps_list,
+                             vi_domain=settings.vi_domain)
+    for x0, rep in zip(x0s, reports):
         witnesses = {k: [e for e in v.per_x if e.get("witness_w") is not None]
                      for k, v in rep.vi_details.items()}
         entries.append({"instance": {"x0": x0.tolist(),

@@ -20,7 +20,7 @@ from .cone import dual_base, ext_margins, make_cone
 from .config import RunSettings
 from .order import relation_ll
 from .setmap import SetValue, _grid_points, builtin_map
-from .vi import ChainStatus, replay_derivatives, theorem_chain
+from .vi import ChainStatus, replay_derivatives, theorem_chains
 
 SUITE_DEFAULTS = RunSettings(
     tau_strict=1e-5,
@@ -110,22 +110,26 @@ def run_instance(spec: dict, settings: RunSettings) -> dict:
     density = settings.wstar_density if spec["image_dim"] == 2 \
         else max(2, settings.wstar_density // 2 + 1)
     wstar = dual_base(cone, density)
+    x0s = [x0 for x0, _ in spec["base_points"]]
+    reports = theorem_chains(
+        map_, x0s, cone, wstar, cfg=settings.dini, tau=settings.tau_strict,
+        ray_grid_size=settings.chain_ray_grid, max_rays=settings.chain_max_rays,
+        max_pairs=15, vi_domain=settings.vi_domain,
+    )
+    replay_ok = [True] * len(reports)
+    for vi_kind in ("svi", "mvi"):
+        held = [(c, e) for c, report in enumerate(reports)
+                for e in report.vi_details[vi_kind].per_x if e["witness_w"] is not None]
+        if held:  # one batched replay per kind, compared by bits per chain
+            chain = np.array([c for c, _ in held])
+            again = replay_derivatives(map_, [x0s[c] for c, _ in held], wstar, settings.dini,
+                                       vi_kind, [e["x"] for _, e in held],
+                                       [e["witness_w"] for _, e in held])
+            recorded = np.array([e["derivative"] for _, e in held])
+            for c in range(len(reports)):
+                replay_ok[c] &= again[chain == c].tobytes() == recorded[chain == c].tobytes()
     per_base = []
-    for x0, kind in spec["base_points"]:
-        report = theorem_chain(
-            map_, x0, cone, wstar, cfg=settings.dini, tau=settings.tau_strict,
-            ray_grid_size=settings.chain_ray_grid, max_rays=settings.chain_max_rays,
-            max_pairs=15, vi_domain=settings.vi_domain,
-        )
-        replay_ok = True
-        for vi_kind, vi in report.vi_details.items():
-            held = [e for e in vi.per_x if e["witness_w"] is not None]
-            if held:  # one batched replay per check, compared by bits
-                again = replay_derivatives(map_, x0, wstar, settings.dini, vi_kind,
-                                           [e["x"] for e in held],
-                                           [e["witness_w"] for e in held])
-                recorded = np.array([e["derivative"] for e in held])
-                replay_ok &= again.tobytes() == recorded.tobytes()
+    for (x0, kind), report, ok in zip(spec["base_points"], reports, replay_ok):
         per_base.append({
             "x0": x0,
             "base_kind": kind,
@@ -136,7 +140,7 @@ def run_instance(spec: dict, settings: RunSettings) -> dict:
                 for e in report.implications
             ],
             "violated": report.violated,
-            "replay_ok": replay_ok,
+            "replay_ok": ok,
         })
     return {
         "index": spec["index"],
@@ -201,8 +205,9 @@ def run_suite(seed: int = 0, instances: int = 200,
 
     Each instance is drawn from its own (seed, index) generator, so the
     instance entries of a shorter run are a prefix of those of a longer one.
-    Every chain's recorded VI witnesses are replayed from the report alone,
-    one batched pass per (chain, kind), and must match their bits.
+    An instance's chains run in one ``theorem_chains`` call, and their
+    recorded VI witnesses are replayed from the report alone, one batched
+    pass per (instance, kind); each chain's must match their bits.
     """
     if instances < 1:
         raise ValueError(f"instances must be an integer >= 1, not {instances!r}")

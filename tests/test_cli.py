@@ -611,3 +611,18 @@ def test_convexity_on_empty_trailing_samples_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["convexity", path]) == 3
     assert capsys.readouterr().err == ""
+
+
+def test_a_second_base_point_off_the_table_exits_two(tmp_path, capsys):
+    # the chains and checks of every base point run together; the first
+    # point's reports are never printed, and the message names the second
+    doc = {"cone": QUAD_DOC["cone"],
+           "map": {"tabulated": [{"x": [0], "points": [[0, 1]]},
+                                 {"x": [0.5], "points": [[0.25, 0.25]]},
+                                 {"x": [1], "points": [[1, 0]]}]},
+           "base_points": [[0.5], [0.3]]}
+    path = _write(tmp_path, "off_table", doc)
+    for argv in (["chain", path], ["vi", path, "--kind", "svi"], ["minimality", path]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: [0.3] is not a stored sample of the tabulated map\n")

@@ -17,6 +17,7 @@ from setvi.vi import (
     replay_derivative,
     replay_derivatives,
     theorem_chain,
+    theorem_chains,
     vi_check,
 )
 
@@ -217,9 +218,9 @@ class TestTheoremChain:
     def test_batched_calls_per_survey_block_and_per_vi_check(self, monkeypatch, max_rays,
                                                              make_map, block):
         # per survey block two dini_table calls (one per side) and one
-        # evaluate_batch call; per vi_check one dini_table call and one
-        # evaluate_batch call per block of points; one evaluate_batch call
-        # reads the rays and one the convexity points
+        # evaluate_batch call; the svi and mvi rows together one dini_table
+        # call and one evaluate_batch call per block of points; one
+        # evaluate_batch call reads the rays and one the convexity points
         if block is not None:
             monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
         calls = {"dini_table": 0, "evaluate_batch": 0}
@@ -241,9 +242,9 @@ class TestTheoremChain:
         assert surveyed == len(range(0, n, -(-n // max_rays)))
         rows = block_points(map_)
         survey_blocks = -(-surveyed // max(1, rows // (2 * 9 * CFG.steps)))
-        vi_blocks = -(-n * (CFG.steps + 1) // rows)
-        assert calls == {"dini_table": 2 * survey_blocks + 2,
-                         "evaluate_batch": 1 + survey_blocks + 2 * vi_blocks + 1}
+        vi_blocks = -(-2 * n * (CFG.steps + 1) // rows)
+        assert calls == {"dini_table": 2 * survey_blocks + 1,
+                         "evaluate_batch": 1 + survey_blocks + vi_blocks + 1}
         if make_map == "cloud":  # the survey and, in a smaller block, the VI rows split
             assert survey_blocks > 1 or max_rays < 8
             assert (vi_blocks > 1) == (block is not None)
@@ -347,24 +348,37 @@ class TestBatchedReplay:
                                    shifted)
         assert all(_bits(a) != _bits(e["derivative"]) for a, e in zip(again, held))
 
-    def test_suite_replays_once_per_chain_and_kind(self, monkeypatch):
+    def test_suite_replays_once_per_instance_and_kind(self, monkeypatch):
         suite = sys.modules["setvi.suite"]
-        kinds = []  # the kinds replayed after each chain
+        kinds = []  # the kinds replayed after each instance's chains
 
-        def chain(*args, **kwargs):
+        def chains(*args, **kwargs):
             kinds.append([])
-            return theorem_chain(*args, **kwargs)
+            return theorem_chains(*args, **kwargs)
 
         def replays(*args):
             kinds[-1].append(args[4])
             return replay_derivatives(*args)
 
-        monkeypatch.setattr(suite, "theorem_chain", chain)
+        monkeypatch.setattr(suite, "theorem_chains", chains)
         monkeypatch.setattr(suite, "replay_derivatives", replays)
         report = run_suite(seed=5, instances=6)
         assert report["summary"]["replay_failures"] == []
-        assert len(kinds) == sum(len(res["per_base"]) for res in report["instances"])
+        assert len(kinds) == len(report["instances"])
         assert all(sorted(k) == ["mvi", "svi"] for k in kinds)
+
+    def test_suite_runs_one_chain_pass_and_one_convexity_check_per_instance(self, monkeypatch):
+        suite, vi = sys.modules["setvi.suite"], sys.modules["setvi.vi"]
+        calls = {"theorem_chains": 0, "c_convexity_check": 0}
+        for module, name in ((suite, "theorem_chains"), (vi, "c_convexity_check")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        report = run_suite(seed=5, instances=6)
+        assert calls == {"theorem_chains": 6, "c_convexity_check": 6}
+        assert sum(len(res["per_base"]) for res in report["instances"]) > 12
 
     def test_a_stack_dependent_kernel_fails_the_suite_replays(self, monkeypatch):
         # a mutant whose rows depend on their stack: replays of fewer rows
