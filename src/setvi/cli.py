@@ -189,7 +189,7 @@ def _cmd_convexity(args) -> int:
                 continue
             w = wstar.weights[0]
             path = scalar_path(problem.map, x0, x, w,
-                               ray_grid(problem.map, x0, x, t_grid))
+                               ray_grid(problem.map, x0, [x], t_grid)[0])
             entry = {"x0": np.atleast_1d(x0).tolist(), "x": x.tolist(), "w": w.tolist()}
             label = f"path x0={entry['x0']} -> {entry['x']}"
             try:
@@ -230,8 +230,7 @@ def _parse_ray(spec: str, dim: int):
 def _cmd_mvt(args) -> int:
     problem, settings, wstar = _load(args)
     x0, x = _parse_ray(args.ray, problem.map.domain_dim)
-    t_grid = ray_grid(problem.map, x0, x,
-                      np.linspace(0.0, 1.0, settings.ray_steps))
+    t_grid = ray_grid(problem.map, x0, [x], np.linspace(0.0, 1.0, settings.ray_steps))[0]
     entries, lines = [], []
     failed = False
     for j in range(len(wstar)):

@@ -108,28 +108,28 @@ def scalarize_batch(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def interp_extended(knots: np.ndarray, values: np.ndarray,
                     ts: np.ndarray) -> np.ndarray:
-    """Piecewise-linear interpolation of extended reals at ts.
-
-    ``values`` holds one row per knot and may carry trailing columns, one
-    path per column.  Strictly between knots the value interpolates when
-    both endpoint values are finite; otherwise it is +inf if either
-    endpoint is +inf, else -inf.  Beyond the knot span the end segments
-    extend; callers that read a path as +inf outside [0, 1] mask first.
-    """
-    idx = np.clip(np.searchsorted(knots, ts, side="left"), 0, knots.size - 1)
-    exact = knots[idx] == ts
-    out = np.empty(ts.shape + values.shape[1:])
-    out[exact] = values[idx[exact]]
-    seg = ~exact
-    i = np.clip(idx[seg] - 1, 0, knots.size - 2)
-    v0, v1 = values[i], values[i + 1]
-    lam = (ts[seg] - knots[i]) / (knots[i + 1] - knots[i])
-    lam = lam.reshape(lam.shape + (1,) * (values.ndim - 1))
+    """Piecewise-linear interpolation of extended reals at ts, row by row:
+    (R, K) knots padded with +inf (a ``segment_sample_ts`` table) and
+    (R, K, ...) values, one path per trailing column, give (R, S, ...).
+    Strictly between knots the value interpolates when both endpoint
+    values are finite; otherwise it is +inf if either endpoint is +inf,
+    else -inf.  Beyond a row's knots its end segments extend; callers that
+    read a path as +inf outside [0, 1] mask first."""
+    last = (knots < np.inf).sum(axis=1) - 1
+    idx = np.minimum((knots[:, None, :] < ts[None, :, None]).sum(axis=2), last[:, None])
+    exact = np.take_along_axis(knots, idx, axis=1) == ts
+    out = np.empty(idx.shape + values.shape[2:])
+    out[exact] = values[np.nonzero(exact)[0], idx[exact]]
+    r, s = np.nonzero(~exact)
+    i = np.maximum(idx[r, s] - 1, 0)
+    v0, v1 = values[r, i], values[r, i + 1]
+    lam = (ts[s] - knots[r, i]) / (knots[r, i + 1] - knots[r, i])
+    lam = lam.reshape(lam.shape + (1,) * (values.ndim - 2))
     both = np.isfinite(v0) & np.isfinite(v1)
     safe0 = np.where(both, v0, 0.0)
     safe1 = np.where(both, v1, 0.0)
-    out[seg] = np.where(both, safe0 + lam * (safe1 - safe0),
-                        np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf))
+    out[r, s] = np.where(both, safe0 + lam * (safe1 - safe0),
+                         np.where((v0 == np.inf) | (v1 == np.inf), np.inf, -np.inf))
     return out
 
 
@@ -145,27 +145,34 @@ def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
 
     ``bases`` and ``targets`` broadcast to (R, n) rows: one ray, rays from
     one point, or one pair per ray.  Generator maps evaluate anywhere, every
-    ray's points together, ``block_points`` at a time: ``evaluate_rows`` and
-    ``scalarize_values`` treat each row on its own, so a row has the same
-    bits in any block.  Tabulated maps only carry values at stored samples,
-    so their scalarizations are interpolated between the samples that lie
-    on each segment (with +inf dominating a mixed span, matching the
-    path-evaluation conventions).
+    ray's points together, ``block_points`` at a time.  Tabulated maps only
+    carry values at stored samples, so each block of pairs is read at its
+    ``segment_sample_ts`` knot table with one ``evaluate_rows``,
+    ``scalarize_values`` and ``interp_extended`` call (+inf dominates a
+    mixed span, as paths do).  Every kernel treats each row on its own, so
+    a row has the same bits in any block.
     """
     bases, targets = np.atleast_2d(bases), np.atleast_2d(targets)
-    points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
-    flat = points.reshape(-1, points.shape[2])
     if map.kind == "generator":
+        points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
+        flat = points.reshape(-1, points.shape[2])
         rows = block_points(map)
         phis = [scalarize_values(evaluate_rows(map, flat[k:k + rows]), weights)
                 for k in range(0, len(flat), rows)]
         return np.concatenate(phis).reshape(points.shape[:2] + (-1,))
+    bases, targets = np.broadcast_arrays(bases, targets)
     out = []
-    for base, target in zip(*np.broadcast_arrays(bases, targets)):
-        knots = segment_sample_ts(map, base, target)
-        values = evaluate_rows(map, base + knots[:, None] * (target - base))
-        out.append(interp_extended(knots, scalarize_values(values, weights), svals))
-    return np.stack(out)
+    # a block's items are pairs, each reading at most every sample and its two ends
+    for part in blocks(len(bases), (len(map.domain) + 2) * (
+            map.stacked[0][0].size + svals.size + len(weights))):
+        base, d = bases[part], targets[part] - bases[part]
+        knots = segment_sample_ts(map, base, targets[part])
+        r, k = np.nonzero(knots < np.inf)
+        values = np.zeros(knots.shape + (len(weights),))
+        values[r, k] = scalarize_values(
+            evaluate_rows(map, base[r] + knots[r, k][:, None] * d[r]), weights)
+        out.append(interp_extended(knots, values, svals))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,19 +206,19 @@ class PiecewiseLinear:
         ts = np.asarray(ts, dtype=float)
         out = np.full(ts.shape, np.inf)
         inside = (ts >= 0.0) & (ts <= 1.0)
-        out[inside] = interp_extended(self.knots, self.knot_values, ts[inside])
+        out[inside] = interp_extended(self.knots[None], self.knot_values[None], ts[inside])[0]
         return out
 
 
 @dataclass(eq=False)
 class ScalarPath:
-    """An extended-real path on [0, 1]: grid samples plus optional exact forms.
+    """An extended-real path on [0, 1]: grid samples and the evaluator of probes.
 
-    ``values`` are the grid samples (floats, +-inf allowed).  When
-    ``breakpoints`` is present the path is known exactly and derivative
-    code uses closed-form slopes; when ``evaluator`` is present off-grid
-    probes call it, otherwise probes interpolate the grid samples with the
-    piecewise-linear conventions.  Outside [0, 1] the path is +inf.
+    ``values`` are the grid samples (floats, +-inf allowed).  Probes call
+    ``evaluator``: ``breakpoints.eval_many`` when the path is known exactly
+    (derivative code then uses closed-form slopes), else the given one, else
+    the ``PiecewiseLinear`` interpolation of the grid.  Outside [0, 1] the
+    path is +inf.
     """
 
     t_grid: np.ndarray
@@ -236,22 +243,18 @@ class ScalarPath:
                 mismatch = ~((exact == v) | (np.abs(exact - v) <= 1e-12))
             if np.any(mismatch):
                 raise ValueError("grid values disagree with the breakpoint description")
+            self.evaluator = self.breakpoints.eval_many
+        elif self.evaluator is None:
+            self.evaluator = PiecewiseLinear(t, v).eval_many
         self.t_grid = t
         self.values = v
 
     def eval_many(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        if self.breakpoints is not None:
-            return self.breakpoints.eval_many(ts)
         out = np.full(ts.shape, np.inf)
         inside = (ts >= 0.0) & (ts <= 1.0)
-        if not np.any(inside):
-            return out
-        if self.evaluator is not None:
+        if np.any(inside):
             out[inside] = np.asarray(self.evaluator(ts[inside]), dtype=float)
-            return out
-        # fall back to interpolating the grid samples
-        out[inside] = interp_extended(self.t_grid, self.values, ts[inside])
         return out
 
     def eval(self, t: float) -> float:
@@ -273,20 +276,15 @@ class ScalarPath:
 def scalar_path(map: SetMap, x0, x, w, t_grid) -> ScalarPath:
     """Scalarization of the segment restriction of the map, as a path.
 
-    Generator-backed maps yield an evaluator so probes off the grid are
-    exact; tabulated maps fall back to grid interpolation.  Both scalarize
-    through ``scalarize_values``, so the evaluator gives the grid values' bits.
+    Probes off the grid go through ``ray_scalarizations``, for both map
+    kinds: exact for generator maps, and interpolated between the stored
+    samples on the segment for tabulated ones.  Both scalarize through
+    ``scalarize_values``, so the evaluator gives the grid values' bits.
     """
-    w = np.asarray(w, dtype=float)
+    w = np.asarray(w, dtype=float)[None, :]
     ray = ray_restriction(map, x0, x, t_grid)
-    values = scalarize_values(ray.values, w[None, :])[:, 0]
-    evaluator = None
-    if map.kind == "generator":
-        def evaluator(ts: np.ndarray) -> np.ndarray:
-            return ray_scalarizations(map, ray.x0, ray.x, ts, w.reshape(1, -1))[0, :, 0]
-
-    return ScalarPath(t_grid=np.asarray(t_grid, dtype=float), values=values,
-                      evaluator=evaluator)
+    return ScalarPath(t_grid=ray.t_grid, values=scalarize_values(ray.values, w)[:, 0],
+                      evaluator=lambda ts: ray_scalarizations(map, ray.x0, ray.x, ts, w)[0, :, 0])
 
 
 # ---------------------------------------------------------------------------

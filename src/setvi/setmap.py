@@ -256,32 +256,38 @@ def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return stack_values([evaluate(map, x) for x in xs])
 
 
-def segment_sample_ts(map: SetMap, x0, x) -> np.ndarray:
-    """Parameters in [0, 1] of stored samples on the segment from x0 to x.
+def segment_sample_ts(map: SetMap, x0s, xs) -> np.ndarray:
+    """The (R, K) knot table of the segments from x0s[r] to xs[r] (rows that
+    broadcast): where a tabulated map can be read along each.  A row
+    increases, holds 0 and 1 and is padded with +inf.  A stored sample
+    counts when it lies within ``_lookup_tol`` of the point x0 + t (x - x0)
+    that a ray reads, so ``nearest_samples`` answers there.  Rows are read
+    in blocks of ``_LOOKUP_BLOCK`` floats, each with the bits it has alone."""
+    x0s, xs = np.broadcast_arrays(*(np.atleast_2d(np.asarray(a, dtype=float)) for a in (x0s, xs)))
+    d = xs - x0s
+    length2 = np.vecdot(d, d)  # the bits of d @ d, which einsum's do not always match
+    ts = np.full((len(d), map.domain.shape[0] + 2), np.inf)
+    ts[:, 0], ts[:, 1] = 0.0, 1.0
+    rows = max(1, _LOOKUP_BLOCK // map.domain.size)
+    for k in range(0, len(d), rows):
+        x0, dk, l2 = x0s[k:k + rows, None, :], d[k:k + rows, None, :], length2[k:k + rows, None]
+        t = ((map.domain - x0) @ dk.transpose(0, 2, 1))[..., 0] / np.where(l2 == 0.0, 1.0, l2)
+        at = x0 + t[..., None] * dk
+        on = np.abs(map.domain - at).max(axis=2) <= _lookup_tol(at)
+        ts[k:k + rows, 2:] = np.where(on & (0.0 < t) & (t < 1.0) & (l2 > 0.0), t, np.inf)
+    ts.sort(axis=1)
+    ts[:, 1:][ts[:, 1:] == ts[:, :-1]] = np.inf  # each knot once
+    ts.sort(axis=1)
+    return ts[:, :int((ts < np.inf).sum(axis=1).max(initial=2))]
 
-    Always contains 0 and 1; for generator maps every point is evaluable
-    anyway, but tabulated maps can only be read along a segment at these
-    parameters.  A sample counts when it lies within ``_lookup_tol`` of the
-    point x0 + t (x - x0) that a ray reads, so ``nearest_samples`` answers there.
-    """
-    x0 = _as_domain_point(map, x0)
-    x = _as_domain_point(map, x)
-    d = x - x0
-    length2 = float(d @ d)
-    if length2 == 0.0:
-        return np.array([0.0, 1.0])
-    t = (map.domain - x0) @ d / length2
-    at = x0 + t[:, None] * d
-    on = np.abs(map.domain - at).max(axis=1) <= _lookup_tol(at)
-    return np.unique(np.concatenate([[0.0, 1.0], t[on & (0.0 < t) & (t < 1.0)]]))
 
-
-def ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:
-    """The requested grid for generator maps, the stored segment samples
-    for tabulated ones."""
+def ray_grid(map: SetMap, x0, xs, t_grid) -> list[np.ndarray]:
+    """The grid of each ray from x0 to a row of xs: the requested grid for
+    generator maps, the ray's row of the ``segment_sample_ts`` table for
+    tabulated ones."""
     if map.kind == "generator":
-        return np.asarray(t_grid, dtype=float)
-    return segment_sample_ts(map, x0, x)
+        return [np.asarray(t_grid, dtype=float)] * len(xs)
+    return [row[row < np.inf] for row in segment_sample_ts(map, x0, xs)]
 
 
 def _rays(map: SetMap, x0, xs: np.ndarray, grids) -> list[RayValues]:
@@ -313,8 +319,9 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
 def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
     """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
     domain order: the one reading of the rays that radial checks share.
-    All rays are read by one ``_rays`` call, so their triples share a width."""
-    return _rays(map, x0, map.domain, [ray_grid(map, x0, x, t_grid) for x in map.domain])
+    One ``ray_grid`` call gives every grid and one ``_rays`` call reads every
+    ray, so their triples share a width."""
+    return _rays(map, x0, map.domain, ray_grid(map, x0, map.domain, t_grid))
 
 
 # ---------------------------------------------------------------------------

@@ -197,27 +197,25 @@ def _radial_survey(map: SetMap, rays: list, wstar: WStarSample,
     """One pass over max_rays strided rays from each base point: star shape
     and the three path classes of every sampled scalarization.
 
-    ``rays`` holds the rays from one base point, as ``radial_rays`` reads
-    them, or a list of such lists, one per base point; the survey is one
-    dict, or a list of them.  Rays on one grid (every generator map's) are
-    read in blocks whose probes fit one ``evaluate_rows`` call of
+    ``rays`` holds one ``radial_rays`` list per base point, and the survey
+    is one dict per base point.  Rays on one grid (every generator map's)
+    are read in blocks whose probes fit one ``evaluate_rows`` call of
     ``ray_scalarizations``, whatever base point they start from, each probe
-    row from its own base; a tabulated ray is a block of one.  A block's
-    (ray, weight) paths are the ray-major columns of one (T, rays * W)
-    matrix for one dini_table call per side and one call of each scan.
+    row from its own base; a tabulated ray, whose grid is its own knot row,
+    is a block of one.  A block's (ray, weight) paths are the ray-major
+    columns of one (T, rays * W) matrix for one dini_table call per side
+    and one call of each scan.
     Each base point reads its witnesses from its own columns: a class
     records the first FAILS column of its scan, else the first
     UNDETERMINED one, in ray order, then weight order.
     """
-    nested = isinstance(rays[0], list)
-    chains = rays if nested else [rays]
-    n = len(chains[0])
+    n = len(rays[0])
     stride = max(1, int(np.ceil(n / max_rays)))
     ray_indices = list(range(0, n, stride))
-    surveyed = [chain[i] for chain in chains for i in ray_indices]
+    surveyed = [chain[i] for chain in rays for i in ray_indices]
     steps = cfg.step_grid()
     S, W, R = steps.size, len(wstar), len(ray_indices)
-    sample_empty = ((map.stacked[1] == 0) & ~map.stacked[2])[np.tile(ray_indices, len(chains))]
+    sample_empty = ((map.stacked[1] == 0) & ~map.stacked[2])[np.tile(ray_indices, len(rays))]
 
     scans = {"ssqc": [], "pconvex": [], "pconcave": []}
     starless, first_empty = [], []
@@ -271,7 +269,7 @@ def _radial_survey(map: SetMap, rays: list, wstar: WStarSample,
                      for *_, name, hit in sorted(picks)}
         surveys.append({"ray_indices": ray_indices, "star": star,
                         "classes": (verdicts, witnesses)})
-    return surveys if nested else surveys[0]
+    return surveys
 
 
 def _implication(name: str, needed: list[str], hypotheses: dict,

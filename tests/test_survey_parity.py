@@ -4,8 +4,10 @@
 ``vi._radial_survey`` and ``scalarize.ray_scalarizations``, kept verbatim
 apart from their names: one evaluation, two ``dini_table`` calls and two
 scans per surveyed ray, each ray's values read as one ``SetValue`` per grid
-point (``per_value_ray``).  ``vi._radial_survey`` reads the rays' value
-stacks in blocks; on every seeded case both must render the same bytes.
+point (``per_value_ray``), and each tabulated segment read at the one-row
+knots of ``test_knot_table``'s oracles.  ``vi._radial_survey`` reads the
+rays' value stacks of every base point in blocks; on every seeded case
+both must render the same bytes.
 """
 
 import numpy as np
@@ -13,11 +15,12 @@ import numpy as np
 from setvi.analysis import DiniConfig, _pseudo_scan, _ssqc_scan, dini_table
 from setvi.cone import dual_base, make_cone
 from setvi.report import render_json
-from setvi.scalarize import block_points, interp_extended, scalarize_batch, scalarize_many
+from setvi.scalarize import block_points, scalarize_batch, scalarize_many
 from setvi.setmap import (RayValues, SetMap, SetValue, builtin_map, evaluate, evaluate_batch,
-                          radial_rays, segment_sample_ts)
+                          radial_rays)
 from setvi.verdicts import Verdict, worst
 from setvi.vi import _radial_survey
+from test_knot_table import ref_interp_extended, ref_segment_sample_ts
 
 
 def ref_ray_scalarizations(map, base, target, svals, weights):
@@ -34,12 +37,12 @@ def ref_ray_scalarizations(map, base, target, svals, weights):
         return scalarize_batch(clouds, weights)
     if map.kind == "generator":
         return np.stack([scalarize_many(evaluate(map, p), weights) for p in points])
-    knots = segment_sample_ts(map, base, target)
+    knots = ref_segment_sample_ts(map, base, target)
     phis = np.stack([
         scalarize_many(evaluate(map, base + t * (target - base)), weights)
         for t in knots
     ])
-    return interp_extended(knots, phis, svals)
+    return ref_interp_extended(knots, phis, svals)
 
 
 def per_value_ray(map, ray):
@@ -215,7 +218,7 @@ def test_block_survey_matches_the_per_ray_survey():
         with np.errstate(invalid="ignore", over="ignore"):
             want = _rendered(ref_radial_survey(map_, [per_value_ray(map_, ray) for ray in rays],
                                                wstar, cfg, tau, max_rays))
-            got = _rendered(_radial_survey(map_, rays, wstar, cfg, tau, max_rays))
+            got = _rendered(_radial_survey(map_, [rays], wstar, cfg, tau, max_rays)[0])
         assert got == want, f"case {case}"
         name = map_.source.get("generator", "tabulated")
         seen["jump_map" if name == "jump_map" else "tabulated" if name == "tabulated"
