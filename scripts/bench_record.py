@@ -17,9 +17,14 @@ parent/change comparison:
     python3 scripts/bench_record.py --out BENCH_N.json \\
         --side parent=PARENT_CHECKOUT --side change=.
 
+Each side's summary also records the ``cpus_usable`` its stamps report.
+
 Exits 1 when any run failed an operation or reported wrong output, and
 stops with exit 1, writing nothing, when two sides' ``stamp:`` lines carry
 the same ``src_sha256``: such a file would compare a program with itself.
+It stops the same way when two runs' stamps report different
+``cpus_usable``: the suite runs on every usable CPU, so such runs measure
+different budgets, not different programs.
 """
 
 from __future__ import annotations
@@ -82,7 +87,10 @@ def summarize(runs: list[dict], sides: list[str], better: dict) -> dict:
                 values[r["side"]].setdefault(metric, {})[r["seed"]] = entry["value"]
         entry = {}
         for side in sides:
-            entry[side] = {"repeats": sum(r["side"] == side for r in mine),
+            stamps = [r["stamp"] for r in mine if r["side"] == side]
+            entry[side] = {"repeats": len(stamps),
+                           # main refuses runs whose budgets differ
+                           "cpus_usable": stamps[0]["environment"].get("cpus_usable"),
                            "failed": sum(r["result"]["failed"] for r in mine
                                          if r["side"] == side),
                            "attempted": sum(r["result"]["attempted"] for r in mine
@@ -122,7 +130,7 @@ def main(argv=None) -> int:
               for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
     runs = []
     ok = True
-    sources = {}
+    sources, budgets = {}, set()
     for workload in WORKLOADS:
         for k, seed in enumerate(args.seeds):
             order = sides if k % 2 == 0 else sides[::-1]
@@ -135,6 +143,11 @@ def main(argv=None) -> int:
                 if twins:
                     print(f"error: sides {twins[0]} and {name} run the same source "
                           f"(src_sha256 {sources[name]})", file=sys.stderr)
+                    return 1
+                budgets.add(run["stamp"]["environment"].get("cpus_usable"))
+                if len(budgets) > 1:
+                    print("error: runs report different cpus_usable "
+                          f"({', '.join(map(str, budgets))})", file=sys.stderr)
                     return 1
                 res = run["result"]
                 ok &= bool(res["correct"]) and res["failed"] == 0

@@ -137,7 +137,7 @@ class MinimalityVerdict:
 
 
 def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
-                      tau: float = TAU_STRICT) -> MinimalityVerdict:
+                      tau: float = TAU_STRICT, v0: SetValue | None = None) -> MinimalityVerdict:
     """Classify x0 under all three weak-minimality notions by exhaustive scan.
 
     The scan covers every sample of the domain; a whole-space value at the
@@ -149,9 +149,11 @@ def classify_weak_min(map: SetMap, x0, cone: Cone, wstar: WStarSample,
     the base value, so only its C-minimal points are probed (see
     ``dominated_probes``).  Witnesses follow domain order: the
     first sample of the largest dominating margin, the first border
-    margin and the first sample without a sampled weight.
+    margin and the first sample without a sampled weight.  A caller that
+    already read the base value with ``base_value`` passes it as ``v0``.
     """
-    x0, v0 = base_value(map, x0)
+    if v0 is None:
+        x0, v0 = base_value(map, x0)
     resolution = {"domain_size": int(map.domain.shape[0]),
                   "wstar_size": len(wstar), "tau_strict": tau}
     if v0.whole_space:

@@ -9,9 +9,17 @@ point with at least one grid point strictly between them (so the Minty
 scan has a disqualifying sample to find).  Both the confirming and the
 vacuous branches of every implication are exercised this way without ever
 manufacturing a discretization artifact.
+
+Because instances are independent, ``run_suite`` deals their indices into
+one strided share per usable CPU: forked children run all shares but the
+first, which the calling process runs before the property blocks.  The
+report is the one a serial loop over the indices would build, byte for
+byte, and so is the exception when an instance raises.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -199,12 +207,77 @@ def _membership_properties(seed: int, trials: int) -> dict:
             "passed": escapes == 0}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(seed: int, instances: int, settings: RunSettings, workers: int, k: int):
+    """Instances k, k + workers, ... in index order, up to the first that
+    raises: their results, and that instance's (index, exception) or None."""
+    results = []
+    for i in range(k, instances, workers):
+        try:
+            results.append(run_instance(build_instance(seed, i), settings))
+        except Exception as exc:  # the caller raises the lowest index of all shares
+            return results, (i, exc)
+    return results, None
+
+
+def _run_instances(seed: int, instances: int, settings: RunSettings):
+    """Every instance's result in index order, and the property blocks.
+
+    With w = min(usable CPUs, instances) > 1 and ``fork`` available, w - 1
+    forked children each run one strided share while this process runs
+    share 0 and then the property blocks; otherwise this process runs one
+    share of every index.  Children inherit the parent's modules as they
+    are, and the pool's modules load only here.
+    """
+    workers = min(_usable_cpus(), instances) if hasattr(os, "fork") else 1
+    if workers == 1:
+        return _parent_share(seed, instances, settings, 1, [])
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers - 1,
+                             mp_context=multiprocessing.get_context("fork")) as pool:
+        children = [pool.submit(_run_share, seed, instances, settings, workers, k)
+                    for k in range(1, workers)]
+        return _parent_share(seed, instances, settings, workers, children)
+
+
+def _parent_share(seed: int, instances: int, settings: RunSettings, workers: int,
+                  children: list):
+    """Share 0 and then the property blocks here, then the children's
+    shares, merged in index order.  Each share stops at its first failure,
+    so the lowest failing index of all shares is the one a serial loop
+    raises."""
+    results, failure = _run_share(seed, instances, settings, workers, 0)
+    trials = max(50, instances)
+    properties = None if failure else {
+        "order_relations": _relation_properties(seed, trials),
+        "extended_membership": _membership_properties(seed, trials)}
+    shares = [(results, failure), *(child.result() for child in children)]
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    merged = [None] * instances
+    for k, (share, _) in enumerate(shares):
+        merged[k::workers] = share
+    return merged, properties
+
+
 def run_suite(seed: int = 0, instances: int = 200,
               settings: RunSettings | None = None) -> dict:
-    """Run the randomized property suites, one instance after another.
+    """Run the randomized property suites, the instances on every usable CPU.
 
     Each instance is drawn from its own (seed, index) generator, so the
-    instance entries of a shorter run are a prefix of those of a longer one.
+    instance entries of a shorter run are a prefix of those of a longer one,
+    and how the indices are shared among processes changes no report byte
+    (see ``_run_instances``).
     An instance's chains run in one ``theorem_chains`` call, and their
     recorded VI witnesses are replayed from the report alone, one batched
     pass per (instance, kind); each chain's must match their bits.
@@ -213,7 +286,7 @@ def run_suite(seed: int = 0, instances: int = 200,
         raise ValueError(f"instances must be an integer >= 1, not {instances!r}")
     settings = settings or SUITE_DEFAULTS
     settings = settings.with_(seed=seed)
-    results = [run_instance(build_instance(seed, i), settings) for i in range(instances)]
+    results, properties = _run_instances(seed, instances, settings)
 
     counts = {s.value: 0 for s in ChainStatus}
     violated = []
@@ -227,10 +300,6 @@ def run_suite(seed: int = 0, instances: int = 200,
             if not base["replay_ok"]:
                 replay_failures.append({"index": res["index"], "x0": base["x0"]})
 
-    properties = {
-        "order_relations": _relation_properties(seed, max(50, instances)),
-        "extended_membership": _membership_properties(seed, max(50, instances)),
-    }
     return {
         "suite": "randomized-theorem-chain",
         "settings": settings.to_dict(),

@@ -65,22 +65,25 @@ class VIVerdict:
 
 def vi_checks(map: SetMap, x0s, cone: Cone, wstar: WStarSample,
               cfg: DiniConfig | None = None, kinds=("mvi",), tau: float = TAU_STRICT,
-              vi_domain: str = "formula") -> list[dict]:
+              vi_domain: str = "formula", values=None) -> list[dict]:
     """Evaluate the scalarized variational inequalities ``kinds`` at every
     base point of x0s: one {kind: VIVerdict} dict per base point.
 
     ``vi_domain`` selects the x quantifier: "formula" follows each
     inequality's own convention (Minty and both convex forms range over
     every sample, Stampacchia over the domain of the map); "dom" restricts
-    all of them to the domain of the map for experimentation.
+    all of them to the domain of the map for experimentation.  A caller
+    that already read the base values with ``base_value`` passes them, one
+    per base point, as ``values``.
     """
     if any(kind not in VI_KINDS for kind in kinds):
         raise ValueError(f"kind must be one of {VI_KINDS}")
     cfg = cfg or DiniConfig()
     _, counts, whole = map.stacked
     out, checks, ends = [], [], []
-    for x0 in x0s:
-        x0, v0 = base_value(map, x0)
+    bases = (zip(x0s, values) if values is not None
+             else (base_value(map, x0) for x0 in x0s))
+    for x0, v0 in bases:
         out.append(dict.fromkeys(kinds))
         for kind in kinds:
             resolution = {"kind": kind, "wstar_size": len(wstar),
@@ -333,7 +336,8 @@ def theorem_chains(map: SetMap, x0s, cone: Cone, wstar: WStarSample,
     instances pass at their own scale; pass ``eps_list`` to override.
 
     The checks that do not depend on x0 (C-convexity, properness,
-    compactness) run once.  The rays of every base point take one
+    compactness) run once, and ``base_value`` reads each base value once
+    for every check that needs it.  The rays of every base point take one
     ``radial_excesses`` pass and one ``_radial_survey``, and their svi and
     mvi rows one ``vi_checks`` call; the continuity and minimality checks
     run per base point.  Every kernel treats its rows and columns on their
@@ -352,7 +356,7 @@ def theorem_chains(map: SetMap, x0s, cone: Cone, wstar: WStarSample,
         if not bases:  # the first chain checks convexity before a later base point
             pairs = convexity_pairs(map, CONVEXITY_T_SAMPLES, max_pairs)
             convexity = c_convexity_check(map, cone, wstar, pairs, CONVEXITY_T_SAMPLES, tau)
-        bases.append((x0, v0, classify_weak_min(map, x0, cone, wstar, tau)))
+        bases.append((x0, v0, classify_weak_min(map, x0, cone, wstar, tau, v0)))
     if not bases:
         return []
     rays = [radial_rays(map, x0, np.linspace(0.0, 1.0, ray_grid_size)) for x0, _, _ in bases]
@@ -360,7 +364,7 @@ def theorem_chains(map: SetMap, x0s, cone: Cone, wstar: WStarSample,
     excesses = radial_excesses([ray for chain in rays for ray in chain])
     surveys = _radial_survey(map, rays, wstar, cfg, tau, max_rays)
     vis = vi_checks(map, [x0 for x0, _, _ in bases], cone, wstar, cfg, ("svi", "mvi"),
-                    tau, vi_domain)
+                    tau, vi_domain, [v0 for _, v0, _ in bases])
 
     # properness: a whole-space value anywhere makes some scalarization -inf
     whole = np.flatnonzero(map.stacked[2])

@@ -341,3 +341,26 @@ def test_the_chain_and_suite_commands_import_no_scipy():
     codes, scipy = json.loads(proc.stdout)
     assert set(codes) <= {0, 1} and len(codes) == 3, proc.stderr  # verdicts, not errors
     assert scipy == []
+
+
+def test_the_relations_and_chain_commands_load_no_process_pool():
+    # only run_suite imports the pool's modules; the one-problem commands pay nothing
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from setvi.cli import main\n"
+        "codes = []\n"
+        "for argv in (['relations', 'scripts/digest_problems/bench_quadratic.json',\n"
+        "              '--a', '0', '--b', '12'],\n"
+        "             ['chain', 'scripts/digest_problems/bench_quadratic.json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "pools = sorted(m for m in sys.modules\n"
+        "               if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent'))\n"
+        "print(json.dumps([codes, pools]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    codes, pools = json.loads(proc.stdout)
+    assert set(codes) <= {0, 1} and len(codes) == 2, proc.stderr
+    assert pools == []

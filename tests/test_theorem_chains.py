@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from setvi import order as order_mod
+from setvi import vi as vi_mod
 from setvi.analysis import DiniConfig
 from setvi.cone import dual_base, make_cone
 from setvi.config import RunSettings
@@ -89,6 +91,24 @@ def test_batched_chains_match_one_chain_per_base_point_on_digest_problems(path, 
 def test_no_base_point_gives_no_report():
     cone, map_, _, density = _suite_objects(build_instance(5, 0))
     assert _suite_chains(map_, [], cone, dual_base(cone, density)) == []
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_each_base_point_is_evaluated_once_per_call(monkeypatch, index):
+    # the chain loop, classify_weak_min and vi_checks share one base_value read
+    cone, map_, x0s, density = _suite_objects(build_instance(5, index))
+    wstar = dual_base(cone, density)
+    expected = [_rendered(r) for r in _suite_chains(map_, x0s, cone, wstar)]
+    read = []
+    for module in (vi_mod, order_mod):
+        def counted(m, x0, _original=module.base_value):
+            read.append(list(x0))
+            return _original(m, x0)
+
+        monkeypatch.setattr(module, "base_value", counted)
+    reports = _suite_chains(map_, x0s, cone, wstar)
+    assert read == [list(x0) for x0 in x0s]
+    assert [_rendered(r) for r in reports] == expected
 
 
 def _suite_cases(count=24):

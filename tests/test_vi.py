@@ -362,6 +362,7 @@ class TestBatchedReplay:
 
         monkeypatch.setattr(suite, "theorem_chains", chains)
         monkeypatch.setattr(suite, "replay_derivatives", replays)
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: 1)  # count in this process
         report = run_suite(seed=5, instances=6)
         assert report["summary"]["replay_failures"] == []
         assert len(kinds) == len(report["instances"])
@@ -376,6 +377,7 @@ class TestBatchedReplay:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(suite, "_usable_cpus", lambda: 1)  # count in this process
         report = run_suite(seed=5, instances=6)
         assert calls == {"theorem_chains": 6, "c_convexity_check": 6}
         assert sum(len(res["per_base"]) for res in report["instances"]) > 12
