@@ -40,8 +40,8 @@ from .errors import (
     NoWitnessFound,
     StepOutsideDomain,
 )
-from .scalarize import PiecewiseLinear, ScalarPath, blocks, scalarize_values
-from .setmap import SetMap, evaluate_rows, nearest_samples
+from .scalarize import PiecewiseLinear, ScalarPath, scalarize_values
+from .setmap import SetMap, blocks, evaluate_rows, nearest_samples
 from .verdicts import CheckResult, Verdict
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from .cone import Cone, TAU_STRICT, WStarSample, cone_margin, dominated_probes, ext_margins
 from .errors import EmptySet, InternalCheckError, NonSingletonValue
-from .scalarize import blocks, scalarize_many, scalarize_values
-from .setmap import SetMap, SetValue, base_value, evaluate
+from .scalarize import scalarize_many, scalarize_values
+from .setmap import SetMap, SetValue, base_value, blocks, evaluate
 from .verdicts import CheckResult, Verdict
 
 

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .cone import _PRUNE_MIN_POINTS, TAU_STRICT
-from .setmap import (RayValues, SetMap, SetValue, concat_values, evaluate_rows, ray_restriction,
-                     segment_sample_ts, stack_values)
+from .setmap import (RayValues, SetMap, SetValue, blocks, concat_values, evaluate_rows,
+                     ray_restriction, segment_sample_ts, stack_values)
 from .verdicts import CheckResult, Verdict
 
 
@@ -41,20 +41,6 @@ def scalarize_values(stacked, weights: np.ndarray) -> np.ndarray:
     out[whole] = -np.inf
     out[counts > 0] = scalarize_batch(stack[counts > 0], weights)
     return out
-
-
-# entries (floats) one stacked array pass holds at most, per operand: 1 MB.
-# Twice that raised the peak memory of chains on 64-point 4-D clouds by 3 MB
-# over one ray per call, and 2^21-entry excess blocks across rays by 11 MB
-_POINTS_BLOCK = 1 << 17
-
-
-def blocks(count: int, entries: int) -> list[slice]:
-    """Consecutive slices of range(count) for a pass whose items hold
-    ``entries`` floats each: at most ``_POINTS_BLOCK`` floats, and at least
-    one item, per slice."""
-    rows = max(1, _POINTS_BLOCK // max(1, entries))
-    return [slice(k, k + rows) for k in range(0, count, rows)]
 
 
 def _products_min(clouds: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -133,19 +119,14 @@ def interp_extended(knots: np.ndarray, values: np.ndarray,
     return out
 
 
-def block_points(map: SetMap) -> int:
-    """The points one ``evaluate_rows`` call of ``ray_scalarizations`` reads:
-    a batch kernel gives every point a cloud shaped like the first sample's."""
-    return max(1, _POINTS_BLOCK // max(1, map.values[0].points.size))
-
-
 def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
                        weights: np.ndarray) -> np.ndarray:
     """Scalarizations (R, n_s, n_w) along bases[r] + s (targets[r] - bases[r]).
 
     ``bases`` and ``targets`` broadcast to (R, n) rows: one ray, rays from
     one point, or one pair per ray.  Generator maps evaluate anywhere, every
-    ray's points together, ``block_points`` at a time.  Tabulated maps only
+    ray's points together in ``blocks`` of the first sample's cloud (a
+    batch kernel gives every point a cloud of its shape).  Tabulated maps only
     carry values at stored samples, so each block of pairs is read at its
     ``segment_sample_ts`` knot table with one ``evaluate_rows``,
     ``scalarize_values`` and ``interp_extended`` call (+inf dominates a
@@ -156,9 +137,8 @@ def ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
     if map.kind == "generator":
         points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
         flat = points.reshape(-1, points.shape[2])
-        rows = block_points(map)
-        phis = [scalarize_values(evaluate_rows(map, flat[k:k + rows]), weights)
-                for k in range(0, len(flat), rows)]
+        phis = [scalarize_values(evaluate_rows(map, flat[rows]), weights)
+                for rows in blocks(len(flat), map.values[0].points.size)]
         return np.concatenate(phis).reshape(points.shape[:2] + (-1,))
     bases, targets = np.broadcast_arrays(bases, targets)
     out = []

@@ -35,7 +35,6 @@ from .errors import (
 )
 
 _LOOKUP_TOL = 1e-9
-_LOOKUP_BLOCK = 1 << 17
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -43,6 +42,21 @@ def _finite(points) -> np.ndarray:
     if not np.isfinite(points).all():
         raise ValueError("set value points must be finite")
     return _readonly(points)
+
+
+# entries (floats) one blocked array pass, of clouds, pairs or sample
+# differences, holds at most per operand: 1 MB.  Twice that raised the peak
+# memory of chains on 64-point 4-D clouds by 3 MB over one ray per call, and
+# 2^21-entry excess blocks across rays by 11 MB
+_POINTS_BLOCK = 1 << 17
+
+
+def blocks(count: int, entries: int) -> list[slice]:
+    """Consecutive slices of range(count) for a pass whose items hold
+    ``entries`` floats each: at most ``_POINTS_BLOCK`` floats, and at least
+    one item, per slice.  Every blocked pass of setvi slices by this rule."""
+    rows = max(1, _POINTS_BLOCK // max(1, entries))
+    return [slice(k, k + rows) for k in range(0, count, rows)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,22 +96,17 @@ class _Generator:
     params: dict
     domain_dim: int
     image_dim: int
-    eval_batch: Callable[[np.ndarray], np.ndarray] | None  # (T,n) -> (T,p,m)
-    eval_one: Callable[[np.ndarray], SetValue] | None = None
-
-    def __post_init__(self):
-        if self.eval_one is None:  # the batch kernel on one row
-            object.__setattr__(self, "eval_one",
-                               lambda x: SetValue.make(self.eval_batch(x[None, :])[0]))
+    eval_batch: Callable[[np.ndarray], np.ndarray]  # (T, n) -> (T, p, m), each row on its own
 
 
 @dataclass(eq=False)
 class SetMap:
     """A set-valued map with an ordered finite sample domain.
 
-    ``values[i]`` is the value at ``domain[i]``; generator maps evaluate
-    their domain once, on construction.  ``stacked`` is ``stack_values`` of
-    them, built once, and every domain scan reads it.
+    ``values[i]`` is the value at ``domain[i]``; ``stacked``, their
+    ``stack_values`` triple, is built once, and every domain scan reads it.
+    A generator map reads its domain with one ``evaluate_rows`` call, whose
+    triple is ``stacked``; its ``values`` are read-only views of the rows.
     """
 
     domain: np.ndarray                # (N, n)
@@ -109,8 +118,10 @@ class SetMap:
     def __post_init__(self):
         self.domain = _readonly(np.atleast_2d(np.asarray(self.domain, dtype=float)))
         if self.values is None:
-            self.values = [self.generator.eval_one(x) for x in self.domain]
-        self.stacked = stack_values(self.values)
+            self.stacked = evaluate_rows(self, self.domain)
+            self.values = [SetValue(points) for points in self.stacked[0]]
+        else:
+            self.stacked = stack_values(self.values)
 
     @property
     def domain_dim(self) -> int:
@@ -156,14 +167,13 @@ def _lookup_tol(xs: np.ndarray) -> np.ndarray:
 def nearest_samples(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For every row of xs the index of the nearest stored sample in the max
     norm, and whether it lies within ``_lookup_tol``: the one rule by which a
-    tabulated map answers at a point.  Rows are read in blocks whose
-    (rows, N, n) differences hold at most ``_LOOKUP_BLOCK`` floats."""
+    tabulated map answers at a point.  Rows are read in ``blocks`` of their
+    (N, n) differences."""
     index, near = np.empty(len(xs), dtype=np.intp), np.empty(len(xs), dtype=bool)
-    rows = max(1, _LOOKUP_BLOCK // map.domain.size)
-    for k in range(0, len(xs), rows):
-        diffs = np.abs(map.domain[None, :, :] - xs[k:k + rows, None, :]).max(axis=2)
-        index[k:k + rows] = i = diffs.argmin(axis=1)
-        near[k:k + rows] = diffs[np.arange(len(i)), i] <= _lookup_tol(xs[k:k + rows])
+    for rows in blocks(len(xs), map.domain.size):
+        diffs = np.abs(map.domain[None, :, :] - xs[rows, None, :]).max(axis=2)
+        index[rows] = i = diffs.argmin(axis=1)
+        near[rows] = diffs[np.arange(len(i)), i] <= _lookup_tol(xs[rows])
     return index, near
 
 
@@ -180,12 +190,13 @@ def evaluate(map: SetMap, x) -> SetValue:
     """The stored or generated value at x.
 
     Tabulated maps only answer at stored samples; generator maps are
-    deterministic functions defined anywhere in their domain space.
+    deterministic functions defined anywhere in their domain space, and x
+    is read as one row of the batch kernel.
     """
     x = _as_domain_point(map, x)
     if map.kind == "tabulated":
         return map.values[int(_lookup(map, x[None, :])[0])]
-    return map.generator.eval_one(x)
+    return SetValue.make(map.generator.eval_batch(x[None, :])[0])
 
 
 def base_value(map: SetMap, x0) -> tuple[np.ndarray, SetValue]:
@@ -198,13 +209,12 @@ def base_value(map: SetMap, x0) -> tuple[np.ndarray, SetValue]:
 
 
 def evaluate_batch(map: SetMap, xs: np.ndarray) -> np.ndarray | None:
-    """Fast path: values at all rows of xs as a (T, p, m) array.
+    """A generator's batch kernel at all rows of xs: a (T, p, m) array.
 
-    Returns None when the map cannot promise a uniform finite cloud per
-    point (tabulated maps, ragged generators); ``evaluate_rows`` reads
-    those maps another way.
+    Returns None for a tabulated map, which ``evaluate_rows`` reads from
+    its stack instead.
     """
-    if map.kind == "generator" and map.generator.eval_batch is not None:
+    if map.kind == "generator":
         return map.generator.eval_batch(np.asarray(xs, dtype=float))
     return None
 
@@ -239,21 +249,16 @@ def concat_values(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def evaluate_rows(map: SetMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The values at the rows of xs as a ``stack_values`` triple: a batch
-    kernel's clouds as they are, rows of a tabulated map's stack, or
-    ``evaluate`` per row (no rows give an empty triple in the map's image
-    dimension).  A kernel computes each row on its own, so every value has
-    the bits ``evaluate`` gives it."""
-    clouds = evaluate_batch(map, xs)
-    if clouds is not None:
-        return _finite(clouds), np.full(len(clouds), clouds.shape[1]), np.zeros(len(clouds), bool)
+    """The values at the rows of xs as a ``stack_values`` triple, the one
+    way a map is read in rows: a batch kernel's clouds as they are, or rows
+    of a tabulated map's stack.  A kernel computes each row on its own, so
+    every value has the bits ``evaluate`` gives it."""
     if map.kind == "tabulated":  # the rows, as narrow as ``stack_values`` makes them
         index = _lookup(map, np.asarray(xs, dtype=float))
         stack, counts, whole = map.stacked
         return stack[index, :max(1, counts[index].max(initial=0))], counts[index], whole[index]
-    if not len(xs):
-        return np.zeros((0, 1, map.image_dim)), np.zeros(0, np.intp), np.zeros(0, bool)
-    return stack_values([evaluate(map, x) for x in xs])
+    clouds = _finite(evaluate_batch(map, xs))
+    return clouds, np.full(len(clouds), clouds.shape[1]), np.zeros(len(clouds), bool)
 
 
 def segment_sample_ts(map: SetMap, x0s, xs) -> np.ndarray:
@@ -262,38 +267,38 @@ def segment_sample_ts(map: SetMap, x0s, xs) -> np.ndarray:
     increases, holds 0 and 1 and is padded with +inf.  A stored sample
     counts when it lies within ``_lookup_tol`` of the point x0 + t (x - x0)
     that a ray reads, so ``nearest_samples`` answers there.  Rows are read
-    in blocks of ``_LOOKUP_BLOCK`` floats, each with the bits it has alone."""
+    in ``blocks`` of their (N, n) differences, each with the bits it has
+    alone."""
     x0s, xs = np.broadcast_arrays(*(np.atleast_2d(np.asarray(a, dtype=float)) for a in (x0s, xs)))
     d = xs - x0s
     length2 = np.vecdot(d, d)  # the bits of d @ d, which einsum's do not always match
     ts = np.full((len(d), map.domain.shape[0] + 2), np.inf)
     ts[:, 0], ts[:, 1] = 0.0, 1.0
-    rows = max(1, _LOOKUP_BLOCK // map.domain.size)
-    for k in range(0, len(d), rows):
-        x0, dk, l2 = x0s[k:k + rows, None, :], d[k:k + rows, None, :], length2[k:k + rows, None]
+    for rows in blocks(len(d), map.domain.size):
+        x0, dk, l2 = x0s[rows, None, :], d[rows, None, :], length2[rows, None]
         t = ((map.domain - x0) @ dk.transpose(0, 2, 1))[..., 0] / np.where(l2 == 0.0, 1.0, l2)
         at = x0 + t[..., None] * dk
         on = np.abs(map.domain - at).max(axis=2) <= _lookup_tol(at)
-        ts[k:k + rows, 2:] = np.where(on & (0.0 < t) & (t < 1.0) & (l2 > 0.0), t, np.inf)
+        ts[rows, 2:] = np.where(on & (0.0 < t) & (t < 1.0) & (l2 > 0.0), t, np.inf)
     ts.sort(axis=1)
     ts[:, 1:][ts[:, 1:] == ts[:, :-1]] = np.inf  # each knot once
     ts.sort(axis=1)
     return ts[:, :int((ts < np.inf).sum(axis=1).max(initial=2))]
 
 
-def ray_grid(map: SetMap, x0, xs, t_grid) -> list[np.ndarray]:
-    """The grid of each ray from x0 to a row of xs: the requested grid for
-    generator maps, the ray's row of the ``segment_sample_ts`` table for
-    tabulated ones."""
+def ray_grid(map: SetMap, x0s, xs, t_grid) -> list[np.ndarray]:
+    """The grid of each ray from x0s to a row of xs (rows that broadcast):
+    the requested grid for generator maps, the ray's row of the
+    ``segment_sample_ts`` table for tabulated ones."""
     if map.kind == "generator":
         return [np.asarray(t_grid, dtype=float)] * len(xs)
-    return [row[row < np.inf] for row in segment_sample_ts(map, x0, xs)]
+    return [row[row < np.inf] for row in segment_sample_ts(map, x0s, xs)]
 
 
-def _rays(map: SetMap, x0, xs: np.ndarray, grids) -> list[RayValues]:
-    """The rays from x0 to every row of xs, ray i sampled on grids[i]; each
-    ray's values are a slice of one ``evaluate_rows`` call's triple."""
-    x0 = _readonly(_as_domain_point(map, x0))
+def _rays(map: SetMap, x0s, xs: np.ndarray, grids) -> list[RayValues]:
+    """The rays from x0s[i] to xs[i], ray i sampled on grids[i]; each ray's
+    values are a slice of one ``evaluate_rows`` call's triple."""
+    x0s, xs = _readonly(x0s), _readonly(xs)
     grids = [np.asarray(t, dtype=float) for t in grids]
     if any(t.ndim != 1 or t.size == 0 for t in grids):
         raise ValueError("t_grid must be a nonempty 1-D array")
@@ -301,10 +306,11 @@ def _rays(map: SetMap, x0, xs: np.ndarray, grids) -> list[RayValues]:
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("ray grid points must lie within [0, 1]")
     lengths = [g.size for g in grids]
+    x0 = np.repeat(x0s, lengths, axis=0)
     values = evaluate_rows(map, x0 + t[:, None] * (np.repeat(xs, lengths, axis=0) - x0))
     bounds = np.cumsum([0] + lengths).tolist()
-    return [RayValues(x0=x0, x=x, t_grid=t[i:j], values=tuple(a[i:j] for a in values))
-            for x, i, j in zip(xs, bounds, bounds[1:])]
+    return [RayValues(x0=a, x=x, t_grid=t[i:j], values=tuple(v[i:j] for v in values))
+            for a, x, i, j in zip(x0s, xs, bounds, bounds[1:])]
 
 
 def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
@@ -313,15 +319,22 @@ def ray_restriction(map: SetMap, x0, x, t_grid) -> RayValues:
     Outside [0, 1] the restriction is empty by definition, so grid points
     are required to lie within [0, 1].
     """
-    return _rays(map, x0, _readonly(_as_domain_point(map, x))[None, :], [t_grid])[0]
+    return _rays(map, _as_domain_point(map, x0)[None, :], _as_domain_point(map, x)[None, :],
+                 [t_grid])[0]
 
 
-def radial_rays(map: SetMap, x0, t_grid) -> list[RayValues]:
-    """``ray_restriction`` on ``ray_grid`` from x0 to every domain sample, in
-    domain order: the one reading of the rays that radial checks share.
-    One ``ray_grid`` call gives every grid and one ``_rays`` call reads every
-    ray, so their triples share a width."""
-    return _rays(map, x0, map.domain, ray_grid(map, x0, map.domain, t_grid))
+def radial_rays(map: SetMap, x0s, t_grid) -> list:
+    """``ray_restriction`` on ``ray_grid`` from a base point to every domain
+    sample, in domain order: the rays that radial checks share.  One point
+    gives its list, a (B, n) array one list per row.  One ``ray_grid`` call
+    (on a tabulated map, one knot table) and one ``_rays`` call read the
+    rays of every base point, so their triples share a width."""
+    one, n = np.ndim(x0s) < 2, len(map.domain)
+    bases = np.array([_as_domain_point(map, x0) for x0 in ([x0s] if one else x0s)])
+    x0s, xs = np.repeat(bases, n, axis=0), np.tile(map.domain, (len(bases), 1))
+    rays = _rays(map, x0s, xs, ray_grid(map, x0s, xs, t_grid))
+    chains = [rays[k:k + n] for k in range(0, len(rays), n)]
+    return chains[0] if one else chains
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +512,13 @@ def _make_jump_map(params: dict) -> _Generator:
     if left.shape[1] != right.shape[1]:
         raise BadParameters("jump_map sides must share the image dimension")
     jump_at = float(params["jump_at"])
+    # both sides in one stack: the narrower repeats its last point
+    sides = stack_values([SetValue.make(left), SetValue.make(right)])[0]
 
-    def one(x: np.ndarray) -> SetValue:
-        return SetValue.make(left if x[0] < jump_at else right)
+    def batch(xs: np.ndarray) -> np.ndarray:
+        return np.where((xs[:, 0] < jump_at)[:, None, None], sides[0], sides[1])
 
-    return _Generator("jump_map", dict(params), 1, left.shape[1], None, one)
+    return _Generator("jump_map", dict(params), 1, left.shape[1], batch)
 
 
 # name -> (factory, the rule table of its params)

@@ -37,9 +37,9 @@ from .analysis import (CONVEXITY_T_SAMPLES, DiniConfig, c_convexity_check,
                        convexity_pairs, dini_table, _pseudo_scan, _ssqc_scan)
 from .cone import Cone, TAU_STRICT, WStarSample
 from .order import MinimalityVerdict, classify_weak_min
-from .scalarize import (block_points, hausdorff_check_radial, radial_excesses,
-                        ray_scalarizations, scalarize_values)
-from .setmap import SetMap, base_value, concat_values, radial_rays
+from .scalarize import (hausdorff_check_radial, radial_excesses, ray_scalarizations,
+                        scalarize_values)
+from .setmap import SetMap, base_value, blocks, concat_values, radial_rays
 from .verdicts import CheckResult, Verdict, worst
 
 VI_KINDS = ("mvi", "svi", "mvi2", "svi2")
@@ -200,14 +200,14 @@ def _radial_survey(map: SetMap, rays: list, wstar: WStarSample,
     """One pass over max_rays strided rays from each base point: star shape
     and the three path classes of every sampled scalarization.
 
-    ``rays`` holds one ``radial_rays`` list per base point, and the survey
-    is one dict per base point.  Rays on one grid (every generator map's)
-    are read in blocks whose probes fit one ``evaluate_rows`` call of
-    ``ray_scalarizations``, whatever base point they start from, each probe
-    row from its own base; a tabulated ray, whose grid is its own knot row,
-    is a block of one.  A block's (ray, weight) paths are the ray-major
-    columns of one (T, rays * W) matrix for one dini_table call per side
-    and one call of each scan.
+    ``rays`` holds one ``radial_rays`` call's lists, one per base point, and
+    the survey is one dict per base point.  Rays on one grid (every
+    generator map's) are read in ``blocks`` whose probes fit one
+    ``evaluate_rows`` call of ``ray_scalarizations``, whatever base point
+    they start from, each probe row from its own base; a tabulated ray,
+    whose grid is its own knot row, is a block of one.  A block's (ray,
+    weight) paths are the ray-major columns of one (T, rays * W) matrix for
+    one dini_table call per side and one call of each scan.
     Each base point reads its witnesses from its own columns: a class
     records the first FAILS column of its scan, else the first
     UNDETERMINED one, in ray order, then weight order.
@@ -222,10 +222,11 @@ def _radial_survey(map: SetMap, rays: list, wstar: WStarSample,
 
     scans = {"ssqc": [], "pconvex": [], "pconcave": []}
     starless, first_empty = [], []
-    size = (max(1, block_points(map) // (2 * surveyed[0].t_grid.size * S))
-            if map.kind == "generator" else 1)
-    for b in range(0, len(surveyed), size):
-        block = surveyed[b:b + size]
+    entries = 2 * surveyed[0].t_grid.size * S * map.values[0].points.size  # per ray's probes
+    parts = (blocks(len(surveyed), entries) if map.kind == "generator"
+             else [slice(b, b + 1) for b in range(len(surveyed))])
+    for part in parts:
+        block = surveyed[part]
         t_eff = block[0].t_grid
         T, B = t_eff.size, len(block)
         _, counts, whole = stacked = concat_values([ray.values for ray in block])
@@ -249,7 +250,7 @@ def _radial_survey(map: SetMap, rays: list, wstar: WStarSample,
             scans[name] += results
         # star shape fails at the first empty value on a ray to a nonempty sample
         empty = ((counts == 0) & ~whole).reshape(B, T)
-        starless += (empty.any(axis=1) & ~sample_empty[b:b + size]).tolist()
+        starless += (empty.any(axis=1) & ~sample_empty[part]).tolist()
         first_empty += t_eff[np.argmax(empty, axis=1)].tolist()
 
     surveys = []
@@ -337,7 +338,8 @@ def theorem_chains(map: SetMap, x0s, cone: Cone, wstar: WStarSample,
 
     The checks that do not depend on x0 (C-convexity, properness,
     compactness) run once, and ``base_value`` reads each base value once
-    for every check that needs it.  The rays of every base point take one
+    for every check that needs it, in order, before the rays are read.  One
+    ``radial_rays`` call reads the rays of every base point; they take one
     ``radial_excesses`` pass and one ``_radial_survey``, and their svi and
     mvi rows one ``vi_checks`` call; the continuity and minimality checks
     run per base point.  Every kernel treats its rows and columns on their
@@ -359,7 +361,8 @@ def theorem_chains(map: SetMap, x0s, cone: Cone, wstar: WStarSample,
         bases.append((x0, v0, classify_weak_min(map, x0, cone, wstar, tau, v0)))
     if not bases:
         return []
-    rays = [radial_rays(map, x0, np.linspace(0.0, 1.0, ray_grid_size)) for x0, _, _ in bases]
+    rays = radial_rays(map, np.array([x0 for x0, _, _ in bases]),
+                       np.linspace(0.0, 1.0, ray_grid_size))
     n = len(rays[0])
     excesses = radial_excesses([ray for chain in rays for ray in chain])
     surveys = _radial_survey(map, rays, wstar, cfg, tau, max_rays)

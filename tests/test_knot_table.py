@@ -3,7 +3,8 @@
 ``ref_segment_sample_ts``, ``ref_ray_grid``, ``ref_interp_extended`` and
 ``ref_ray_scalarizations`` below are the earlier ``setmap.segment_sample_ts``,
 ``setmap.ray_grid``, ``scalarize.interp_extended`` and
-``scalarize.ray_scalarizations``, kept verbatim apart from their names: one
+``scalarize.ray_scalarizations``, kept verbatim apart from their names and
+the block rule (``setmap.blocks``) that sizes a generator's reads: one
 segment at a time, and one ``segment_sample_ts``, ``evaluate_rows``,
 ``scalarize_values`` and ``interp_extended`` call per (base, target) pair.
 ``ref_radial_rays`` is the earlier ``setmap.radial_rays``, one grid per ray.
@@ -24,9 +25,9 @@ import pytest
 from setvi.analysis import DiniConfig
 from setvi.cli import main
 from setvi.cone import dual_base, make_cone
-from setvi.setmap import (SetMap, SetValue, _as_domain_point, _lookup_tol, _rays, builtin_map,
-                          evaluate_rows, radial_rays, segment_sample_ts)
-from setvi.scalarize import block_points, ray_scalarizations, scalarize_values
+from setvi.setmap import (SetMap, SetValue, _as_domain_point, _lookup_tol, _rays, blocks,
+                          builtin_map, evaluate_rows, radial_rays, segment_sample_ts)
+from setvi.scalarize import ray_scalarizations, scalarize_values
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,7 +61,8 @@ def ref_ray_grid(map: SetMap, x0, x, t_grid) -> np.ndarray:
 
 
 def ref_radial_rays(map, x0, t_grid):
-    return _rays(map, x0, map.domain, [ref_ray_grid(map, x0, x, t_grid) for x in map.domain])
+    return _rays(map, np.broadcast_to(np.asarray(x0, dtype=float), map.domain.shape), map.domain,
+                 [ref_ray_grid(map, x0, x, t_grid) for x in map.domain])
 
 
 def ref_interp_extended(knots: np.ndarray, values: np.ndarray,
@@ -96,7 +98,7 @@ def ref_ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
 
     ``bases`` and ``targets`` broadcast to (R, n) rows: one ray, rays from
     one point, or one pair per ray.  Generator maps evaluate anywhere, every
-    ray's points together, ``block_points`` at a time: ``evaluate_rows`` and
+    ray's points together, in ``blocks`` of one cloud: ``evaluate_rows`` and
     ``scalarize_values`` treat each row on its own, so a row has the same
     bits in any block.  Tabulated maps only carry values at stored samples,
     so their scalarizations are interpolated between the samples that lie
@@ -107,9 +109,8 @@ def ref_ray_scalarizations(map: SetMap, bases, targets, svals: np.ndarray,
     points = bases[:, None, :] + svals[:, None] * (targets - bases)[:, None, :]
     flat = points.reshape(-1, points.shape[2])
     if map.kind == "generator":
-        rows = block_points(map)
-        phis = [scalarize_values(evaluate_rows(map, flat[k:k + rows]), weights)
-                for k in range(0, len(flat), rows)]
+        phis = [scalarize_values(evaluate_rows(map, flat[rows]), weights)
+                for rows in blocks(len(flat), map.values[0].points.size)]
         return np.concatenate(phis).reshape(points.shape[:2] + (-1,))
     out = []
     for base, target in zip(*np.broadcast_arrays(bases, targets)):
@@ -189,20 +190,14 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes(), a.shape
 
 
-def _split_blocks(monkeypatch, blocks):
-    if blocks is not None:
-        points, lookup = blocks
-        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", points)
-        monkeypatch.setattr(sys.modules["setvi.setmap"], "_LOOKUP_BLOCK", lookup)
-
-
-@pytest.mark.parametrize("blocks", [None, (1 << 12, 1 << 6), (1, 1)])
-def test_the_knot_table_reads_every_pair_with_its_own_bits(monkeypatch, blocks):
-    _split_blocks(monkeypatch, blocks)
+@pytest.mark.parametrize("block", [None, 1 << 12, 1 << 6, 1])
+def test_the_knot_table_reads_every_pair_with_its_own_bits(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(sys.modules["setvi.setmap"], "_POINTS_BLOCK", block)
     rng = np.random.default_rng(20240826)
     seen = {"rows": 0, "1-D": 0, "2-D": 0, "3-D": 0, "zero-length": 0, "shared knots": 0,
             "knots 1e-9 apart": 0, "empty": 0, "whole-space": 0, "padded": 0,
-            "several blocks": 5 if blocks is None else 0}
+            "several blocks": 5 if block is None else 0}
     for case in range(60):
         map_ = _tabulated_map(rng)
         m = map_.image_dim
@@ -249,7 +244,7 @@ def test_the_knot_table_reads_every_pair_with_its_own_bits(monkeypatch, blocks):
         seen["empty"] += bool(((map_.stacked[1] == 0) & ~map_.stacked[2]).any())
         seen["whole-space"] += bool(map_.stacked[2].any())
         seen["padded"] += bool((~finite).any())
-        seen["several blocks"] += blocks is not None and len(table) > 1
+        seen["several blocks"] += block is not None and len(table) > 1
     assert min(seen.values()) >= 5 and seen["rows"] > 1000, seen
 
 
@@ -282,8 +277,9 @@ def test_all_sample_to_centre_pairs_of_a_large_map_stay_bounded():
 
 
 def test_a_tabulated_chain_reads_its_segments_one_table_per_block(monkeypatch, capsys):
-    # one table per radial_rays call and one per ray_scalarizations block,
-    # each block of more than one pair when its call has more than one
+    # one table for the rays of every base point (one radial_rays call per
+    # chain pass) and one per ray_scalarizations block, each block of more
+    # than one pair when its call has more than one
     def rows(args):
         return len(np.broadcast_arrays(np.atleast_2d(args[1]), np.atleast_2d(args[2]))[0])
 
@@ -304,7 +300,7 @@ def test_a_tabulated_chain_reads_its_segments_one_table_per_block(monkeypatch, c
                 monkeypatch.setattr(mod, name, counted)
 
     radial, outside, finished, running = [], [], [], []  # running: (pairs, block rows)
-    spy("radial_rays", lambda args: radial.append(len(args[0].domain)))
+    spy("radial_rays", lambda args: radial.append(len(args[0].domain) * len(args[1])))
     spy("ray_scalarizations", lambda args: running.append((rows(args), [])),
         lambda: finished.append(running.pop()))
     spy("segment_sample_ts",
@@ -313,13 +309,13 @@ def test_a_tabulated_chain_reads_its_segments_one_table_per_block(monkeypatch, c
     assert main(["chain", str(problem)]) in (0, 1)
     capsys.readouterr()
 
-    assert outside == radial and len(radial) == 2  # one table per base point's rays
-    for count, blocks in finished:
-        assert sum(blocks) == count
-        assert len(blocks) == -(-count // blocks[0])  # full blocks, then the rest
-        assert blocks[0] > 1 or count == 1
+    assert outside == radial == [2 * 41]  # one table for both base points' rays
+    for count, parts in finished:
+        assert sum(parts) == count
+        assert len(parts) == -(-count // parts[0])  # full blocks, then the rest
+        assert parts[0] > 1 or count == 1
     assert max(count for count, _ in finished) > 40  # the VI rows
-    assert len(outside) + sum(len(blocks) for _, blocks in finished) < 40
+    assert len(outside) + sum(len(parts) for _, parts in finished) < 40
 
 
 def test_the_chain_and_suite_commands_import_no_scipy():

@@ -338,7 +338,7 @@ class TestHausdorff:
         # uniform clouds, ragged, empty and whole-space values (padded into
         # one stack) and one-sample rays, whole or in blocks of rows
         if block is not None:
-            monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
+            monkeypatch.setattr(sys.modules["setvi.setmap"], "_POINTS_BLOCK", block)
         rng = np.random.default_rng(41)
         kinds = {"uniform": 0, "other": 0}
         for _ in range(400):
@@ -537,7 +537,7 @@ def test_scalarize_values_matches_the_unpruned_kernel_at_each_width(monkeypatch,
     # in blocks of clouds; so it does on ragged lists with empty and
     # whole-space values, which the padded stack of stack_values holds
     if block is not None:
-        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
+        monkeypatch.setattr(sys.modules["setvi.setmap"], "_POINTS_BLOCK", block)
     rng = np.random.default_rng(11)
     kinds = {"ragged": 0, "one weight": 0, "empty or whole-space": 0}
     for case in range(2000 if block is None else 300):
@@ -622,7 +622,7 @@ def _excess_mismatches(kernel, monkeypatch, count=2000):
 @pytest.mark.parametrize("block", [None, 1, 500])
 def test_excess_rows_match_the_square_root_formula(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
+        monkeypatch.setattr(sys.modules["setvi.setmap"], "_POINTS_BLOCK", block)
     bad, reached = _excess_mismatches(_excess_rows, monkeypatch)
     assert bad == []
     assert reached >= 500

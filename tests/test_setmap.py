@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from setvi import setmap as setmap_mod
 from setvi.errors import (
     BadParameters,
     DimensionMismatch,
@@ -177,6 +178,55 @@ def test_batch_kernels_give_each_row_its_own_bits():
                 assert evaluate(m, x).points.tobytes() == alone.tobytes(), m.generator.name
                 rows += 1
     assert rows > 10000
+
+
+@pytest.mark.parametrize("wide_left", [True, False])
+def test_jump_map_rows_hold_their_side_padded_at_its_last_point(wide_left):
+    # a row read alone, in a batch, or through evaluate holds its side's
+    # points; the narrower side repeats its last point, as stack_values pads
+    wide, narrow = [[0, 0], [0.5, -0.2], [1, -1]], [[-1, -1], [2, -3]]
+    left, right = (wide, narrow) if wide_left else (narrow, wide)
+    m = builtin_map("jump_map", {"left_points": left, "right_points": right, "jump_at": 0.55})
+    padded = np.array(narrow + narrow[-1:], dtype=float)
+    sides = (np.array(wide, float), padded) if wide_left else (padded, np.array(wide, float))
+    xs = np.array([[0.0], [0.55], [0.3], [1.0], [-0.0], [0.5499999]])
+    batch = m.generator.eval_batch(xs)
+    assert batch.shape == (len(xs), 3, 2)
+    for x, row in zip(xs, batch):
+        want = sides[0 if x[0] < 0.55 else 1].tobytes()
+        assert row.tobytes() == want
+        assert m.generator.eval_batch(x[None, :])[0].tobytes() == want
+        assert evaluate(m, x).points.tobytes() == want
+    assert [v.points.tobytes() for v in m.values] == [
+        sides[0 if x < 0.55 else 1].tobytes() for x in m.domain[:, 0]]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("quadratic_vector", {"targets": [[0, 0], [1, 1]]}),
+    ("segment_shift", {"segment": [[0, 1], [1, 0]], "domain_dim": 2, "quadratic": [1, 1]}),
+    ("constant_cloud", {"points": [[0, 1], [1, 0]], "domain_dim": 2}),
+    ("hyperbola_truncation", {"T": 10, "samples": 4}),
+    ("jump_map", {"left_points": [[0, 0]], "right_points": [[1, 1], [2, 0]], "jump_at": 0.5}),
+])
+def test_building_a_generator_map_makes_one_kernel_call(monkeypatch, name, params):
+    # the domain is read in one batch, and the values are read-only views
+    # of that stack's rows
+    factory, rules = setmap_mod._CATALOG[name]
+    calls = []
+
+    def counted(p):
+        gen = factory(p)
+        return dataclasses.replace(
+            gen, eval_batch=lambda xs: calls.append(len(xs)) or gen.eval_batch(xs))
+
+    monkeypatch.setitem(setmap_mod._CATALOG, name, (counted, rules))
+    m = builtin_map(name, params)
+    assert calls == [len(m.domain)] == [11 ** m.domain_dim]
+    stack, counts, whole = m.stacked
+    assert not stack.flags.writeable and (counts == stack.shape[1]).all() and not whole.any()
+    for v, row in zip(m.values, stack):
+        assert np.shares_memory(v.points, stack) and not v.points.flags.writeable
+        assert v.points.tobytes() == row.tobytes() and not v.whole_space
 
 
 def test_rays_batch_match_the_per_point_values(monkeypatch):

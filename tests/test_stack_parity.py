@@ -25,9 +25,9 @@ from setvi.report import render_json
 from setvi.analysis import CONVEXITY_T_SAMPLES, c_convexity_check, convexity_pairs
 from setvi.order import MinimalityVerdict, _enforce_consistency, classify_weak_min
 from setvi.scalarize import _excess, _excess_rows, radial_excesses, scalarize_many
-from setvi.setmap import (RayValues, SetMap, SetValue, base_value, builtin_map, evaluate,
-                          radial_rays)
+from setvi.setmap import SetMap, SetValue, base_value, builtin_map, evaluate, radial_rays
 from setvi.verdicts import CheckResult, Verdict
+from test_survey_parity import per_value_ray
 
 analysis_mod = sys.modules["setvi.analysis"]
 order_mod = sys.modules["setvi.order"]
@@ -242,12 +242,6 @@ def ref_c_convexity_check(map, cone, wstar, pair_samples, t_samples, tau):
     return CheckResult(Verdict.HOLDS, resolution=resolution)
 
 
-def per_value_ray(map, ray):
-    """The ray with its values read one ``evaluate`` call per grid point."""
-    values = tuple(evaluate(map, ray.x0 + t * (ray.x - ray.x0)) for t in ray.t_grid)
-    return RayValues(x0=ray.x0, x=ray.x, t_grid=ray.t_grid, values=values)
-
-
 def ref_adjacent_excesses(ray):
     v = ray.values
     if (len(v) > 1 and not any(x.whole_space or x.is_empty for x in v)
@@ -388,7 +382,7 @@ def _case(rng):
 
 
 def test_stacked_passes_match_the_per_value_loops(monkeypatch):
-    module = sys.modules["setvi.scalarize"]
+    module = sys.modules["setvi.setmap"]
     rng = np.random.default_rng(20240811)
     seen = {"1-D": 0, "2-D": 0, "tabulated": 0, "uniform": 0, "padded": 0, "64 points": 0,
             "containment FAILS": 0, "scalar witness": 0, "border": 0, "dominated": 0,

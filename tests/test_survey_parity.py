@@ -15,9 +15,9 @@ import numpy as np
 from setvi.analysis import DiniConfig, _pseudo_scan, _ssqc_scan, dini_table
 from setvi.cone import dual_base, make_cone
 from setvi.report import render_json
-from setvi.scalarize import block_points, scalarize_batch, scalarize_many
-from setvi.setmap import (RayValues, SetMap, SetValue, builtin_map, evaluate, evaluate_batch,
-                          radial_rays)
+from setvi.scalarize import scalarize_batch, scalarize_many
+from setvi.setmap import (RayValues, SetMap, SetValue, blocks, builtin_map, evaluate,
+                          evaluate_batch, radial_rays)
 from setvi.verdicts import Verdict, worst
 from setvi.vi import _radial_survey
 from test_knot_table import ref_interp_extended, ref_segment_sample_ts
@@ -227,7 +227,7 @@ def test_block_survey_matches_the_per_ray_survey():
         seen["star FAILS"] += '"FAILS"' in got.split('"classes"')[0]
         if map_.kind == "generator":
             surveyed = len(range(0, len(rays), max(1, int(np.ceil(len(rays) / max_rays)))))
-            size = max(1, block_points(map_) // (2 * grid.size * cfg.steps))
-            seen["several rays per block"] += min(size, surveyed) > 1
-            seen["several blocks"] += map_.values[0].points.shape[0] == 64 and surveyed > size
+            parts = blocks(surveyed, 2 * grid.size * cfg.steps * map_.values[0].points.size)
+            seen["several rays per block"] += len(parts) < surveyed
+            seen["several blocks"] += map_.values[0].points.shape[0] == 64 and len(parts) > 1
     assert min(seen.values()) >= 20, seen

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from setvi import order as order_mod
+from setvi import setmap as setmap_mod
 from setvi import vi as vi_mod
 from setvi.analysis import DiniConfig
 from setvi.cone import dual_base, make_cone
@@ -109,6 +110,27 @@ def test_each_base_point_is_evaluated_once_per_call(monkeypatch, index):
     reports = _suite_chains(map_, x0s, cone, wstar)
     assert read == [list(x0) for x0 in x0s]
     assert [_rendered(r) for r in reports] == expected
+
+
+@pytest.mark.parametrize("name", ["bench_quadratic", "bench_tabulated_5", "jump_map"])
+def test_one_chain_pass_reads_the_rays_of_three_base_points_at_once(monkeypatch, name):
+    # one radial_rays call, one _rays read of every base point's rays, and
+    # the reports of the chains run one base point at a time
+    problem = load_problem(str(ROOT / "scripts" / "digest_problems" / f"{name}.json"))
+    settings = RunSettings.from_dict(problem.settings)
+    wstar = dual_base(problem.cone, settings.wstar_density)
+    kwargs = dict(cfg=settings.dini, tau=settings.tau_strict,
+                  ray_grid_size=settings.chain_ray_grid, max_rays=settings.chain_max_rays)
+    x0s = _digest_points(problem)[:3]
+    alone = [_rendered(theorem_chain(problem.map, x0, problem.cone, wstar, **kwargs))
+             for x0 in x0s]
+    reads = []
+    original = setmap_mod._rays
+    monkeypatch.setattr(setmap_mod, "_rays",
+                        lambda *args: reads.append(len(args[2])) or original(*args))
+    reports = theorem_chains(problem.map, x0s, problem.cone, wstar, **kwargs)
+    assert reads == [3 * len(problem.map.domain)]
+    assert [_rendered(r) for r in reports] == alone
 
 
 def _suite_cases(count=24):

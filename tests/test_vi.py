@@ -5,9 +5,8 @@ import pytest
 
 from setvi.analysis import DiniConfig
 from setvi.cone import dual_base, make_cone
-from setvi.scalarize import block_points
 from setvi.errors import BasePointOutsideDomain
-from setvi.setmap import builtin_map, load_problem
+from setvi.setmap import blocks, builtin_map, load_problem
 from setvi.suite import run_suite
 from setvi.verdicts import CheckResult, Verdict
 from setvi.vi import (
@@ -220,9 +219,11 @@ class TestTheoremChain:
         # per survey block two dini_table calls (one per side) and one
         # evaluate_batch call; the svi and mvi rows together one dini_table
         # call and one evaluate_batch call per block of points; one
-        # evaluate_batch call reads the rays and one the convexity points
+        # evaluate_batch call reads the rays and one the convexity points.
+        # The map is built first: its domain read is one more call
+        map_ = quad_map() if make_map == "quad" else cloud_map()
         if block is not None:
-            monkeypatch.setattr(sys.modules["setvi.scalarize"], "_POINTS_BLOCK", block)
+            monkeypatch.setattr(sys.modules["setvi.setmap"], "_POINTS_BLOCK", block)
         calls = {"dini_table": 0, "evaluate_batch": 0}
         for fn in calls:
             original = getattr(sys.modules["setvi.analysis" if fn == "dini_table"
@@ -235,14 +236,13 @@ class TestTheoremChain:
             for name, mod in list(sys.modules.items()):
                 if name.startswith("setvi.") and getattr(mod, fn, None) is original:
                     monkeypatch.setattr(mod, fn, counted)
-        map_ = quad_map() if make_map == "quad" else cloud_map()
         rep = theorem_chain(map_, [0.5], ORTHANT, WS, cfg=CFG, tau=TAU, max_rays=max_rays)
         n = map_.domain.shape[0]
         surveyed = rep.hypotheses["star_shaped"].resolution["rays"]
         assert surveyed == len(range(0, n, -(-n // max_rays)))
-        rows = block_points(map_)
-        survey_blocks = -(-surveyed // max(1, rows // (2 * 9 * CFG.steps)))
-        vi_blocks = -(-2 * n * (CFG.steps + 1) // rows)
+        cloud = map_.values[0].points.size
+        survey_blocks = len(blocks(surveyed, 2 * 9 * CFG.steps * cloud))
+        vi_blocks = len(blocks(2 * n * (CFG.steps + 1), cloud))
         assert calls == {"dini_table": 2 * survey_blocks + 1,
                          "evaluate_batch": 1 + survey_blocks + vi_blocks + 1}
         if make_map == "cloud":  # the survey and, in a smaller block, the VI rows split
