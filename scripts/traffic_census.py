@@ -13,7 +13,7 @@ executed line of the ``setvi`` package:
 * ``digests``: every command that ``scripts/report_digests.py`` runs on
   ``scripts/digest_problems/*.json``, and one 30-instance suite.
 
-``suite._usable_cpus`` is forced to 1 in both phases, so no suite share
+``suite._usable_cpus`` is forced to 1 in both phases, so no suite chunk
 runs in a forked child, which the trace would not see.
 
 Per module it prints the statements that neither phase ran and those that
@@ -96,7 +96,7 @@ def run_workloads(tmp: Path) -> None:
     import workloads
     from setvi import suite
 
-    suite._usable_cpus = lambda: 1  # for both phases: a forked share is not traced
+    suite._usable_cpus = lambda: 1  # for both phases: a forked chunk is not traced
     workloads.SuiteWorkload(SEED).unit(0)
     clouds = workloads.CloudsWorkload(SEED)
     for i in range(4):

@@ -10,9 +10,9 @@ scan has a disqualifying sample to find).  Both the confirming and the
 vacuous branches of every implication are exercised this way without ever
 manufacturing a discretization artifact.
 
-Because instances are independent, ``run_suite`` deals their indices into
-one strided share per usable CPU: forked children run all shares but the
-first, which the calling process runs before the property blocks.  The
+Because instances are independent, ``run_suite`` splits their indices into
+one contiguous chunk per usable CPU: forked children run every chunk but
+the first, which the calling process runs before the property blocks.  The
 report is the one a serial loop over the indices would build, byte for
 byte, and so is the exception when an instance raises.
 """
@@ -215,59 +215,42 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_share(seed: int, instances: int, settings: RunSettings, workers: int, k: int):
-    """Instances k, k + workers, ... in index order, up to the first that
-    raises: their results, and that instance's (index, exception) or None."""
-    results = []
-    for i in range(k, instances, workers):
-        try:
-            results.append(run_instance(build_instance(seed, i), settings))
-        except Exception as exc:  # the caller raises the lowest index of all shares
-            return results, (i, exc)
-    return results, None
+def _instance_result(seed: int, settings: RunSettings, index: int) -> dict:
+    return run_instance(build_instance(seed, index), settings)
 
 
 def _run_instances(seed: int, instances: int, settings: RunSettings):
     """Every instance's result in index order, and the property blocks.
 
-    With w = min(usable CPUs, instances) > 1 and ``fork`` available, w - 1
-    forked children each run one strided share while this process runs
-    share 0 and then the property blocks; otherwise this process runs one
-    share of every index.  Children inherit the parent's modules as they
-    are, and the pool's modules load only here.
+    With w = min(usable CPUs, instances) and ``fork`` available, the indices
+    fall into w contiguous chunks of ceil(instances / w).  This process runs
+    the first chunk and then the property blocks, while w - 1 forked
+    children run the others through one ordered ``map``; with w = 1 the same
+    lines run without a pool.  This process holds the lowest indices and
+    ``map`` yields in index order, so the first failing index raises what a
+    serial loop raises.  Children inherit the parent's modules as they are,
+    and the pool's modules load only here.
     """
+    import contextlib
+    import functools
+
     workers = min(_usable_cpus(), instances) if hasattr(os, "fork") else 1
-    if workers == 1:
-        return _parent_share(seed, instances, settings, 1, [])
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    chunk = -(-instances // workers)
+    run = functools.partial(_instance_result, seed, settings)
+    with contextlib.ExitStack() as stack:
+        rest = []
+        if workers > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers - 1,
-                             mp_context=multiprocessing.get_context("fork")) as pool:
-        children = [pool.submit(_run_share, seed, instances, settings, workers, k)
-                    for k in range(1, workers)]
-        return _parent_share(seed, instances, settings, workers, children)
-
-
-def _parent_share(seed: int, instances: int, settings: RunSettings, workers: int,
-                  children: list):
-    """Share 0 and then the property blocks here, then the children's
-    shares, merged in index order.  Each share stops at its first failure,
-    so the lowest failing index of all shares is the one a serial loop
-    raises."""
-    results, failure = _run_share(seed, instances, settings, workers, 0)
-    trials = max(50, instances)
-    properties = None if failure else {
-        "order_relations": _relation_properties(seed, trials),
-        "extended_membership": _membership_properties(seed, trials)}
-    shares = [(results, failure), *(child.result() for child in children)]
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    merged = [None] * instances
-    for k, (share, _) in enumerate(shares):
-        merged[k::workers] = share
-    return merged, properties
+            pool = stack.enter_context(ProcessPoolExecutor(
+                workers - 1, mp_context=multiprocessing.get_context("fork")))
+            rest = pool.map(run, range(chunk, instances), chunksize=chunk)
+        results = [run(i) for i in range(chunk)]
+        trials = max(50, instances)
+        properties = {"order_relations": _relation_properties(seed, trials),
+                      "extended_membership": _membership_properties(seed, trials)}
+        return results + list(rest), properties
 
 
 def run_suite(seed: int = 0, instances: int = 200,
@@ -276,7 +259,7 @@ def run_suite(seed: int = 0, instances: int = 200,
 
     Each instance is drawn from its own (seed, index) generator, so the
     instance entries of a shorter run are a prefix of those of a longer one,
-    and how the indices are shared among processes changes no report byte
+    and how the indices are chunked among processes changes no report byte
     (see ``_run_instances``).
     An instance's chains run in one ``theorem_chains`` call, and their
     recorded VI witnesses are replayed from the report alone, one batched
